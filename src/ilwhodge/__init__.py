@@ -15,6 +15,7 @@ from .mpseries import (
     SeriesError,
     VarSpec,
     divide_by_var,
+    divide_series,
     exp_series,
     inverse_series,
     log_series,

@@ -23,6 +23,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn
 
 from . import exactnum, hodge, ilw
 from .exactnum import rational_from_str, rational_to_str
@@ -75,6 +76,19 @@ def _env(name: str, fallback):
     return os.environ.get(f"ILWHODGE_{name}", fallback)
 
 
+def _usage_error(message: str) -> NoReturn:
+    sys.stderr.write(f"ilwhodge: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _env_int(name: str, fallback: int) -> int:
+    text = _env(name, str(fallback))
+    try:
+        return int(text)
+    except ValueError:
+        _usage_error(f"ILWHODGE_{name} must be an integer, got {text!r}")
+
+
 def _nonneg_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -92,11 +106,14 @@ def _pos_int(text: str) -> int:
 def _perturbation(text: str):
     try:
         g_text, _, delta_text = text.partition(":")
-        return int(g_text), rational_from_str(delta_text)
+        g0, delta = int(g_text), rational_from_str(delta_text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected G:P/Q (e.g. 2:1/1000000), got {text!r}"
         ) from exc
+    if delta == 0:
+        raise argparse.ArgumentTypeError(f"a zero shift injects no fault, got {text!r}")
+    return g0, delta
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--seed",
         type=int,
-        default=int(_env("SEED", "0")),
+        default=_env_int("SEED", 0),
         help="seed recorded in the config and used by randomized checks",
     )
 
@@ -130,19 +147,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=_nonneg_int, default=12)
 
     p = sub.add_parser("constants", parents=[common], help="hierarchy constants C_g")
-    p.add_argument("--max-genus", type=_pos_int, default=int(_env("GENUS", "5")))
+    p.add_argument("--max-genus", type=_pos_int, default=_env_int("GENUS", 5))
 
     p = sub.add_parser("one-point", parents=[common], help="one-point table")
-    p.add_argument("--max-genus", type=_pos_int, default=int(_env("GENUS", "5")))
+    p.add_argument("--max-genus", type=_pos_int, default=_env_int("GENUS", 5))
 
     for name in ("hamiltonian", "flow"):
         p = sub.add_parser(name, parents=[common])
-        p.add_argument("--index", type=_pos_int, default=int(_env("INDEX", "2")))
-        p.add_argument("--genus", type=_nonneg_int, default=int(_env("GENUS", "5")))
+        p.add_argument("--index", type=_pos_int, default=_env_int("INDEX", 2))
+        p.add_argument("--genus", type=_nonneg_int, default=_env_int("GENUS", 5))
 
     p = sub.add_parser("verify", parents=[common], help="run verification suites")
     p.add_argument("which", choices=VERIFY_CHOICES)
-    p.add_argument("--genus", type=_pos_int, default=int(_env("GENUS", "5")))
+    p.add_argument("--genus", type=_pos_int, default=_env_int("GENUS", 5))
     p.add_argument(
         "--perturb-cg",
         type=_perturbation,
@@ -203,8 +220,11 @@ def _render_rows(command: str, cfg: RunConfig, rows: list[dict], columns: list[s
 
 def _emit(cfg: RunConfig, text: str) -> None:
     if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _usage_error(f"cannot write --output {cfg.output_path}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -358,6 +378,8 @@ def _run_verifications(which: str, G: int, cg_values) -> list[VerificationReport
 
 
 def cmd_verify(cfg: RunConfig, which: str, genus: int, perturb) -> int:
+    if perturb and not 1 <= perturb[0] <= genus:
+        _usage_error(f"--perturb-cg locus {perturb[0]} is outside 1..{genus}")
     cg_values = perturbed_cg(*perturb) if perturb else None
     reports = _run_verifications(which, genus, cg_values)
     all_ok = all(r.ok for r in reports)

@@ -31,6 +31,7 @@ from .mpseries import (
     MultiSeries,
     VarSpec,
     divide_by_var,
+    divide_series,
     exp_series,
     inverse_series,
     log_sinc_half,
@@ -211,7 +212,7 @@ def extract_cg(G: int) -> list[Fraction]:
     if G < 1:
         raise ValueError(f"order must be >= 1, got {G}")
     st = s_tilde_series(G)
-    quotient = st.partial_derivative("h") * inverse_series(st)
+    quotient = divide_series(st.partial_derivative("h"), st)
     for (a, b), val in quotient.terms.items():
         if a <= G - 1 and a != b and val != 0:
             raise HodgeConsistencyError(
@@ -316,7 +317,7 @@ def verify_one_point_reverse(
     resulting S against the one-point table."""
     if G < 1:
         raise ValueError(f"order must be >= 1, got {G}")
-    s_ode = s_tilde_from_constants(G, cg_values) * inverse_series(sinc_factor_series(G))
+    s_ode = divide_series(s_tilde_from_constants(G, cg_values), sinc_factor_series(G))
     table = one_point_table(G)
     mism = None
     if s_ode.coefficient((0, 0)) != 1:

@@ -10,6 +10,15 @@ Negative exponents are never allowed.  The two constructs that would call
 for them, a 1/eps prefactor and a sqrt(h*eps) argument, are realized by
 `divide_by_var` (a checked exponent shift) and `substitute_square`
 (z^(2m) -> h^m e^m), keeping the ring total.
+
+`exp_series`, `log_series` and `divide_series` (with `inverse_series` as
+1 / a) share one graded recurrence (Brent & Kung, J. ACM 25, 1978).  A series
+is split into homogeneous components by total degree, and component d of
+the result is solved from the components below it; for exp and log the
+Euler derivative sum_i x_i d/dx_i, which scales degree d by d, turns the
+functional equation into such a recurrence.  Each slice is a sum of ordinary
+products of homogeneous components, so the work is about that of a single
+product, not one product per power.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ __all__ = [
     "exp_series",
     "log_series",
     "inverse_series",
+    "divide_series",
     "log_sinc_half",
     "sinc_half_series",
     "pow_linear_exponent",
@@ -351,67 +361,90 @@ def _var_index(vs: tuple[VarSpec, ...], name: str) -> int:
     raise SeriesError(f"no variable named {name!r} in {[v.name for v in vs]}")
 
 
-def _max_nilpotence(vs: tuple[VarSpec, ...]) -> int:
-    # a series with zero constant term is nilpotent: its n-th power vanishes
-    # once n exceeds the total retained degree
-    return sum(max(v.order - 1, 0) for v in vs)
+def _components(a: MultiSeries) -> list[MultiSeries]:
+    """Homogeneous components a_0..a_D of a by total degree, where D is the
+    largest total degree the truncation box retains."""
+    top = sum(v.order - 1 for v in a.vars)
+    parts: list[dict[Exponents, Fraction]] = [{} for _ in range(top + 1)]
+    for e, c in a.terms.items():
+        parts[sum(e)][e] = c
+    return [MultiSeries._make(a.vars, t) for t in parts]
+
+
+def _solve_graded(base: list[MultiSeries], left: list[MultiSeries], weight) -> MultiSeries:
+    """The series y with weight(d) * y_d = base_d + sum_{k=1..d} left_k * y_{d-k}
+    in every total degree d, built from the degrees below d.
+
+    Each degree slice is a sum of products of homogeneous components, so the
+    whole solve costs about one product's worth of coefficient work.
+    """
+    y: list[MultiSeries] = []
+    for d, b in enumerate(base):
+        acc = b
+        for k in range(1, d + 1):
+            if left[k] and y[d - k]:
+                acc = acc + left[k] * y[d - k]
+        y.append(acc * (Fraction(1) / weight(d)))
+    out: dict[Exponents, Fraction] = {}
+    for part in y:
+        out.update(part.terms)
+    return MultiSeries._make(base[0].vars, out)
+
+
+def _euler(parts: list[MultiSeries]) -> list[MultiSeries]:
+    """Components of the Euler derivative sum_i x_i d/dx_i: degree d scaled by d."""
+    return [p * d for d, p in enumerate(parts)]
 
 
 def exp_series(a: MultiSeries) -> MultiSeries:
-    """exp of a series with zero constant term, exact to truncation."""
+    """exp of a series with zero constant term, exact to truncation.
+
+    f = exp(a) satisfies E f = (E a) f for the Euler derivative E, that is
+    d f_d = sum_{k=1..d} k a_k f_{d-k}.
+    """
     if a.constant_term != 0:
         raise SeriesError("exp_series requires a zero constant term")
-    acc = MultiSeries.constant(a.vars, 1)
-    power = acc
-    bound = _max_nilpotence(a.vars)
-    n = 0
-    while True:
-        power = power * a
-        if power.is_zero():
-            return acc
-        n += 1
-        if n > bound:
-            raise AssertionError("exp_series failed to terminate")
-        acc = acc + power * Fraction(1, factorial(n))
+    one = MultiSeries.constant(a.vars, 1)  # rejects a variable of order 0
+    return _solve_graded(_components(one), _euler(_components(a)), lambda d: d or 1)
 
 
 def log_series(a: MultiSeries) -> MultiSeries:
-    """log of a series with constant term one, exact to truncation."""
+    """log of a series with constant term one, exact to truncation.
+
+    g = log(a) satisfies a E g = E a, that is
+    d g_d = d a_d - sum_{k=1..d-1} a_{d-k} k g_k.
+    """
     if a.constant_term != 1:
         raise SeriesError("log_series requires constant term 1")
-    x = a - 1
-    acc = MultiSeries.zero(a.vars)
-    power = MultiSeries.constant(a.vars, 1)
-    bound = _max_nilpotence(a.vars)
-    n = 0
-    while True:
-        power = power * x
-        if power.is_zero():
-            return acc
-        n += 1
-        if n > bound:
-            raise AssertionError("log_series failed to terminate")
-        acc = acc + power * Fraction((-1) ** (n + 1), n)
+    parts = _components(a)
+    eg = _solve_graded(_euler(parts), [-p for p in parts], lambda d: 1)  # E g
+    return MultiSeries._make(a.vars, {e: c / sum(e) for e, c in eg.terms.items()})
+
+
+def divide_series(num, den: MultiSeries) -> MultiSeries:
+    """num / den for a series den with nonzero constant term, exact to
+    truncation; num is a series over the same variables or a rational."""
+    return _divide(num, den, "divide_series")
 
 
 def inverse_series(a: MultiSeries) -> MultiSeries:
     """Multiplicative inverse of a series with nonzero constant term."""
-    c = a.constant_term
+    return _divide(1, a, "inverse_series")
+
+
+def _divide(num, den: MultiSeries, caller: str) -> MultiSeries:
+    # q = num / den solves den_0 q_d = num_d - sum_{k=1..d} den_k q_{d-k}
+    c = den.constant_term
     if c == 0:
-        raise SeriesError("inverse_series requires a nonzero constant term")
-    y = a * (Fraction(1) / c) - 1
-    acc = MultiSeries.constant(a.vars, 1)
-    power = MultiSeries.constant(a.vars, 1)
-    bound = _max_nilpotence(a.vars)
-    n = 0
-    while True:
-        power = power * y
-        if power.is_zero():
-            return acc * (Fraction(1) / c)
-        n += 1
-        if n > bound:
-            raise AssertionError("inverse_series failed to terminate")
-        acc = acc + power * Fraction((-1) ** n)
+        raise SeriesError(f"{caller} requires a nonzero constant term")
+    if isinstance(num, (int, Fraction)):
+        num = MultiSeries.constant(den.vars, num)
+    if num.vars != den.vars:
+        raise SeriesError(
+            f"{caller}: variable mismatch: {[v.name for v in num.vars]} vs "
+            f"{[v.name for v in den.vars]}"
+        )
+    return _solve_graded(_components(num), [-p for p in _components(den)], lambda d: c)
 
 
 def log_sinc_half(order: int, name: str = "z") -> MultiSeries:

@@ -5,6 +5,12 @@ triangle (a different algorithm from the engine's binomial recurrence).
 `one_point_oracle` expands ((t/2)/sin(t/2))^(k+1) by brute force: a
 hand-coded power-series reciprocal (long division), integer powers by
 convolution, and Vandermonde interpolation in k -- no exp/log anywhere.
+`exp_power_sum`, `log_power_sum` and `inverse_power_sum` are the plain
+Taylor sums sum_n a^n / n!, sum_n (-1)^(n+1) (a-1)^n / n and
+sum_n (1 - a/c)^n / c over full series products, a reference for the
+engine's degree-by-degree recurrences; they take the series class from
+their argument, because `perfbench/workloads.py` loads this file by path
+without `ilwhodge` on the import path.
 """
 
 from __future__ import annotations
@@ -94,3 +100,32 @@ def one_point_oracle(g_max: int) -> dict[tuple[int, int], Fraction]:
         for i, c in enumerate(coeffs):
             out[(g, i)] = c
     return out
+
+
+def _power_sum(x, coeff):
+    """sum_{n>=0} coeff(n) x^n for a nilpotent series x (zero constant term);
+    the powers vanish once n exceeds the largest retained total degree."""
+    acc = type(x).zero(x.vars)
+    power = type(x).constant(x.vars, 1)
+    n = 0
+    while not power.is_zero():
+        acc = acc + power * coeff(n)
+        power = power * x
+        n += 1
+    return acc
+
+
+def exp_power_sum(a):
+    assert a.constant_term == 0
+    return _power_sum(a, lambda n: Fraction(1, factorial(n)))
+
+
+def log_power_sum(a):
+    assert a.constant_term == 1
+    return _power_sum(a - 1, lambda n: Fraction((-1) ** (n + 1), n) if n else 0)
+
+
+def inverse_power_sum(a):
+    c = a.constant_term
+    assert c != 0
+    return _power_sum(1 - a * (1 / c), lambda n: 1 / c)

@@ -19,7 +19,15 @@ from ilwhodge.diffalg import (
     total_x_derivative,
     variational_derivative,
 )
-from ilwhodge.mpseries import MultiSeries, VarSpec, exp_series, log_series
+from ilwhodge.mpseries import (
+    MultiSeries,
+    VarSpec,
+    divide_series,
+    exp_series,
+    inverse_series,
+    log_series,
+)
+from oracles import exp_power_sum, inverse_power_sum, log_power_sum
 
 
 def random_series(rng: random.Random, vars: tuple[VarSpec, ...],
@@ -43,6 +51,31 @@ def check_exp_log_inversion(cases: int, seed: int) -> int:
         assert log_series(exp_series(a)) == a
         b = random_series(rng, vars, zero_constant=True) + 1
         assert exp_series(log_series(b)) == b
+    return cases
+
+
+# uneven truncation boxes, including a variable that keeps only its constant
+SERIES_BOXES = [
+    (VarSpec("x", 5), VarSpec("y", 4)),
+    (VarSpec("x", 1), VarSpec("y", 6)),
+    (VarSpec("x", 3), VarSpec("y", 7), VarSpec("z", 2)),
+]
+
+
+def check_series_ops_against_power_sums(cases: int, seed: int) -> int:
+    rng = random.Random(seed)
+    for _ in range(cases):
+        vars = rng.choice(SERIES_BOXES)
+        a = random_series(rng, vars, zero_constant=True)
+        assert exp_series(a) == exp_power_sum(a)
+        b = random_series(rng, vars, zero_constant=True) + 1
+        assert log_series(b) == log_power_sum(b)
+        c = b + random_series(rng, vars, zero_constant=True) + Fraction(rng.randint(-3, 3))
+        if c.constant_term == 0:
+            c = c + 1
+        assert inverse_series(c) == inverse_power_sum(c)
+        num = random_series(rng, vars, zero_constant=rng.random() < 0.5)
+        assert divide_series(num, c) == num * inverse_power_sum(c)
     return cases
 
 
@@ -109,6 +142,7 @@ def check_normalize_idempotent(cases: int, seed: int) -> int:
 
 ALL_SUITES = [
     ("exp/log inversion", check_exp_log_inversion),
+    ("series ops vs power sums", check_series_ops_against_power_sums),
     ("Euler kills d/dx", check_euler_kills_dx),
     ("d/dx derivation rule", check_dx_derivation),
     ("bracket antisymmetry + Jacobi", check_bracket_antisymmetry_jacobi),

@@ -170,6 +170,20 @@ class TestVerify:
             main(["verify", "cg", "--perturb-cg", "nonsense"])
         assert exc.value.code == 2
 
+    def test_zero_shift_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "cg", "--genus", "3", "--perturb-cg", "2:0"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("locus", ["0", "4"])
+    def test_perturbation_outside_orders_rejected(self, capsys, locus):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "cg", "--genus", "3", "--perturb-cg", f"{locus}:1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "outside 1..3" in captured.err
+
     def test_unknown_selector(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "everything"])
@@ -184,6 +198,22 @@ class TestPlumbing:
         assert capsys.readouterr().out == ""
         data = json.loads(target.read_text())
         assert data["details"][0]["c_g"] == "1/24"
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--max-genus", "2", "--output", str(target)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "--output" in captured.err
+
+    def test_non_integer_env_genus_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("ILWHODGE_GENUS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "cg"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "ILWHODGE_GENUS" in captured.err
 
     def test_env_format_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ILWHODGE_FORMAT", "json")

@@ -10,6 +10,7 @@ from ilwhodge.mpseries import (
     SeriesError,
     VarSpec,
     divide_by_var,
+    divide_series,
     exp_series,
     inverse_series,
     log_series,
@@ -18,7 +19,11 @@ from ilwhodge.mpseries import (
     sinc_half_series,
     substitute_square,
 )
-from properties import check_exp_log_inversion, random_series
+from properties import (
+    check_exp_log_inversion,
+    check_series_ops_against_power_sums,
+    random_series,
+)
 
 T3 = (VarSpec("t", 3),)
 T6 = (VarSpec("t", 6),)
@@ -79,8 +84,16 @@ def test_exp_log_preconditions():
         exp_series(MultiSeries.constant(T6, 1))
     with pytest.raises(SeriesError):
         log_series(MultiSeries.zero(T6))
-    with pytest.raises(SeriesError):
+    with pytest.raises(SeriesError, match="inverse_series"):
         inverse_series(MultiSeries.zero(T6))
+    # a variable of order 0 leaves no room for exp's constant term
+    with pytest.raises(SeriesError, match="truncates even the constant term"):
+        exp_series(MultiSeries.zero((VarSpec("t", 0),)))
+    t = MultiSeries.variable(T6, "t")
+    with pytest.raises(SeriesError, match="divide_series"):
+        divide_series(t, t)
+    with pytest.raises(SeriesError, match="divide_series"):
+        divide_series(MultiSeries.constant(T3, 1), MultiSeries.constant(T6, 1))
 
 
 def test_log_sinc_half_coefficients():
@@ -207,6 +220,18 @@ def test_inverse_series():
 
 def test_exp_log_inversion_property():
     check_exp_log_inversion(200, 101)
+
+
+def test_series_ops_match_power_sums():
+    check_series_ops_against_power_sums(200, 102)
+
+
+def test_divide_series_hand_expansion():
+    # (1 + t) / (1 - t) = 1 + 2t + 2t^2 + ... to truncation
+    t = MultiSeries.variable(T6, "t")
+    expected = series(T6, {(0,): 1, (1,): 2, (2,): 2, (3,): 2, (4,): 2, (5,): 2})
+    assert divide_series(1 + t, 1 - t) == expected
+    assert divide_series(Fraction(1, 2), MultiSeries.constant(T6, 2)) == MultiSeries.constant(T6, Fraction(1, 4))
 
 
 def test_json_round_trip_graded_lex():
