@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import NoReturn
 
 from . import exactnum, hodge, ilw
+from .diffalg import u_monomial_pretty
 from .exactnum import rational_from_str, rational_to_str
 from .reports import VerificationReport
 
@@ -152,8 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("one-point", parents=[common], help="one-point table")
     p.add_argument("--max-genus", type=_pos_int, default=_env_int("GENUS", 5))
 
-    for name in ("hamiltonian", "flow"):
-        p = sub.add_parser(name, parents=[common])
+    for name, text in (
+        ("hamiltonian", "hierarchy Hamiltonian h_I to order h^G"),
+        ("flow", "flow d/dx (delta h_I / delta u) to order h^G"),
+    ):
+        p = sub.add_parser(name, parents=[common], help=text)
         p.add_argument("--index", type=_pos_int, default=_env_int("INDEX", 2))
         p.add_argument("--genus", type=_nonneg_int, default=_env_int("GENUS", 5))
 
@@ -289,11 +293,7 @@ def _emit_diffpoly(command: str, cfg: RunConfig, payload: dict, poly_pretty: str
             for entry in term["coef"]["terms"]:
                 rows.append(
                     {
-                        "monomial": "*".join(
-                            ("u" if k == 0 else f"u_{k}") + ("" if m == 1 else f"^{m}")
-                            for k, m in term["u"]
-                        )
-                        or "1",
+                        "monomial": u_monomial_pretty(term["u"]),
                         "h_exp": entry["exp"][0],
                         "e_exp": entry["exp"][1],
                         "coefficient": entry["coef"],

@@ -18,6 +18,7 @@ per class, so equality of functionals is a dictionary comparison.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +33,7 @@ __all__ = [
     "NotSelfAdjointError",
     "UExps",
     "u_key",
+    "u_monomial_pretty",
     "coeff_ring",
     "DiffMonomial",
     "DiffPoly",
@@ -114,13 +116,13 @@ def monomial_sort_key(ue: UExps) -> tuple:
     return (differential_degree(ue), _dense(ue, top + 1))
 
 
-def _integration_key(ue: UExps) -> tuple:
-    # order used by integration by parts: top derivative index first, then
-    # multiplicities read from the top index downward
+def _heap_key(ue: UExps) -> tuple:
+    # integration-by-parts order, negated for heapq's min-heap: top derivative
+    # index first, then multiplicities read from the top index downward
     if not ue:
-        return (-1, ())
+        return (1,)
     top = ue[-1][0]
-    return (top, tuple(reversed(_dense(ue, top + 1))))
+    return (-top, *(-m for m in reversed(_dense(ue, top + 1))))
 
 
 @dataclass(frozen=True)
@@ -338,32 +340,24 @@ def _merge_keys(a: UExps, b: UExps) -> UExps:
     return tuple(sorted(acc.items()))
 
 
-def _u_name(k: int) -> str:
-    return "u" if k == 0 else f"u_{k}"
-
-
-def _coeff_prefix(coef: MultiSeries) -> tuple[str, bool]:
-    # returns (rendered coefficient, needs_star) with sign folded when the
-    # coefficient is a single term
-    if len(coef.terms) == 1:
-        text = str(coef)
-        return text, True
-    return f"({coef})", True
+def u_monomial_pretty(ue: Iterable[Iterable[int]]) -> str:
+    """Plain-text u-monomial, e.g. "u^2*u_3"; "1" for the empty monomial."""
+    return "*".join(
+        ("u" if k == 0 else f"u_{k}") + ("" if m == 1 else f"^{m}") for k, m in ue
+    ) or "1"
 
 
 def _pretty_term(m: DiffMonomial) -> str:
-    ufacs = [
-        _u_name(k) if mult == 1 else f"{_u_name(k)}^{mult}" for k, mult in m.u_exponents
-    ]
     coef = m.coefficient
-    if not ufacs:
-        return str(coef) if len(coef.terms) == 1 else f"({coef})"
-    if len(coef.terms) == 1 and coef.constant_term == 1:
-        return "*".join(ufacs)
-    if len(coef.terms) == 1 and coef.constant_term == -1:
-        return "-" + "*".join(ufacs)
-    prefix, _ = _coeff_prefix(coef)
-    return "*".join([prefix] + ufacs)
+    text = str(coef) if len(coef.terms) == 1 else f"({coef})"
+    if not m.u_exponents:
+        return text
+    body = u_monomial_pretty(m.u_exponents)
+    if text == "1":
+        return body
+    if text == "-1":
+        return "-" + body
+    return f"{text}*{body}"
 
 
 _LATEX_VAR = {"h": r"\hbar", "e": r"\varepsilon"}
@@ -432,18 +426,30 @@ def partial_u(p: DiffPoly, k: int) -> DiffPoly:
     return DiffPoly._make(p.coeff_vars, terms)
 
 
+def _dx_monomial(ue: UExps) -> list[tuple[UExps, int]]:
+    """d/dx of a bare u-monomial as (monomial, integer multiplicity) pairs.
+
+    Raising a different u_k gives a different monomial, so the pairs never
+    repeat a monomial.
+    """
+    out = []
+    for pos, (k, m) in enumerate(ue):
+        lowered = ((k, m - 1),) if m > 1 else ()
+        after = ue[pos + 1:]
+        if after and after[0][0] == k + 1:
+            raised = ((k + 1, after[0][1] + 1),) + after[1:]
+        else:
+            raised = ((k + 1, 1),) + after
+        out.append((ue[:pos] + lowered + raised, m))
+    return out
+
+
 def total_x_derivative(p: DiffPoly) -> DiffPoly:
     """d/dx p = sum_k (dp/du_k) u_{k+1}; a derivation, kills constants."""
     terms: dict[UExps, MultiSeries] = {}
     for ue, coef in p.terms.items():
-        for k, m in ue:
-            d = dict(ue)
-            if m == 1:
-                del d[k]
-            else:
-                d[k] = m - 1
-            d[k + 1] = d.get(k + 1, 0) + 1
-            _accumulate(terms, tuple(sorted(d.items())), coef * m)
+        for key, m in _dx_monomial(ue):
+            _accumulate(terms, key, coef * m)
     return DiffPoly._make(p.coeff_vars, terms)
 
 
@@ -557,27 +563,42 @@ def normalize(p: DiffPoly) -> LocalFunctional:
     The result is the projection onto the complement of im(d/dx), hence
     idempotent and independent of reduction order.
     """
-    cvars = p.coeff_vars
-    work: dict[UExps, MultiSeries] = dict(p.terms)
+    work, heap = _worklist(p)
     out: dict[UExps, MultiSeries] = {}
-    while work:
-        ue = max(work, key=_integration_key)
+    while heap:
+        ue = heapq.heappop(heap)[1]
         coef = work.pop(ue)
         if coef.is_zero():
             continue
         if _is_normal_key(ue):
-            _accumulate(out, ue, coef)
+            out[ue] = coef
             continue
         top = ue[-1][0]
         rest = dict(ue[:-1])
         j = rest.pop(top - 1, 0)
-        r_key = tuple(sorted(rest.items()))
-        factor = coef * Fraction(-1, j + 1)
-        d_r = total_x_derivative(DiffPoly._make(cvars, {r_key: MultiSeries.constant(cvars, 1)}))
-        for rk, rc in d_r.terms.items():
+        for rk, m in _dx_monomial(tuple(sorted(rest.items()))):
             new_key = _merge_keys(rk, ((top - 1, j + 1),))
-            _accumulate(work, new_key, rc * factor)
-    return LocalFunctional(DiffPoly._make(cvars, out))
+            _push(work, heap, new_key, coef * Fraction(-m, j + 1))
+    return LocalFunctional(DiffPoly._make(p.coeff_vars, out))
+
+
+def _worklist(p: DiffPoly) -> tuple[dict[UExps, MultiSeries], list]:
+    """The terms of p, and a heap that pops their monomials greatest first
+    in integration-by-parts order."""
+    heap = [(_heap_key(ue), ue) for ue in p.terms]
+    heapq.heapify(heap)
+    return dict(p.terms), heap
+
+
+def _push(work: dict[UExps, MultiSeries], heap: list, ue: UExps, coef: MultiSeries) -> None:
+    # Reductions only produce monomials below the one being reduced, so a
+    # monomial enters the heap once, the first time it is seen; a sum that
+    # cancels stays in `work` as zero until it is popped.
+    if ue in work:
+        work[ue] = work[ue] + coef
+    else:
+        work[ue] = coef
+        heapq.heappush(heap, (_heap_key(ue), ue))
 
 
 def poisson_bracket(
@@ -648,14 +669,12 @@ def integrate_x(q: DiffPoly) -> DiffPoly:
     q in the image of d/dx that monomial has a linear strictly-top factor
     u_N, and its unique preimage lowers u_N to u_{N-1}.
     """
-    cvars = q.coeff_vars
-    work: dict[UExps, MultiSeries] = dict(q.terms)
+    work, heap = _worklist(q)
     phi: dict[UExps, MultiSeries] = {}
-    while work:
-        ue = max(work, key=_integration_key)
-        coef = work[ue]
+    while heap:
+        ue = heapq.heappop(heap)[1]
+        coef = work.pop(ue)
         if coef.is_zero():
-            del work[ue]
             continue
         if not ue or ue[-1][0] == 0:
             raise NotTotalDerivativeError(
@@ -666,16 +685,15 @@ def integrate_x(q: DiffPoly) -> DiffPoly:
             raise NotTotalDerivativeError(
                 f"leading monomial has u_{top}^{mult}; input is not a total derivative"
             )
-        d = dict(ue)
-        del d[top]
-        d[top - 1] = d.get(top - 1, 0) + 1
-        pre_key = tuple(sorted(d.items()))
-        c = coef * Fraction(1, d[top - 1])
-        _accumulate(phi, pre_key, c)
-        d_pre = total_x_derivative(DiffPoly._make(cvars, {pre_key: c}))
-        for rk, rc in d_pre.terms.items():
-            _accumulate(work, rk, -rc)
-    return DiffPoly._make(cvars, phi)
+        pre_key = _merge_keys(ue[:-1], ((top - 1, 1),))
+        j = pre_key[-1][1]
+        phi[pre_key] = coef * Fraction(1, j)
+        # d/dx(pre) = j * (its u_{N-1}^j factor raised) + lower monomials; the
+        # first is the popped monomial and cancels exactly
+        for rk, m in _dx_monomial(pre_key):
+            if rk != ue:
+                _push(work, heap, rk, coef * Fraction(-m, j))
+    return DiffPoly._make(q.coeff_vars, phi)
 
 
 def frechet_apply(phi: DiffPoly, b: DiffPoly) -> DiffPoly:
@@ -719,54 +737,31 @@ def random_diffpoly(
     return DiffPoly(cvars, terms)
 
 
-def _self_adjoint_witness(
-    phi: DiffPoly, rng: random.Random, trials: int
-) -> DiffPoly | None:
-    """Search for a test pair violating int a*Dphi(b) = int b*Dphi(a);
-    returns the offending difference, or None if all trials balance."""
-    cvars = phi.coeff_vars
-    max_index = max(phi.max_index() + 1, 2)
-    fixed_pairs = [
-        (DiffPoly.constant(cvars, 1), DiffPoly.u_power(cvars, 1)),
-        (DiffPoly.u_power(cvars), DiffPoly.u_power(cvars, 0, 2)),
-    ]
-    pairs = fixed_pairs + [
-        (
-            random_diffpoly(cvars, rng, max_index=max_index),
-            random_diffpoly(cvars, rng, max_index=max_index),
-        )
-        for _ in range(trials)
-    ]
-    for a, b in pairs:
-        diff = normalize(a * frechet_apply(phi, b) - b * frechet_apply(phi, a))
-        if not diff.is_zero():
-            return diff.density
-    return None
-
-
-def reconstruct_functional_from_flow(
-    q: DiffPoly, seed: int = 0, trials: int = 8
-) -> LocalFunctional:
+def reconstruct_functional_from_flow(q: DiffPoly) -> LocalFunctional:
     """Recover h with d/dx (delta h/delta u) = q via the homotopy formula.
 
     Checks that q is a total x-derivative (Euler derivative vanishes, no
-    u-free part), integrates it to phi, tests phi for formal
-    self-adjointness of its Frechet derivative on seeded random pairs, and
-    evaluates h = int_0^1 dl int u*phi[l*u] dx exactly: the l-integral
-    weights each monomial of phi by 1/(u-degree + 1).
+    u-free part), integrates it to phi, and evaluates
+    h = int_0^1 dl int u*phi[l*u] dx exactly: the l-integral weights each
+    monomial of phi by 1/(u-degree + 1).  phi is a variational gradient
+    exactly when it reproduces itself, delta h/delta u = phi (Olver,
+    Applications of Lie Groups to Differential Equations, ch. 5); any other
+    phi is rejected.
     """
     if not q.u_free_part().is_zero():
         raise NotTotalDerivativeError("flow has a u-independent part")
     if not variational_derivative(q).is_zero():
         raise NotTotalDerivativeError("Euler derivative of the flow does not vanish")
     phi = integrate_x(q)
-    witness = _self_adjoint_witness(phi, random.Random(seed), trials)
-    if witness is not None:
-        raise NotSelfAdjointError(
-            f"integrated flow is not a variational gradient; witness {witness.pretty()}"
-        )
     terms: dict[UExps, MultiSeries] = {}
     for ue, coef in phi.terms.items():
         weight = Fraction(1, u_degree(ue) + 1)
         _accumulate(terms, _merge_keys(ue, ((0, 1),)), coef * weight)
-    return normalize(DiffPoly._make(q.coeff_vars, terms))
+    h = normalize(DiffPoly._make(q.coeff_vars, terms))
+    defect = variational_derivative(h) - phi
+    if not defect.is_zero():
+        raise NotSelfAdjointError(
+            "integrated flow is not a variational gradient; "
+            f"delta h/delta u - phi = {defect.pretty()}"
+        )
+    return h

@@ -33,6 +33,7 @@ from .diffalg import (
     total_x_derivative,
     u_degree,
     u_key,
+    u_monomial_pretty,
     variational_derivative,
 )
 from .exactnum import rational_to_str
@@ -55,7 +56,6 @@ __all__ = [
     "verify_commutation",
     "check_grading",
     "first_diffpoly_mismatch",
-    "u_monomial_pretty",
 ]
 
 CgValues = Callable[[int], Fraction]
@@ -154,20 +154,14 @@ def _h_slice(p: DiffPoly, g: int) -> dict[tuple[UExps, int], Fraction]:
     return {k: v for k, v in rows.items() if v != 0}
 
 
-def u_monomial_pretty(ue: UExps) -> str:
-    if not ue:
-        return "1"
-    return "*".join(
-        ("u" if k == 0 else f"u_{k}") + ("" if m == 1 else f"^{m}") for k, m in ue
-    )
-
-
 def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Hamiltonian:
     """The index-i Hamiltonian (i >= 2) determined by commutation with h_1.
 
     Solves {candidate, h_1} = 0 coefficient-wise, one h-order at a time;
     demands a unique solution over the graded normal-form ansatz and
-    re-verifies the full bracket afterwards.
+    re-verifies the full bracket afterwards.  The bracket of the part solved
+    so far with h_1 is kept across orders: the bracket is bilinear and
+    `normalize` is linear, so each solved layer adds its own bracket once.
     """
     if i < 2:
         raise ValueError(f"higher Hamiltonian index must be >= 2, got {i}")
@@ -182,6 +176,7 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
     density = DiffPoly(
         cvars, {u_key({0: i + 2}): MultiSeries.constant(cvars, Fraction(1, factorial(i + 2)))}
     )
+    known = normalize(variational_derivative(density) * xdh1_full).density
     for g in range(1, G + 1):
         basis = ansatz_monomials(i, g)
         columns: list[dict[tuple[UExps, int], Fraction]] = []
@@ -194,7 +189,6 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
                 if b0 == 0
             }
             columns.append(col)
-        known = normalize(variational_derivative(density) * xdh1_full).density
         rhs_rows = _h_slice(known, g)
 
         row_keys = sorted(
@@ -216,11 +210,14 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
                 for direction in result.free_directions
             ]
             raise UnderdeterminedSystemError(i, g, pretty)
-        for (ue, j), c in zip(basis, result.solution):
-            if c != 0:
-                density = density + DiffPoly(
-                    cvars, {ue: MultiSeries.monomial(cvars, (g, j), c)}
-                )
+        layer = DiffPoly(
+            cvars,
+            {ue: MultiSeries.monomial(cvars, (g, j), c)
+             for (ue, j), c in zip(basis, result.solution)},
+        )
+        density = density + layer
+        if g < G:
+            known = known + normalize(variational_derivative(layer) * xdh1_full).density
 
     ham = Hamiltonian(i, G, normalize(density))
     check_grading(ham)

@@ -11,6 +11,10 @@ sum_n (1 - a/c)^n / c over full series products, a reference for the
 engine's degree-by-degree recurrences; they take the series class from
 their argument, because `perfbench/workloads.py` loads this file by path
 without `ilwhodge` on the import path.
+`normalize_reference` and `integrate_x_reference` are the integration-by-
+parts normal form and the x-antiderivative by a full max-scan of the
+worklist on every step, over plain {(u-exps, (h, e)): Fraction} maps; they
+are the reference for the engine's heap-ordered versions.
 """
 
 from __future__ import annotations
@@ -129,3 +133,85 @@ def inverse_power_sum(a):
     c = a.constant_term
     assert c != 0
     return _power_sum(1 - a * (1 / c), lambda n: 1 / c)
+
+
+def _integration_key(ue: tuple) -> tuple:
+    """Top derivative index first, then multiplicities from the top down."""
+    if not ue:
+        return (-1, ())
+    top = ue[-1][0]
+    dense = [0] * (top + 1)
+    for k, m in ue:
+        dense[k] = m
+    return (top, tuple(reversed(dense)))
+
+
+def _dx_monomial(ue: tuple) -> dict[tuple, int]:
+    """d/dx of a bare u-monomial ((index, multiplicity), ...)."""
+    out: dict[tuple, int] = {}
+    for k, m in ue:
+        d = dict(ue)
+        if m == 1:
+            del d[k]
+        else:
+            d[k] = m - 1
+        d[k + 1] = d.get(k + 1, 0) + 1
+        key = tuple(sorted(d.items()))
+        out[key] = out.get(key, 0) + m
+    return out
+
+
+def _add(acc: dict, key, value) -> None:
+    total = acc.get(key, 0) + value
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
+
+
+def _greatest(work: dict) -> tuple:
+    return max(work, key=lambda k: _integration_key(k[0]))
+
+
+def normalize_reference(terms: dict) -> dict:
+    """Normal form of int(sum c * u-monomial * h^a e^b) dx: a term with a
+    linear strictly-top factor u_N reduces to -c/(j+1) dx(R) u_{N-1}^(j+1),
+    where the monomial is R u_{N-1}^j u_N."""
+    work = {k: Fraction(v) for k, v in terms.items() if v}
+    out: dict = {}
+    while work:
+        ue, hexp = key = _greatest(work)
+        coef = work.pop(key)
+        if not ue or ue[-1][0] == 0 or ue[-1][1] >= 2:
+            _add(out, key, coef)
+            continue
+        top = ue[-1][0]
+        rest = dict(ue[:-1])
+        j = rest.pop(top - 1, 0)
+        for rk, m in _dx_monomial(tuple(sorted(rest.items()))).items():
+            d = dict(rk)
+            d[top - 1] = d.get(top - 1, 0) + j + 1
+            _add(work, (tuple(sorted(d.items())), hexp), -coef * m / (j + 1))
+    return out
+
+
+def integrate_x_reference(terms: dict) -> dict:
+    """phi with d/dx phi = the input, peeling the greatest term each step;
+    ValueError when the input is not a total x-derivative."""
+    work = {k: Fraction(v) for k, v in terms.items() if v}
+    phi: dict = {}
+    while work:
+        ue, hexp = key = _greatest(work)
+        coef = work[key]
+        if not ue or ue[-1][0] == 0 or ue[-1][1] != 1:
+            raise ValueError(f"{ue} at {hexp} admits no x-antiderivative")
+        top = ue[-1][0]
+        d = dict(ue[:-1])
+        d[top - 1] = d.get(top - 1, 0) + 1
+        pre = tuple(sorted(d.items()))
+        c = coef / d[top - 1]
+        _add(phi, (pre, hexp), c)
+        # d/dx(pre) contains the greatest term itself, which cancels here
+        for rk, m in _dx_monomial(pre).items():
+            _add(work, (rk, hexp), -c * m)
+    return phi

@@ -10,7 +10,9 @@ import random
 from fractions import Fraction
 
 from ilwhodge.diffalg import (
+    DiffPoly,
     coeff_ring,
+    integrate_x,
     miura_forward,
     miura_inverse,
     normalize,
@@ -27,7 +29,13 @@ from ilwhodge.mpseries import (
     inverse_series,
     log_series,
 )
-from oracles import exp_power_sum, inverse_power_sum, log_power_sum
+from oracles import (
+    exp_power_sum,
+    integrate_x_reference,
+    inverse_power_sum,
+    log_power_sum,
+    normalize_reference,
+)
 
 
 def random_series(rng: random.Random, vars: tuple[VarSpec, ...],
@@ -140,6 +148,33 @@ def check_normalize_idempotent(cases: int, seed: int) -> int:
     return cases
 
 
+def _flat(p: DiffPoly) -> dict:
+    """{(u-exps, (h, e)): Fraction}, the form the reference oracles take."""
+    return {(ue, hexp): c for ue, coef in p.terms.items() for hexp, c in coef.terms.items()}
+
+
+def _integrate_or_error(integrate, p):
+    try:
+        return integrate(p)
+    except ValueError:
+        return "no antiderivative"
+
+
+def check_normalize_against_reference(cases: int, seed: int) -> int:
+    rng = random.Random(seed)
+    cvars = coeff_ring(2)
+    for n in range(cases):
+        p = random_diffpoly(cvars, rng, max_index=6, max_udeg=4, with_params=n % 2 == 1)
+        assert _flat(normalize(p).density) == normalize_reference(_flat(p))
+        q = total_x_derivative(p)
+        assert _flat(integrate_x(q)) == integrate_x_reference(_flat(q))
+        # on a density that is usually not a total derivative both must agree
+        # on whether an antiderivative exists, and on it when it does
+        got = _integrate_or_error(lambda x: _flat(integrate_x(x)), p)
+        assert got == _integrate_or_error(integrate_x_reference, _flat(p))
+    return cases
+
+
 ALL_SUITES = [
     ("exp/log inversion", check_exp_log_inversion),
     ("series ops vs power sums", check_series_ops_against_power_sums),
@@ -148,4 +183,5 @@ ALL_SUITES = [
     ("bracket antisymmetry + Jacobi", check_bracket_antisymmetry_jacobi),
     ("Miura roundtrip", check_miura_roundtrip),
     ("normalize idempotence", check_normalize_idempotent),
+    ("normal form vs max-scan reference", check_normalize_against_reference),
 ]

@@ -215,6 +215,15 @@ class TestPlumbing:
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1 and "ILWHODGE_GENUS" in captured.err
 
+    def test_help_describes_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name in ("bernoulli", "constants", "one-point", "hamiltonian", "flow", "verify"):
+            described = [line for line in lines if line.split()[:1] == [name]]
+            assert described and len(described[0].split()) > 1, name
+
     def test_env_format_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ILWHODGE_FORMAT", "json")
         code, out = run(capsys, "constants", "--max-genus", "1")

@@ -30,6 +30,7 @@ from properties import (
     check_dx_derivation,
     check_euler_kills_dx,
     check_miura_roundtrip,
+    check_normalize_against_reference,
     check_normalize_idempotent,
 )
 
@@ -250,3 +251,7 @@ def test_bracket_antisymmetry_and_jacobi():
 
 def test_normalize_idempotent_and_class_preserving():
     check_normalize_idempotent(200, 2027)
+
+
+def test_normal_form_matches_max_scan_reference():
+    check_normalize_against_reference(200, 2028)
