@@ -8,11 +8,12 @@ Subcommands
     flow        --index I --genus G
     verify      {cg|ilw-t1|ilw-t2|commute|linear-term|one-point-reverse|all}
 
-Global flags: --format {json|csv|latex|pretty}, --output PATH, --seed N;
-environment overrides ILWHODGE_FORMAT, ILWHODGE_OUTPUT, ILWHODGE_SEED,
-ILWHODGE_GENUS, ILWHODGE_INDEX.  JSON is the canonical machine output with
-envelope {"command", "config", "status", "details"}.  Exit codes: 0 success,
-1 verification mismatch or engine error, 2 usage error.
+Global flags: --format {json|csv|latex|pretty}, --output PATH.  Environment
+overrides ILWHODGE_FORMAT, ILWHODGE_OUTPUT, ILWHODGE_GENUS, ILWHODGE_INDEX
+stand in for an absent flag; each is read only by a command that has that
+option and is checked like the flag.  JSON is the canonical machine output
+with envelope {"command", "config", "status", "details"}.  Exit codes: 0
+success, 1 verification mismatch or engine error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 from . import exactnum, hodge, ilw
-from .diffalg import u_monomial_pretty
+from .diffalg import DiffPoly, u_monomial_pretty
 from .exactnum import rational_from_str, rational_to_str
 from .reports import VerificationReport
 
@@ -34,15 +35,24 @@ __all__ = ["main", "RunConfig", "perturbed_cg"]
 
 FORMATS = ("json", "csv", "latex", "pretty")
 
-VERIFY_CHOICES = (
-    "cg",
-    "ilw-t1",
-    "ilw-t2",
-    "commute",
-    "linear-term",
-    "one-point-reverse",
-    "all",
-)
+# selector -> (report name, check) pairs, in report order.  A check takes
+# (G, cg_values) and looks its engine function up when it runs, so a wrapper
+# bound to the module attribute later (a tracer, a test double) still sees
+# the call.
+VERIFY = {
+    "cg": [("cg", lambda G, cg: hodge.verify_cg(G, cg))],
+    "ilw-t1": [("ilw-t1", lambda G, cg: ilw.verify_flow_t1(G, cg))],
+    "ilw-t2": [("ilw-t2", lambda G, cg: ilw.verify_flow_t2(G, cg))],
+    "commute": [
+        ("commute(2,1)", lambda G, cg: ilw.verify_commutation(2, 1, G, cg)),
+        ("commute(3,2)", lambda G, cg: ilw.verify_commutation(3, 2, min(G, 2), cg)),
+    ],
+    "linear-term": [("linear-term", lambda G, cg: hodge.verify_linear_term_identity(G, cg))],
+    "one-point-reverse": [
+        ("one-point-reverse", lambda G, cg: hodge.verify_one_point_reverse(G, cg))
+    ],
+}
+VERIFY["all"] = [check for checks in VERIFY.values() for check in checks]
 
 
 @dataclass
@@ -50,17 +60,7 @@ class RunConfig:
     genus_order: int = 5
     hierarchy_index: int = 2
     output_format: str = "pretty"
-    seed: int = 0
     output_path: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "genus_order": self.genus_order,
-            "hierarchy_index": self.hierarchy_index,
-            "output_format": self.output_format,
-            "seed": self.seed,
-            "output_path": self.output_path,
-        }
 
 
 def perturbed_cg(g0: int, delta: Fraction):
@@ -73,21 +73,42 @@ def perturbed_cg(g0: int, delta: Fraction):
     return cg
 
 
-def _env(name: str, fallback):
-    return os.environ.get(f"ILWHODGE_{name}", fallback)
-
-
 def _usage_error(message: str) -> NoReturn:
     sys.stderr.write(f"ilwhodge: error: {message}\n")
     raise SystemExit(2)
 
 
-def _env_int(name: str, fallback: int) -> int:
-    text = _env(name, str(fallback))
-    try:
-        return int(text)
-    except ValueError:
-        _usage_error(f"ILWHODGE_{name} must be an integer, got {text!r}")
+@dataclass(frozen=True)
+class _FromEnv:
+    """Default of an option that ILWHODGE_<name> may set; see `_env_option`."""
+
+    name: str
+    fallback: object
+    type: Callable | None
+    choices: tuple | None
+
+    def resolve(self):
+        text = os.environ.get(f"ILWHODGE_{self.name}")
+        if text is None:
+            return self.fallback
+        try:
+            value = text if self.type is None else self.type(text)
+            if self.choices is not None and value not in self.choices:
+                raise ValueError(f"choose from {', '.join(self.choices)}")
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            _usage_error(f"ILWHODGE_{self.name}={text!r} is invalid: {exc}")
+        return value
+
+
+def _env_option(parser: argparse.ArgumentParser, flag: str, name: str, fallback, **kwargs) -> None:
+    """Add `flag`, defaulting to ILWHODGE_<name> or else `fallback`.
+
+    The variable is read after parsing, and only when the command run has
+    this option and the flag is absent; it goes through the flag's own type
+    and choices, so a bad value is a usage error naming the variable.
+    """
+    default = _FromEnv(name, fallback, kwargs.get("type"), kwargs.get("choices"))
+    parser.add_argument(flag, default=default, **kwargs)
 
 
 def _nonneg_int(text: str) -> int:
@@ -124,22 +145,20 @@ def build_parser() -> argparse.ArgumentParser:
         "one-point Hodge-integral identities.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    _env_option(
+        common,
         "--format",
+        "FORMAT",
+        "pretty",
         choices=FORMATS,
-        default=_env("FORMAT", "pretty"),
         help="output format (default pretty; json is the canonical encoding)",
     )
-    common.add_argument(
+    _env_option(
+        common,
         "--output",
-        default=_env("OUTPUT", None),
+        "OUTPUT",
+        None,
         help="write the rendered output to this path instead of stdout",
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=_env_int("SEED", 0),
-        help="seed recorded in the config and used by randomized checks",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -148,22 +167,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=_nonneg_int, default=12)
 
     p = sub.add_parser("constants", parents=[common], help="hierarchy constants C_g")
-    p.add_argument("--max-genus", type=_pos_int, default=_env_int("GENUS", 5))
+    _env_option(p, "--max-genus", "GENUS", 5, type=_pos_int)
 
     p = sub.add_parser("one-point", parents=[common], help="one-point table")
-    p.add_argument("--max-genus", type=_pos_int, default=_env_int("GENUS", 5))
+    _env_option(p, "--max-genus", "GENUS", 5, type=_pos_int)
 
     for name, text in (
         ("hamiltonian", "hierarchy Hamiltonian h_I to order h^G"),
         ("flow", "flow d/dx (delta h_I / delta u) to order h^G"),
     ):
         p = sub.add_parser(name, parents=[common], help=text)
-        p.add_argument("--index", type=_pos_int, default=_env_int("INDEX", 2))
-        p.add_argument("--genus", type=_nonneg_int, default=_env_int("GENUS", 5))
+        _env_option(p, "--index", "INDEX", 2, type=_pos_int)
+        _env_option(p, "--genus", "GENUS", 5, type=_nonneg_int)
 
     p = sub.add_parser("verify", parents=[common], help="run verification suites")
-    p.add_argument("which", choices=VERIFY_CHOICES)
-    p.add_argument("--genus", type=_pos_int, default=_env_int("GENUS", 5))
+    p.add_argument("which", choices=list(VERIFY))
+    _env_option(p, "--genus", "GENUS", 5, type=_pos_int)
     p.add_argument(
         "--perturb-cg",
         type=_perturbation,
@@ -174,52 +193,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _envelope(command: str, cfg: RunConfig, status: str, details: list) -> dict:
-    return {
-        "command": command,
-        "config": cfg.to_json_dict(),
-        "status": status,
-        "details": details,
-    }
+def _json(command: str, cfg: RunConfig, status: str, details: list) -> str:
+    envelope = {"command": command, "config": asdict(cfg), "status": status, "details": details}
+    return json.dumps(envelope, indent=2) + "\n"
 
 
-def _pretty_table(rows: list[dict], columns: list[str]) -> str:
-    if not rows:
-        return "(empty)\n"
-    cells = [[str(r.get(c, "")) for c in columns] for r in rows]
-    widths = [max(len(c), max(len(row[i]) for row in cells)) for i, c in enumerate(columns)]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
-
-
-def _csv_table(rows: list[dict], columns: list[str]) -> str:
-    lines = [",".join(columns)]
-    for r in rows:
-        lines.append(",".join(str(r.get(c, "")) for c in columns))
-    return "\n".join(lines) + "\n"
-
-
-def _latex_table(rows: list[dict], columns: list[str]) -> str:
-    lines = [r"\begin{tabular}{" + "l" * len(columns) + "}"]
-    lines.append(" & ".join(columns) + r" \\ \hline")
-    for r in rows:
-        lines.append(" & ".join(str(r.get(c, "")) for c in columns) + r" \\")
-    lines.append(r"\end{tabular}")
-    return "\n".join(lines) + "\n"
+def _cell(value) -> str:
+    return " ".join(str(x) for x in value) if isinstance(value, list) else str(value)
 
 
 def _render_rows(command: str, cfg: RunConfig, rows: list[dict], columns: list[str]) -> str:
+    """`rows` as a table in the requested format; JSON wraps them in the envelope."""
     fmt = cfg.output_format
     if fmt == "json":
-        return json.dumps(_envelope(command, cfg, "ok", rows), indent=2) + "\n"
+        return _json(command, cfg, "ok", rows)
+    cells = [[_cell(r[c]) for c in columns] for r in rows]
     if fmt == "csv":
-        return _csv_table(rows, columns)
+        return "".join(",".join(line) + "\n" for line in [columns, *cells])
     if fmt == "latex":
-        return _latex_table(rows, columns)
-    return _pretty_table(rows, columns)
+        lines = [r"\begin{tabular}{" + "l" * len(columns) + "}"]
+        lines.append(" & ".join(columns) + r" \\ \hline")
+        lines += [" & ".join(line) + r" \\" for line in cells]
+        lines.append(r"\end{tabular}")
+        return "\n".join(lines) + "\n"
+    widths = [max(len(c) for c in col) for col in zip(columns, *cells)]
+    lines = [columns, ["-" * w for w in widths], *cells]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(line, widths)) + "\n" for line in lines)
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -264,116 +263,58 @@ def cmd_constants(cfg: RunConfig, g_max: int) -> int:
 
 def cmd_one_point(cfg: RunConfig, g_max: int) -> int:
     table = hodge.one_point_table(g_max)
-    if cfg.output_format == "json":
-        text = json.dumps(_envelope("one-point", cfg, "ok", table.rows()), indent=2) + "\n"
-    elif cfg.output_format == "csv":
-        text = table.to_csv()
-    elif cfg.output_format == "latex":
+    if cfg.output_format == "latex":
         text = table.to_latex()
     else:
-        rows = [
-            {"g": r["g"], "j": r["j"], "d": " ".join(str(x) for x in r["d"]), "value": r["value"]}
-            for r in table.rows()
-        ]
-        text = _pretty_table(rows, ["g", "j", "d", "value"])
+        text = _render_rows("one-point", cfg, table.rows(), ["g", "j", "d", "value"])
     _emit(cfg, text)
     return 0
 
 
-def _emit_diffpoly(command: str, cfg: RunConfig, payload: dict, poly_pretty: str,
-                   poly_latex: str, poly_json: list) -> int:
-    fmt = cfg.output_format
-    if fmt == "json":
-        text = json.dumps(_envelope(command, cfg, "ok", [payload]), indent=2) + "\n"
-    elif fmt == "latex":
-        text = poly_latex + "\n"
-    elif fmt == "csv":
-        rows = []
-        for term in poly_json:
-            for entry in term["coef"]["terms"]:
-                rows.append(
-                    {
-                        "monomial": u_monomial_pretty(term["u"]),
-                        "h_exp": entry["exp"][0],
-                        "e_exp": entry["exp"][1],
-                        "coefficient": entry["coef"],
-                    }
-                )
-        text = _csv_table(rows, ["monomial", "h_exp", "e_exp", "coefficient"])
-    else:
-        text = poly_pretty + "\n"
-    _emit(cfg, text)
-    return 0
-
-
-def cmd_hamiltonian(cfg: RunConfig, index: int, genus: int) -> int:
+def cmd_expression(cfg: RunConfig, command: str, index: int, genus: int) -> int:
+    """`hamiltonian` (the functional h_I) or `flow` (its flow), to order h^genus."""
     ham = ilw.hamiltonian(index, genus)
-    payload = {
-        "index": index,
-        "genus": genus,
-        "density": ham.functional.to_json_dict(),
-        "pretty": ham.functional.pretty(),
-    }
-    return _emit_diffpoly(
-        "hamiltonian",
-        cfg,
-        payload,
-        ham.functional.pretty(),
-        ham.functional.latex(),
-        ham.functional.to_json_dict(),
-    )
+    if command == "hamiltonian":
+        expr, key, poly = ham.functional, "density", ham.functional.density
+    else:
+        expr = poly = ilw.flow(ham)
+        key = "flow"
+    fmt = cfg.output_format
+    if fmt == "pretty":
+        text = expr.pretty() + "\n"
+    elif fmt == "latex":
+        text = expr.latex() + "\n"
+    elif fmt == "json":
+        payload = {"index": index, "genus": genus, key: expr.to_json_dict(), "pretty": expr.pretty()}
+        text = _json(command, cfg, "ok", [payload])
+    else:
+        text = _render_rows(
+            command, cfg, _coefficient_rows(poly), ["monomial", "h_exp", "e_exp", "coefficient"]
+        )
+    _emit(cfg, text)
+    return 0
 
 
-def cmd_flow(cfg: RunConfig, index: int, genus: int) -> int:
-    f = ilw.flow(ilw.hamiltonian(index, genus))
-    payload = {
-        "index": index,
-        "genus": genus,
-        "flow": f.to_json_dict(),
-        "pretty": f.pretty(),
-    }
-    return _emit_diffpoly("flow", cfg, payload, f.pretty(), f.latex(), f.to_json_dict())
+def _coefficient_rows(poly: DiffPoly) -> list[dict]:
+    return [
+        {
+            "monomial": u_monomial_pretty(m.u_exponents),
+            "h_exp": exps[0],
+            "e_exp": exps[1],
+            "coefficient": rational_to_str(value),
+        }
+        for m in poly.monomials()
+        for exps, value in m.coefficient.sorted_terms()
+    ]
 
 
 def _run_verifications(which: str, G: int, cg_values) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
-
-    def guarded(name: str, thunk) -> None:
+    for name, check in VERIFY[which]:
         try:
-            result = thunk()
+            reports.append(check(G, cg_values))
         except Exception as exc:  # surface engine failures as reports
-            reports.append(
-                VerificationReport(
-                    name=name,
-                    status="error",
-                    order_checked=G,
-                    first_mismatch={"error": str(exc)},
-                )
-            )
-            return
-        if isinstance(result, list):
-            reports.extend(result)
-        else:
-            reports.append(result)
-
-    if which in ("cg", "all"):
-        guarded("cg", lambda: hodge.verify_cg(G, cg_values))
-    if which in ("ilw-t1", "all"):
-        guarded("ilw-t1", lambda: ilw.verify_flow_t1(G, cg_values))
-    if which in ("ilw-t2", "all"):
-        guarded("ilw-t2", lambda: ilw.verify_flow_t2(G, cg_values))
-    if which in ("commute", "all"):
-        guarded("commute(2,1)", lambda: ilw.verify_commutation(2, 1, G, cg_values))
-        guarded(
-            "commute(3,2)",
-            lambda: ilw.verify_commutation(3, 2, min(G, 2), cg_values),
-        )
-    if which in ("linear-term", "all"):
-        guarded("linear-term", lambda: hodge.verify_linear_term_identity(G, cg_values))
-    if which in ("one-point-reverse", "all"):
-        guarded(
-            "one-point-reverse", lambda: hodge.verify_one_point_reverse(G, cg_values)
-        )
+            reports.append(VerificationReport(name, "error", G, {"error": str(exc)}))
     return reports
 
 
@@ -384,32 +325,30 @@ def cmd_verify(cfg: RunConfig, which: str, genus: int, perturb) -> int:
     reports = _run_verifications(which, genus, cg_values)
     all_ok = all(r.ok for r in reports)
     status = "ok" if all_ok else "mismatch"
-    details = [r.to_json_dict() for r in reports]
     if cfg.output_format == "pretty":
-        lines = []
-        for r in reports:
-            if r.ok:
-                lines.append(f"PASS  {r.name} (order {r.order_checked})")
-            else:
-                lines.append(
-                    f"FAIL  {r.name} (order {r.order_checked}): {r.first_mismatch}"
-                )
+        lines = [
+            f"PASS  {r.name} (order {r.order_checked})"
+            if r.ok
+            else f"FAIL  {r.name} (order {r.order_checked}): {r.first_mismatch}"
+            for r in reports
+        ]
         lines.append(f"verify {which}: {status}")
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(_envelope("verify " + which, cfg, status, details), indent=2) + "\n"
+        text = _json("verify " + which, cfg, status, [r.to_json_dict() for r in reports])
     _emit(cfg, text)
     return 0 if all_ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    for dest, value in list(vars(args).items()):
+        if isinstance(value, _FromEnv):
+            setattr(args, dest, value.resolve())
     cfg = RunConfig(
         genus_order=getattr(args, "genus", getattr(args, "max_genus", 5)),
         hierarchy_index=getattr(args, "index", 2),
         output_format=args.format,
-        seed=args.seed,
         output_path=args.output,
     )
     if args.command == "bernoulli":
@@ -418,14 +357,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_constants(cfg, args.max_genus)
     if args.command == "one-point":
         return cmd_one_point(cfg, args.max_genus)
-    if args.command == "hamiltonian":
-        return cmd_hamiltonian(cfg, args.index, args.genus)
-    if args.command == "flow":
-        return cmd_flow(cfg, args.index, args.genus)
     if args.command == "verify":
         return cmd_verify(cfg, args.which, args.genus, args.perturb_cg)
-    parser.error(f"unknown command {args.command}")
-    return 2
+    return cmd_expression(cfg, args.command, args.index, args.genus)
 
 
 if __name__ == "__main__":

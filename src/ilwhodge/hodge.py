@@ -21,11 +21,13 @@ expansion of the t_1 flow with its right-hand side.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 from . import exactnum
+from .diffalg import coeff_ring
 from .exactnum import rational_to_str
 from .mpseries import (
     MultiSeries,
@@ -39,14 +41,13 @@ from .mpseries import (
     sinc_half_series,
     substitute_square,
 )
-from .reports import VerificationReport
+from .reports import VerificationReport, first_mismatch
 
 __all__ = [
     "HodgeConsistencyError",
     "BracketTable",
     "dimension_check",
     "one_point_table",
-    "hodge_vars",
     "sinc_factor_series",
     "s_series",
     "s_tilde_series",
@@ -94,13 +95,6 @@ class BracketTable:
     def to_json_dict(self) -> dict:
         return {"flavor": self.flavor, "entries": self.rows()}
 
-    def to_csv(self) -> str:
-        lines = ["g,j,d,value"]
-        for row in self.rows():
-            d = " ".join(str(x) for x in row["d"])
-            lines.append(f"{row['g']},{row['j']},{d},{row['value']}")
-        return "\n".join(lines) + "\n"
-
     def to_latex(self) -> str:
         lines = [
             r"\begin{tabular}{rrrl}",
@@ -140,16 +134,15 @@ def one_point_table(g_max: int) -> BracketTable:
     return table
 
 
-def hodge_vars(G: int) -> tuple[VarSpec, VarSpec]:
-    """Series variables (h, e) retaining exponents up to G."""
+def _check_order(G: int) -> None:
     if G < 1:
         raise ValueError(f"order must be >= 1, got {G}")
-    return (VarSpec("h", G + 1), VarSpec("e", G + 1))
 
 
 def sinc_factor_series(G: int) -> MultiSeries:
     """sin(sqrt(h e)/2) / (sqrt(h e)/2) as a series in h, e (z^2 -> h e)."""
-    return substitute_square(sinc_half_series(2 * G + 1), hodge_vars(G))
+    _check_order(G)
+    return substitute_square(sinc_half_series(2 * G + 1), coeff_ring(G))
 
 
 def s_series(G: int) -> MultiSeries:
@@ -159,8 +152,8 @@ def s_series(G: int) -> MultiSeries:
     <lambda_j tau_0^2 tau_{3g-j}>_g; the 1/e prefactor is a checked exponent
     shift, so no Laurent term ever exists.
     """
-    hv = hodge_vars(G)
-    L = substitute_square(log_sinc_half(2 * G + 1), hv)
+    _check_order(G)
+    L = substitute_square(log_sinc_half(2 * G + 1), coeff_ring(G))
     return exp_series(L + divide_by_var(L, "e", 1))
 
 
@@ -170,9 +163,8 @@ def s_tilde_series(G: int) -> MultiSeries:
     (a) multiply S by the sine factor sin(sqrt(he)/2)/(sqrt(he)/2);
     (b) directly exp(sum_g h^g e^{g-1} |B_{2g}|/(2g (2g)!)).
     """
-    hv = hodge_vars(G)
     path_a = s_series(G) * sinc_factor_series(G)
-    L = substitute_square(log_sinc_half(2 * G + 1), hv)
+    L = substitute_square(log_sinc_half(2 * G + 1), coeff_ring(G))
     path_b = exp_series(divide_by_var(L, "e", 1))
     if path_a != path_b:
         raise HodgeConsistencyError(
@@ -184,10 +176,10 @@ def s_tilde_series(G: int) -> MultiSeries:
 def s_tilde_from_constants(G: int, cg_values: CgValues | None = None) -> MultiSeries:
     """Integrate dS~/dh = (sum_g C_g (h e)^{g-1}) S~ with S~(0,0) = 1:
     the solution exp(sum_g (C_g/g) h^g e^{g-1}) built from given constants."""
+    _check_order(G)
     cg = cg_values or exactnum.c_g
-    hv = hodge_vars(G)
     terms = {(g, g - 1): cg(g) / g for g in range(1, G + 1)}
-    return exp_series(MultiSeries(hv, terms))
+    return exp_series(MultiSeries(coeff_ring(G), terms))
 
 
 def tilde_table(G: int) -> BracketTable:
@@ -209,8 +201,6 @@ def extract_cg(G: int) -> list[Fraction]:
     where the truncated derivative is exact (h-exponent <= G-1); C_g is its
     coefficient at (h e)^{g-1}.
     """
-    if G < 1:
-        raise ValueError(f"order must be >= 1, got {G}")
     st = s_tilde_series(G)
     quotient = divide_series(st.partial_derivative("h"), st)
     for (a, b), val in quotient.terms.items():
@@ -225,23 +215,8 @@ def verify_cg(G: int, cg_values: CgValues | None = None) -> VerificationReport:
     """Compare the extracted constants against the Bernoulli closed form."""
     reference = cg_values or exactnum.c_g
     computed = extract_cg(G)
-    mism = None
-    for g in range(1, G + 1):
-        want = reference(g)
-        got = computed[g - 1]
-        if got != want:
-            mism = {
-                "g": g,
-                "expected": rational_to_str(want),
-                "computed": rational_to_str(got),
-            }
-            break
-    return VerificationReport(
-        name="cg",
-        status="ok" if mism is None else "mismatch",
-        order_checked=G,
-        first_mismatch=mism,
-    )
+    scan = (({"g": g}, reference(g), computed[g - 1]) for g in range(1, G + 1))
+    return VerificationReport.of("cg", G, first_mismatch(scan, "expected", "computed"))
 
 
 def verify_linear_term_identity(
@@ -255,8 +230,6 @@ def verify_linear_term_identity(
     (g'+h, g'+j-1, 3(g'+h)-(g'+j-1)).  Checked per label up to total
     h-order G.
     """
-    if G < 1:
-        raise ValueError(f"order must be >= 1, got {G}")
     cg = cg_values or exactnum.c_g
     st = s_tilde_series(G)
 
@@ -287,26 +260,12 @@ def verify_linear_term_identity(
                 key = (a, b, 3 * a - b)
                 right[key] = right.get(key, Fraction(0)) + two_c * v
 
-    mism = None
-    for key in sorted(set(left) | set(right)):
-        lv = left.get(key, Fraction(0))
-        rv = right.get(key, Fraction(0))
-        if lv != rv:
-            a, b, d = key
-            mism = {
-                "h_exp": a,
-                "e_exp": b,
-                "t_label": d,
-                "left": rational_to_str(lv),
-                "right": rational_to_str(rv),
-            }
-            break
-    return VerificationReport(
-        name="linear-term",
-        status="ok" if mism is None else "mismatch",
-        order_checked=G,
-        first_mismatch=mism,
+    scan = (
+        ({"h_exp": a, "e_exp": b, "t_label": d},
+         left.get((a, b, d), Fraction(0)), right.get((a, b, d), Fraction(0)))
+        for a, b, d in sorted(left.keys() | right.keys())
     )
+    return VerificationReport.of("linear-term", G, first_mismatch(scan, "left", "right"))
 
 
 def verify_one_point_reverse(
@@ -315,38 +274,17 @@ def verify_one_point_reverse(
     """Run the argument backwards: from the constants C_g, integrate the
     differential equation for S~, undo the sine factor, and compare the
     resulting S against the one-point table."""
-    if G < 1:
-        raise ValueError(f"order must be >= 1, got {G}")
     s_ode = divide_series(s_tilde_from_constants(G, cg_values), sinc_factor_series(G))
     table = one_point_table(G)
-    mism = None
-    if s_ode.coefficient((0, 0)) != 1:
-        mism = {"g": 0, "j": 0, "from_ode": rational_to_str(s_ode.coefficient((0, 0))), "from_table": "1"}
-    else:
-        done = False
-        for a in range(1, G + 1):
-            if done:
-                break
-            for b in range(0, G + 1):
-                got = s_ode.terms.get((a, b), Fraction(0))
-                if b > a:
-                    want = Fraction(0)
-                    d: tuple[int, ...] = ()
-                else:
-                    d = (3 * a - b - 2,)
-                    want = table.value(a, b, d)
-                if got != want:
-                    mism = {
-                        "g": a,
-                        "j": b,
-                        "from_ode": rational_to_str(got),
-                        "from_table": rational_to_str(want),
-                    }
-                    done = True
-                    break
-    return VerificationReport(
-        name="one-point-reverse",
-        status="ok" if mism is None else "mismatch",
-        order_checked=G,
-        first_mismatch=mism,
+    scan = itertools.chain(
+        [({"g": 0, "j": 0}, s_ode.coefficient((0, 0)), Fraction(1))],
+        (
+            ({"g": a, "j": b}, s_ode.terms.get((a, b), Fraction(0)),
+             table.value(a, b, (3 * a - b - 2,)) if b <= a else Fraction(0))
+            for a in range(1, G + 1)
+            for b in range(0, G + 1)
+        ),
+    )
+    return VerificationReport.of(
+        "one-point-reverse", G, first_mismatch(scan, "from_ode", "from_table")
     )

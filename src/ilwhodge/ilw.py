@@ -39,7 +39,7 @@ from .diffalg import (
 from .exactnum import rational_to_str
 from .linalg import solve_exact
 from .mpseries import MultiSeries
-from .reports import VerificationReport
+from .reports import VerificationReport, first_mismatch
 
 __all__ = [
     "Hamiltonian",
@@ -261,24 +261,18 @@ def check_grading(h: Hamiltonian) -> None:
 
 def first_diffpoly_mismatch(computed: DiffPoly, expected: DiffPoly) -> dict | None:
     """First differing coefficient in scan order (h-exp, e-exp, monomial)."""
-    entries: dict[tuple[int, int, UExps], tuple[Fraction, Fraction]] = {}
-    for source, slot in ((computed, 0), (expected, 1)):
-        for ue, coef in source.terms.items():
-            for (a, b), val in coef.terms.items():
-                key = (a, b, ue)
-                cur = entries.get(key, (Fraction(0), Fraction(0)))
-                entries[key] = (val, cur[1]) if slot == 0 else (cur[0], val)
-    for a, b, ue in sorted(entries, key=lambda k: (k[0], k[1], monomial_sort_key(k[2]))):
-        got, want = entries[(a, b, ue)]
-        if got != want:
-            return {
-                "monomial": u_monomial_pretty(ue),
-                "h_exp": a,
-                "e_exp": b,
-                "expected": rational_to_str(want),
-                "computed": rational_to_str(got),
-            }
-    return None
+    got, want = _coefficients(computed), _coefficients(expected)
+    keys = sorted(got.keys() | want.keys(), key=lambda k: (k[0], k[1], monomial_sort_key(k[2])))
+    scan = (
+        ({"monomial": u_monomial_pretty(ue), "h_exp": a, "e_exp": b},
+         want.get((a, b, ue), Fraction(0)), got.get((a, b, ue), Fraction(0)))
+        for a, b, ue in keys
+    )
+    return first_mismatch(scan, "expected", "computed")
+
+
+def _coefficients(p: DiffPoly) -> dict[tuple[int, int, UExps], Fraction]:
+    return {(a, b, ue): val for ue, coef in p.terms.items() for (a, b), val in coef.terms.items()}
 
 
 def t1_flow_rhs(G: int) -> DiffPoly:
@@ -315,25 +309,13 @@ def t2_flow_rhs(G: int) -> DiffPoly:
 def verify_flow_t1(G: int, cg_values: CgValues | None = None) -> VerificationReport:
     """Compare flow(h_1(G)) with the displayed first flow, exactly."""
     mism = first_diffpoly_mismatch(flow(h1(G, cg_values)), t1_flow_rhs(G))
-    return VerificationReport(
-        name="ilw-t1",
-        status="ok" if mism is None else "mismatch",
-        order_checked=G,
-        first_mismatch=mism,
-    )
+    return VerificationReport.of("ilw-t1", G, mism)
 
 
 def verify_flow_t2(G: int, cg_values: CgValues | None = None) -> VerificationReport:
     """Compare flow(h_2(G)) with the displayed second flow, exactly."""
-    mism = first_diffpoly_mismatch(
-        flow(higher_hamiltonian(2, G, cg_values)), t2_flow_rhs(G)
-    )
-    return VerificationReport(
-        name="ilw-t2",
-        status="ok" if mism is None else "mismatch",
-        order_checked=G,
-        first_mismatch=mism,
-    )
+    mism = first_diffpoly_mismatch(flow(higher_hamiltonian(2, G, cg_values)), t2_flow_rhs(G))
+    return VerificationReport.of("ilw-t2", G, mism)
 
 
 def verify_commutation(
@@ -343,13 +325,7 @@ def verify_commutation(
     hi = hamiltonian(i, G, cg_values)
     hj = hamiltonian(j, G, cg_values)
     bracket = poisson_bracket(hi.functional, hj.functional)
-    mism = None
-    if not bracket.is_zero():
-        mism = first_diffpoly_mismatch(bracket.density, DiffPoly.zero(bracket.coeff_vars))
+    mism = first_diffpoly_mismatch(bracket.density, DiffPoly.zero(bracket.coeff_vars))
+    if mism is not None:
         mism["bracket"] = f"{{h_{i}, h_{j}}}"
-    return VerificationReport(
-        name=f"commute({i},{j})",
-        status="ok" if mism is None else "mismatch",
-        order_checked=G,
-        first_mismatch=mism,
-    )
+    return VerificationReport.of(f"commute({i},{j})", G, mism)

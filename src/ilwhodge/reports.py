@@ -1,10 +1,14 @@
-"""Verification report value type shared by the hierarchy and series checks."""
+"""Verification reports and the one scan that localizes a mismatch."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable
 
-__all__ = ["VerificationReport"]
+from .exactnum import rational_to_str
+
+__all__ = ["VerificationReport", "first_mismatch"]
 
 
 @dataclass
@@ -21,6 +25,11 @@ class VerificationReport:
     order_checked: int
     first_mismatch: dict | None = None
 
+    @classmethod
+    def of(cls, name: str, order: int, mismatch: dict | None) -> VerificationReport:
+        """An "ok" report when `mismatch` is None, else a "mismatch" report."""
+        return cls(name, "ok" if mismatch is None else "mismatch", order, mismatch)
+
     @property
     def ok(self) -> bool:
         return self.status == "ok"
@@ -34,3 +43,15 @@ class VerificationReport:
         if self.first_mismatch is not None:
             out["first_mismatch"] = self.first_mismatch
         return out
+
+
+def first_mismatch(
+    scan: Iterable[tuple[dict, Fraction, Fraction]], x_label: str, y_label: str
+) -> dict | None:
+    """The first `(locus, x, y)` of `scan` with x != y, as the locus followed
+    by both values in p/q form under `x_label` and `y_label`; None if every
+    pair agrees.  `scan` is consumed only up to that point."""
+    for locus, x, y in scan:
+        if x != y:
+            return {**locus, x_label: rational_to_str(x), y_label: rational_to_str(y)}
+    return None

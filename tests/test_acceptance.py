@@ -23,7 +23,6 @@ from ilwhodge.diffalg import (
 )
 from ilwhodge.hodge import (
     extract_cg,
-    hodge_vars,
     one_point_table,
     s_series,
     s_tilde_series,
@@ -153,7 +152,7 @@ def test_criterion_5_one_point_values():
 
 def test_criterion_6_s_tilde_consistency():
     G = 8
-    hv = hodge_vars(G)
+    hv = coeff_ring(G)
     path_a = s_series(G) * sinc_factor_series(G)
     L = substitute_square(log_sinc_half(2 * G + 1), hv)
     path_b = exp_series(divide_by_var(L, "e", 1))

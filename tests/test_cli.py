@@ -46,7 +46,6 @@ class TestBernoulli:
             "genus_order",
             "hierarchy_index",
             "output_format",
-            "seed",
             "output_path",
         }
 
@@ -83,7 +82,9 @@ class TestOnePoint:
 
     def test_csv(self, capsys):
         code, out = run(capsys, "one-point", "--max-genus", "1", "--format", "csv")
-        assert out.splitlines()[0] == "g,j,d,value"
+        lines = out.splitlines()
+        assert lines[0] == "g,j,d,value"
+        assert "1,0,1,1/24" in lines
 
 
 class TestExpressions:
@@ -214,6 +215,35 @@ class TestPlumbing:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1 and "ILWHODGE_GENUS" in captured.err
+
+    @pytest.mark.parametrize(
+        "name, value, argv",
+        [
+            ("GENUS", "0", ["one-point"]),
+            ("INDEX", "0", ["hamiltonian", "--genus", "2"]),
+            ("GENUS", "-3", ["verify", "cg"]),
+            ("FORMAT", "xml", ["constants"]),
+        ],
+    )
+    def test_env_value_is_checked_like_its_flag(self, capsys, monkeypatch, name, value, argv):
+        monkeypatch.setenv(f"ILWHODGE_{name}", value)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and f"ILWHODGE_{name}" in captured.err
+
+    @pytest.mark.parametrize("name, value", [("INDEX", "x"), ("SEED", "abc")])
+    def test_env_for_an_option_the_command_lacks_is_ignored(self, capsys, monkeypatch, name, value):
+        monkeypatch.setenv(f"ILWHODGE_{name}", value)
+        code, out = run(capsys, "bernoulli", "--max", "2")
+        assert code == 0 and "1/6" in out
+
+    def test_seed_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bernoulli", "--max", "2", "--seed", "1"])
+        assert exc.value.code == 2
 
     def test_help_describes_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,11 @@ The digests were taken before the heap-ordered normal form and the merged
 u-monomial printer went in; any refactor of the engine or the renderers
 must leave these bytes unchanged.  A digest that moves means the output
 moved: find out why before re-pinning it.
+
+The two JSON digests (`hamiltonian --index 2 --genus 6 --format json` and
+`verify all --genus 4 --format json`) were re-pinned when the `seed` key
+left the envelope's `config`: each is the SHA-256 of the earlier stdout with
+its single line `    "seed": 0,` deleted.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ GOLDEN = {
     ("one-point", "--max-genus", "4"):
         "88622bbed8a3bd21689e54e34c6ae4d03bf428a9568e37319012eeb426000e76",
     ("hamiltonian", "--index", "2", "--genus", "6", "--format", "json"):
-        "3649e1ab5be29fe7910f7b83689f1dbc119aafd43e92e22002d38ed4c425f6c0",
+        "6701b94cadd53ea1b8014c10c4beeb2ef9a164fbd0e6469ff4af70328cbf5149",
     ("hamiltonian", "--index", "2", "--genus", "6", "--format", "pretty"):
         "96e88d3adc890d5bb0aa044457064ea7d6ea7f77f3df0c617b3382d99095f3d3",
     ("hamiltonian", "--index", "2", "--genus", "6", "--format", "csv"):
@@ -34,15 +39,37 @@ GOLDEN = {
     ("flow", "--index", "2", "--genus", "4"):
         "6fe5862b1c9dbee67c828182c5357220f58664479d49cceb23dda5e855cdf930",
     ("verify", "all", "--genus", "4", "--format", "json"):
-        "095b2318601947366165501775cdabde0de55e4fcda19c654b2f7966e119f98b",
+        "d91d1a93713f74c2e3240024536f6e332c0c9eca449abe4235d75145c8b0287a",
+    ("verify", "all", "--genus", "4"):
+        "8f0f141a987bbd1dd570cc9afc7d00ea7b3906c6a6d8fe9f1eca936392e933ed",
+    ("verify", "all", "--genus", "5", "--perturb-cg", "3:1/1000"):
+        "92f4657f8c8af27f3f7fb20b173f85809b748c497a071a1179c8096ef9b9ec46",
+    ("one-point", "--max-genus", "4", "--format", "csv"):
+        "11ab29ad3bf158b4896f7bfc0fece1d508734e65155b365f8967be86074659a2",
+    ("one-point", "--max-genus", "4", "--format", "latex"):
+        "1023ce50eef4c847ebe075c2184bd5fd62bdeacfeeecfa47931474758cdc74c3",
+    ("bernoulli", "--max", "6", "--format", "csv"):
+        "0ecadceab2f3db8469c03537742fd65d1fd3c82bf5e7ce1a4fd7a80ea2723546",
+    ("bernoulli", "--max", "6", "--format", "latex"):
+        "3a6d99c1a9bf2a1cc826ccc5bc75385b6cc44befd31e5f1de403baf6987c9900",
+    ("constants", "--max-genus", "5", "--format", "csv"):
+        "4f72482ac09757f1880f8228f8f0658753cf04fdbb111bfa51bfdf36755100fc",
+    ("constants", "--max-genus", "5", "--format", "latex"):
+        "e26e744efdb147cdf57282a6314d743db6743c14a79e352c926f74e7c19e53de",
+    ("flow", "--index", "1", "--genus", "3", "--format", "csv"):
+        "9e359173eb6e8841f7726bfbaa242032e7016b44a769fc57631284c635c6258c",
 }
+
+# Calls whose exit code is not 0: the perturbed run reports every mismatch
+# and engine error and exits 1.
+EXIT_CODE = {("verify", "all", "--genus", "5", "--perturb-cg", "3:1/1000"): 1}
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
 def test_stdout_digest(capsys, monkeypatch, argv):
-    for name in ("FORMAT", "OUTPUT", "SEED", "GENUS", "INDEX"):
+    for name in ("FORMAT", "OUTPUT", "GENUS", "INDEX"):
         monkeypatch.delenv(f"ILWHODGE_{name}", raising=False)
     code = main(list(argv))
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == EXIT_CODE.get(argv, 0)
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]

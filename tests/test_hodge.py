@@ -6,11 +6,11 @@ import pytest
 
 import ilwhodge.hodge
 from ilwhodge import exactnum
+from ilwhodge.diffalg import coeff_ring
 from ilwhodge.hodge import (
     HodgeConsistencyError,
     dimension_check,
     extract_cg,
-    hodge_vars,
     one_point_table,
     s_series,
     s_tilde_from_constants,
@@ -113,7 +113,7 @@ class TestSTilde:
 
     def test_two_paths_agree_to_order_eight(self):
         G = 8
-        hv = hodge_vars(G)
+        hv = coeff_ring(G)
         path_a = s_series(G) * sinc_factor_series(G)
         L = substitute_square(log_sinc_half(2 * G + 1), hv)
         path_b = exp_series(divide_by_var(L, "e", 1))
@@ -141,7 +141,7 @@ class TestExtractCg:
 
     def test_ode_residual_vanishes(self):
         G = 6
-        hv = hodge_vars(G)
+        hv = coeff_ring(G)
         st = s_tilde_series(G)
         rhs_exponent = MultiSeries(
             hv, {(g - 1, g - 1): exactnum.c_g(g) for g in range(1, G + 1)}
@@ -190,6 +190,20 @@ class TestOnePointReverse:
         assert report.first_mismatch["g"] == 2
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        sinc_factor_series, s_series, s_tilde_series, s_tilde_from_constants, tilde_table,
+        extract_cg, verify_cg, verify_linear_term_identity, verify_one_point_reverse,
+    ],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize("G", [0, -1])
+def test_series_routes_reject_orders_below_one(entry, G):
+    with pytest.raises(ValueError):
+        entry(G)
+
+
 class TestConsistencyGuards:
     def test_path_disagreement_is_detected(self, monkeypatch):
         # corrupt the S route; the sine-factor product then disagrees with
@@ -197,7 +211,7 @@ class TestConsistencyGuards:
         original = ilwhodge.hodge.s_series
 
         def corrupted(G):
-            hv = hodge_vars(G)
+            hv = coeff_ring(G)
             return original(G) + MultiSeries.monomial(hv, (1, 0), Fraction(1, 7))
 
         monkeypatch.setattr(ilwhodge.hodge, "s_series", corrupted)
@@ -206,7 +220,7 @@ class TestConsistencyGuards:
 
     def test_off_diagonal_quotient_is_detected(self, monkeypatch):
         def not_a_function_of_he(G):
-            hv = hodge_vars(G)
+            hv = coeff_ring(G)
             return exp_series(MultiSeries.monomial(hv, (2, 0), Fraction(1, 5)))
 
         monkeypatch.setattr(ilwhodge.hodge, "s_tilde_series", not_a_function_of_he)
@@ -215,16 +229,13 @@ class TestConsistencyGuards:
 
 
 class TestBracketTableRendering:
-    def test_rows_and_csv(self):
+    def test_rows(self):
         table = one_point_table(1)
         rows = table.rows()
         assert rows == [
             {"g": 1, "j": 0, "d": [1], "value": "1/24"},
             {"g": 1, "j": 1, "d": [0], "value": "1/24"},
         ]
-        csv = table.to_csv()
-        assert csv.splitlines()[0] == "g,j,d,value"
-        assert "1,0,1,1/24" in csv
 
     def test_latex(self):
         latex = one_point_table(1).to_latex()

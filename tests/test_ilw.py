@@ -190,6 +190,21 @@ class TestNegativeControls:
         assert report.first_mismatch["h_exp"] == 1
         assert report.first_mismatch["monomial"] == "u_1*u_2"
 
+    def test_commutation_mismatch_names_the_bracket(self, monkeypatch):
+        # h_1 with a shifted dispersion constant does not commute with h_1
+        original = ilwhodge.ilw.hamiltonian
+
+        def non_commuting(i, G, cg_values=None):
+            return h1(G, perturbed(1)) if i == 2 else original(i, G, cg_values)
+
+        monkeypatch.setattr(ilwhodge.ilw, "hamiltonian", non_commuting)
+        report = verify_commutation(2, 1, 2)
+        assert report.status == "mismatch"
+        assert list(report.first_mismatch) == [
+            "monomial", "h_exp", "e_exp", "expected", "computed", "bracket"
+        ]
+        assert report.first_mismatch["bracket"] == "{h_2, h_1}"
+
 
 class TestReconstruction:
     def test_flow_reconstructs_hamiltonian(self):
