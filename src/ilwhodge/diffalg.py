@@ -2,7 +2,10 @@
 
 A `DiffPoly` is a finite sum of monomials in u = u_0, u_1, u_2, ... (u_k is
 the k-th x-derivative of u) whose coefficients are polynomials in the two
-deformation parameters h and e, held as truncated `MultiSeries`.  On top of
+deformation parameters h and e, truncated at each parameter's order.  It is
+stored as one flat map (u-monomial, h-exponent, e-exponent) -> Fraction;
+`MultiSeries` appears only at the edges, as a coefficient the constructor
+accepts and as the per-monomial view the renderers read.  On top of
 the ring this module provides the total x-derivative, the variational
 (Euler) derivative, integration-by-parts normalization of densities, the
 Poisson bracket {f, g} = int (delta f/delta u) d/dx (delta g/delta u) dx,
@@ -133,49 +136,38 @@ class DiffMonomial:
     coefficient: MultiSeries
     u_exponents: UExps
 
-    @property
-    def differential_degree(self) -> int:
-        return differential_degree(self.u_exponents)
 
-    @property
-    def u_degree(self) -> int:
-        return u_degree(self.u_exponents)
+# (u-monomial, h-exponent, e-exponent)
+FlatKey = tuple[UExps, int, int]
 
 
 class DiffPoly:
-    """Finite sum of `DiffMonomial`s over a fixed (h, e) coefficient ring."""
+    """Finite sum of terms c * h^a * e^b * (u-monomial) over a fixed (h, e)
+    coefficient ring, stored flat as {(u-monomial, a, b): c}.
+
+    `terms` never holds a zero coefficient or an exponent at or past its
+    variable's truncation order.  `monomials` and `coefficient_of` regroup
+    one u-monomial's terms into a `MultiSeries` for rendering and queries.
+    """
 
     __slots__ = ("coeff_vars", "terms")
 
     def __init__(self, coeff_vars: Iterable[VarSpec], terms: Mapping[UExps, Coefficient]):
         cvars = tuple(coeff_vars)
-        clean: dict[UExps, MultiSeries] = {}
+        clean: dict[FlatKey, Fraction] = {}
         for ue, coef in terms.items():
+            if not isinstance(coef, MultiSeries):
+                coef = MultiSeries.constant(cvars, coef)
+            elif coef.vars != cvars:
+                raise DiffAlgError("coefficient series lives in a different ring")
             key = u_key(dict(ue))
-            series = self._as_coeff(cvars, coef)
-            if series.is_zero():
-                continue
-            if key in clean:
-                acc = clean[key] + series
-                if acc.is_zero():
-                    del clean[key]
-                else:
-                    clean[key] = acc
-            else:
-                clean[key] = series
+            for (a, b), c in coef.terms.items():
+                _accumulate(clean, (key, a, b), c)
         self.coeff_vars = cvars
         self.terms = clean
 
-    @staticmethod
-    def _as_coeff(cvars: tuple[VarSpec, ...], coef: Coefficient) -> MultiSeries:
-        if isinstance(coef, MultiSeries):
-            if coef.vars != cvars:
-                raise DiffAlgError("coefficient series lives in a different ring")
-            return coef
-        return MultiSeries.constant(cvars, coef)
-
     @classmethod
-    def _make(cls, cvars: tuple[VarSpec, ...], terms: dict[UExps, MultiSeries]) -> "DiffPoly":
+    def _make(cls, cvars: tuple[VarSpec, ...], terms: dict[FlatKey, Fraction]) -> "DiffPoly":
         out = cls.__new__(cls)
         out.coeff_vars = cvars
         out.terms = terms
@@ -202,20 +194,21 @@ class DiffPoly:
         return not self.terms
 
     def monomials(self) -> Iterator[DiffMonomial]:
-        for ue in sorted(self.terms, key=monomial_sort_key):
-            yield DiffMonomial(self.terms[ue], ue)
+        groups: dict[UExps, dict[tuple[int, int], Fraction]] = {}
+        for (ue, a, b), c in self.terms.items():
+            groups.setdefault(ue, {})[(a, b)] = c
+        for ue in sorted(groups, key=monomial_sort_key):
+            yield DiffMonomial(MultiSeries._make(self.coeff_vars, groups[ue]), ue)
 
     def max_index(self) -> int:
         """Highest derivative index present (-1 for u-free polynomials)."""
-        tops = [ue[-1][0] for ue in self.terms if ue]
-        return max(tops, default=-1)
+        return max((ue[-1][0] for ue, _, _ in self.terms if ue), default=-1)
 
     def coefficient_of(self, ue: Mapping[int, int] | UExps) -> MultiSeries:
         key = u_key(dict(ue))
-        return self.terms.get(key, MultiSeries.zero(self.coeff_vars))
-
-    def u_free_part(self) -> MultiSeries:
-        return self.terms.get((), MultiSeries.zero(self.coeff_vars))
+        return MultiSeries._make(
+            self.coeff_vars, {(a, b): c for (u, a, b), c in self.terms.items() if u == key}
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffPoly):
@@ -238,12 +231,12 @@ class DiffPoly:
             return NotImplemented
         self._check_ring(other)
         terms = dict(self.terms)
-        for ue, c in other.terms.items():
-            _accumulate(terms, ue, c)
+        for key, c in other.terms.items():
+            _accumulate(terms, key, c)
         return DiffPoly._make(self.coeff_vars, terms)
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly._make(self.coeff_vars, {ue: -c for ue, c in self.terms.items()})
+        return DiffPoly._make(self.coeff_vars, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other) -> "DiffPoly":
         if not isinstance(other, DiffPoly):
@@ -255,25 +248,20 @@ class DiffPoly:
             if other == 0:
                 return DiffPoly.zero(self.coeff_vars)
             return DiffPoly._make(
-                self.coeff_vars, {ue: c * other for ue, c in self.terms.items()}
+                self.coeff_vars, {key: c * other for key, c in self.terms.items()}
             )
         if isinstance(other, MultiSeries):
-            terms: dict[UExps, MultiSeries] = {}
-            for ue, c in self.terms.items():
-                prod = c * other
-                if not prod.is_zero():
-                    terms[ue] = prod
-            return DiffPoly._make(self.coeff_vars, terms)
+            other = DiffPoly.constant(self.coeff_vars, other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
         self._check_ring(other)
-        terms = {}
-        for ua, ca in self.terms.items():
-            for ub, cb in other.terms.items():
-                prod = ca * cb
-                if prod.is_zero():
-                    continue
-                _accumulate(terms, _merge_keys(ua, ub), prod)
+        h_order, e_order = (v.order for v in self.coeff_vars)
+        terms: dict[FlatKey, Fraction] = {}
+        for (ua, a1, b1), ca in self.terms.items():
+            for (ub, a2, b2), cb in other.terms.items():
+                a, b = a1 + a2, b1 + b2
+                if a < h_order and b < e_order:  # else truncated away
+                    _accumulate(terms, (_merge_keys(ua, ub), a, b), ca * cb)
         return DiffPoly._make(self.coeff_vars, terms)
 
     __rmul__ = __mul__
@@ -322,15 +310,12 @@ class DiffPoly:
         return f"DiffPoly({self.pretty()})"
 
 
-def _accumulate(terms: dict[UExps, MultiSeries], ue: UExps, coef: MultiSeries) -> None:
-    if ue in terms:
-        acc = terms[ue] + coef
-        if acc.is_zero():
-            del terms[ue]
-        else:
-            terms[ue] = acc
-    elif not coef.is_zero():
-        terms[ue] = coef
+def _accumulate(terms: dict[FlatKey, Fraction], key: FlatKey, coef: Fraction) -> None:
+    acc = terms.get(key, 0) + coef
+    if acc:
+        terms[key] = acc
+    else:
+        terms.pop(key, None)
 
 
 def _merge_keys(a: UExps, b: UExps) -> UExps:
@@ -412,8 +397,8 @@ def _latex_term(m: DiffMonomial) -> str:
 
 def partial_u(p: DiffPoly, k: int) -> DiffPoly:
     """Partial derivative with respect to the symbol u_k."""
-    terms: dict[UExps, MultiSeries] = {}
-    for ue, coef in p.terms.items():
+    terms: dict[FlatKey, Fraction] = {}
+    for (ue, a, b), coef in p.terms.items():
         d = dict(ue)
         m = d.get(k)
         if not m:
@@ -422,7 +407,7 @@ def partial_u(p: DiffPoly, k: int) -> DiffPoly:
             del d[k]
         else:
             d[k] = m - 1
-        _accumulate(terms, tuple(sorted(d.items())), coef * m)
+        _accumulate(terms, (tuple(sorted(d.items())), a, b), coef * m)
     return DiffPoly._make(p.coeff_vars, terms)
 
 
@@ -446,10 +431,10 @@ def _dx_monomial(ue: UExps) -> list[tuple[UExps, int]]:
 
 def total_x_derivative(p: DiffPoly) -> DiffPoly:
     """d/dx p = sum_k (dp/du_k) u_{k+1}; a derivation, kills constants."""
-    terms: dict[UExps, MultiSeries] = {}
-    for ue, coef in p.terms.items():
-        for key, m in _dx_monomial(ue):
-            _accumulate(terms, key, coef * m)
+    terms: dict[FlatKey, Fraction] = {}
+    for (ue, a, b), coef in p.terms.items():
+        for dx_ue, m in _dx_monomial(ue):
+            _accumulate(terms, (dx_ue, a, b), coef * m)
     return DiffPoly._make(p.coeff_vars, terms)
 
 
@@ -466,8 +451,8 @@ def substitute_u(p: DiffPoly, image: DiffPoly) -> DiffPoly:
     for _ in range(max(p.max_index(), 0)):
         images.append(total_x_derivative(images[-1]))
     out = DiffPoly.zero(p.coeff_vars)
-    for ue, coef in p.terms.items():
-        term = DiffPoly.constant(p.coeff_vars, coef)
+    for (ue, a, b), coef in p.terms.items():
+        term = DiffPoly._make(p.coeff_vars, {((), a, b): coef})
         for k, m in ue:
             term = term * images[k] ** m
         out = out + term
@@ -564,41 +549,42 @@ def normalize(p: DiffPoly) -> LocalFunctional:
     idempotent and independent of reduction order.
     """
     work, heap = _worklist(p)
-    out: dict[UExps, MultiSeries] = {}
+    out: dict[FlatKey, Fraction] = {}
     while heap:
-        ue = heapq.heappop(heap)[1]
-        coef = work.pop(ue)
-        if coef.is_zero():
+        key = heapq.heappop(heap)[1]
+        coef = work.pop(key)
+        if not coef:
             continue
+        ue, a, b = key
         if _is_normal_key(ue):
-            out[ue] = coef
+            out[key] = coef
             continue
         top = ue[-1][0]
         rest = dict(ue[:-1])
         j = rest.pop(top - 1, 0)
         for rk, m in _dx_monomial(tuple(sorted(rest.items()))):
-            new_key = _merge_keys(rk, ((top - 1, j + 1),))
-            _push(work, heap, new_key, coef * Fraction(-m, j + 1))
+            new_ue = _merge_keys(rk, ((top - 1, j + 1),))
+            _push(work, heap, (new_ue, a, b), coef * Fraction(-m, j + 1))
     return LocalFunctional(DiffPoly._make(p.coeff_vars, out))
 
 
-def _worklist(p: DiffPoly) -> tuple[dict[UExps, MultiSeries], list]:
-    """The terms of p, and a heap that pops their monomials greatest first
+def _worklist(p: DiffPoly) -> tuple[dict[FlatKey, Fraction], list]:
+    """The terms of p, and a heap that pops them greatest u-monomial first
     in integration-by-parts order."""
-    heap = [(_heap_key(ue), ue) for ue in p.terms]
+    heap = [(_heap_key(key[0]), key) for key in p.terms]
     heapq.heapify(heap)
     return dict(p.terms), heap
 
 
-def _push(work: dict[UExps, MultiSeries], heap: list, ue: UExps, coef: MultiSeries) -> None:
+def _push(work: dict[FlatKey, Fraction], heap: list, key: FlatKey, coef: Fraction) -> None:
     # Reductions only produce monomials below the one being reduced, so a
-    # monomial enters the heap once, the first time it is seen; a sum that
+    # term enters the heap once, the first time it is seen; a sum that
     # cancels stays in `work` as zero until it is popped.
-    if ue in work:
-        work[ue] = work[ue] + coef
+    if key in work:
+        work[key] += coef
     else:
-        work[ue] = coef
-        heapq.heappush(heap, (_heap_key(ue), ue))
+        work[key] = coef
+        heapq.heappush(heap, (_heap_key(key[0]), key))
 
 
 def poisson_bracket(
@@ -615,13 +601,12 @@ def poisson_bracket(
 
 def _miura_tail(cvars: tuple[VarSpec, ...], G: int) -> DiffPoly:
     # sum_{g>=1} (-1)^g / (4^g (2g+1)!) h^g e^g u_{2g}
-    terms: dict[UExps, MultiSeries] = {}
+    terms: dict[FlatKey, Fraction] = {}
     hspec, espec = cvars[0], cvars[1]
     for g in range(1, G + 1):
         if g >= hspec.order or g >= espec.order:
             break
-        coef = MultiSeries.monomial(cvars, (g, g), Fraction((-1) ** g, 4**g * factorial(2 * g + 1)))
-        terms[u_key({2 * g: 1})] = coef
+        terms[(u_key({2 * g: 1}), g, g)] = Fraction((-1) ** g, 4**g * factorial(2 * g + 1))
     return DiffPoly._make(cvars, terms)
 
 
@@ -670,15 +655,16 @@ def integrate_x(q: DiffPoly) -> DiffPoly:
     u_N, and its unique preimage lowers u_N to u_{N-1}.
     """
     work, heap = _worklist(q)
-    phi: dict[UExps, MultiSeries] = {}
+    phi: dict[FlatKey, Fraction] = {}
     while heap:
-        ue = heapq.heappop(heap)[1]
-        coef = work.pop(ue)
-        if coef.is_zero():
+        key = heapq.heappop(heap)[1]
+        coef = work.pop(key)
+        if not coef:
             continue
+        ue, a, b = key
         if not ue or ue[-1][0] == 0:
             raise NotTotalDerivativeError(
-                f"monomial {DiffMonomial(coef, ue)!r} admits no x-antiderivative"
+                f"monomial {u_monomial_pretty(ue)} at h^{a} e^{b} admits no x-antiderivative"
             )
         top, mult = ue[-1]
         if mult != 1:
@@ -687,12 +673,12 @@ def integrate_x(q: DiffPoly) -> DiffPoly:
             )
         pre_key = _merge_keys(ue[:-1], ((top - 1, 1),))
         j = pre_key[-1][1]
-        phi[pre_key] = coef * Fraction(1, j)
+        phi[(pre_key, a, b)] = coef * Fraction(1, j)
         # d/dx(pre) = j * (its u_{N-1}^j factor raised) + lower monomials; the
         # first is the popped monomial and cancels exactly
         for rk, m in _dx_monomial(pre_key):
             if rk != ue:
-                _push(work, heap, rk, coef * Fraction(-m, j))
+                _push(work, heap, (rk, a, b), coef * Fraction(-m, j))
     return DiffPoly._make(q.coeff_vars, phi)
 
 
@@ -717,7 +703,7 @@ def random_diffpoly(
     with_params: bool = False,
 ) -> DiffPoly:
     """Small random differential polynomial for seeded property checks."""
-    terms: dict[UExps, Coefficient] = {}
+    terms: dict[FlatKey, Fraction] = {}
     for _ in range(rng.randint(1, max_terms)):
         exps: dict[int, int] = {}
         for _ in range(rng.randint(0, max_udeg)):
@@ -726,15 +712,11 @@ def random_diffpoly(
         coef = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         if coef == 0:
             coef = Fraction(1)
-        key = u_key(exps)
+        a = b = 0
         if with_params:
-            h_ord, e_ord = cvars[0].order, cvars[1].order
-            eexp = (rng.randrange(h_ord), rng.randrange(e_ord))
-            series = MultiSeries.monomial(cvars, eexp, coef)
-            terms[key] = (terms.get(key, MultiSeries.zero(cvars)) + series)
-        else:
-            terms[key] = terms.get(key, Fraction(0)) + coef
-    return DiffPoly(cvars, terms)
+            a, b = rng.randrange(cvars[0].order), rng.randrange(cvars[1].order)
+        _accumulate(terms, (u_key(exps), a, b), coef)
+    return DiffPoly._make(tuple(cvars), terms)
 
 
 def reconstruct_functional_from_flow(q: DiffPoly) -> LocalFunctional:
@@ -748,15 +730,15 @@ def reconstruct_functional_from_flow(q: DiffPoly) -> LocalFunctional:
     Applications of Lie Groups to Differential Equations, ch. 5); any other
     phi is rejected.
     """
-    if not q.u_free_part().is_zero():
+    if any(not ue for ue, _, _ in q.terms):
         raise NotTotalDerivativeError("flow has a u-independent part")
     if not variational_derivative(q).is_zero():
         raise NotTotalDerivativeError("Euler derivative of the flow does not vanish")
     phi = integrate_x(q)
-    terms: dict[UExps, MultiSeries] = {}
-    for ue, coef in phi.terms.items():
+    terms: dict[FlatKey, Fraction] = {}
+    for (ue, a, b), coef in phi.terms.items():
         weight = Fraction(1, u_degree(ue) + 1)
-        _accumulate(terms, _merge_keys(ue, ((0, 1),)), coef * weight)
+        _accumulate(terms, (_merge_keys(ue, ((0, 1),)), a, b), coef * weight)
     h = normalize(DiffPoly._make(q.coeff_vars, terms))
     defect = variational_derivative(h) - phi
     if not defect.is_zero():

@@ -97,10 +97,7 @@ def h1(G: int, cg_values: CgValues | None = None) -> Hamiltonian:
         raise ValueError(f"genus order must be >= 0, got {G}")
     cg = cg_values or exactnum.c_g
     cvars = coeff_ring(G)
-    terms: dict[UExps, MultiSeries] = {
-        u_key({0: 3}): MultiSeries.constant(cvars, Fraction(1, 6))
-    }
-    density = DiffPoly(cvars, terms)
+    density = DiffPoly(cvars, {u_key({0: 3}): Fraction(1, 6)})
     for g in range(1, G + 1):
         coef = MultiSeries.monomial(cvars, (g, g - 1), cg(g))
         density = density + DiffPoly(cvars, {u_key({0: 1, 2 * g: 1}): coef})
@@ -146,12 +143,7 @@ def ansatz_monomials(i: int, g: int) -> list[tuple[UExps, int]]:
 
 def _h_slice(p: DiffPoly, g: int) -> dict[tuple[UExps, int], Fraction]:
     """Rows (u-monomial, e-exponent) -> coefficient of the h^g part."""
-    rows: dict[tuple[UExps, int], Fraction] = {}
-    for ue, coef in p.terms.items():
-        for (a, b), val in coef.terms.items():
-            if a == g:
-                rows[(ue, b)] = rows.get((ue, b), Fraction(0)) + val
-    return {k: v for k, v in rows.items() if v != 0}
+    return {(ue, b): val for (ue, a, b), val in p.terms.items() if a == g}
 
 
 def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Hamiltonian:
@@ -173,9 +165,7 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
     # the h^0 flow generator u*u_1 of int u^3/6: all unknowns pair with it
     xdh1_zero = DiffPoly(cvars, {u_key({0: 1, 1: 1}): 1})
 
-    density = DiffPoly(
-        cvars, {u_key({0: i + 2}): MultiSeries.constant(cvars, Fraction(1, factorial(i + 2)))}
-    )
+    density = DiffPoly(cvars, {u_key({0: i + 2}): Fraction(1, factorial(i + 2))})
     known = normalize(variational_derivative(density) * xdh1_full).density
     for g in range(1, G + 1):
         basis = ansatz_monomials(i, g)
@@ -243,36 +233,30 @@ def check_grading(h: Hamiltonian) -> None:
     """
     i = h.index
     lead = u_key({0: i + 2})
-    for ue, coef in h.functional.density.terms.items():
-        n = u_degree(ue)
+    for (ue, g, j), val in h.functional.density.terms.items():
         d = differential_degree(ue)
-        for (g, j), val in coef.terms.items():
-            if d != 2 * g:
-                raise AssertionError(
-                    f"monomial {u_monomial_pretty(ue)} at h^{g} has differential degree {d}"
-                )
-            if j != g - (i + 2 - n):
-                raise AssertionError(
-                    f"monomial {u_monomial_pretty(ue)} at h^{g} has e-exponent {j}"
-                )
-            if g == 0 and (ue != lead or val != Fraction(1, factorial(i + 2))):
-                raise AssertionError("h^0 part is not u^(i+2)/(i+2)!")
+        if d != 2 * g:
+            raise AssertionError(
+                f"monomial {u_monomial_pretty(ue)} at h^{g} has differential degree {d}"
+            )
+        if j != g - (i + 2 - u_degree(ue)):
+            raise AssertionError(
+                f"monomial {u_monomial_pretty(ue)} at h^{g} has e-exponent {j}"
+            )
+        if g == 0 and (ue != lead or val != Fraction(1, factorial(i + 2))):
+            raise AssertionError("h^0 part is not u^(i+2)/(i+2)!")
 
 
 def first_diffpoly_mismatch(computed: DiffPoly, expected: DiffPoly) -> dict | None:
     """First differing coefficient in scan order (h-exp, e-exp, monomial)."""
-    got, want = _coefficients(computed), _coefficients(expected)
-    keys = sorted(got.keys() | want.keys(), key=lambda k: (k[0], k[1], monomial_sort_key(k[2])))
+    got, want = computed.terms, expected.terms
+    keys = sorted(got.keys() | want.keys(), key=lambda k: (k[1], k[2], monomial_sort_key(k[0])))
     scan = (
         ({"monomial": u_monomial_pretty(ue), "h_exp": a, "e_exp": b},
-         want.get((a, b, ue), Fraction(0)), got.get((a, b, ue), Fraction(0)))
-        for a, b, ue in keys
+         want.get((ue, a, b), Fraction(0)), got.get((ue, a, b), Fraction(0)))
+        for ue, a, b in keys
     )
     return first_mismatch(scan, "expected", "computed")
-
-
-def _coefficients(p: DiffPoly) -> dict[tuple[int, int, UExps], Fraction]:
-    return {(a, b, ue): val for ue, coef in p.terms.items() for (a, b), val in coef.terms.items()}
 
 
 def t1_flow_rhs(G: int) -> DiffPoly:

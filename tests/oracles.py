@@ -15,6 +15,9 @@ without `ilwhodge` on the import path.
 parts normal form and the x-antiderivative by a full max-scan of the
 worklist on every step, over plain {(u-exps, (h, e)): Fraction} maps; they
 are the reference for the engine's heap-ordered versions.
+`multiply_reference` and `dx_reference` are the product (truncated at given
+h and e orders) and the total x-derivative on the same plain maps, a
+reference for the engine's flat differential-polynomial ring.
 """
 
 from __future__ import annotations
@@ -215,3 +218,28 @@ def integrate_x_reference(terms: dict) -> dict:
         for rk, m in _dx_monomial(pre).items():
             _add(work, (rk, hexp), -c * m)
     return phi
+
+
+def multiply_reference(a: dict, b: dict, h_order: int, e_order: int) -> dict:
+    """Product of two {(u-exps, (h, e)): c} maps, dropping every term whose
+    h-exponent reaches h_order or whose e-exponent reaches e_order."""
+    out: dict = {}
+    for (ua, (ha, ea)), ca in a.items():
+        for (ub, (hb, eb)), cb in b.items():
+            if ha + hb >= h_order or ea + eb >= e_order:
+                continue
+            d = dict(ua)
+            for k, m in ub:
+                d[k] = d.get(k, 0) + m
+            _add(out, (tuple(sorted(d.items())), (ha + hb, ea + eb)), ca * cb)
+    return out
+
+
+def dx_reference(terms: dict) -> dict:
+    """Total x-derivative of a {(u-exps, (h, e)): c} map, monomial by monomial
+    by the product rule."""
+    out: dict = {}
+    for (ue, hexp), c in terms.items():
+        for rk, m in _dx_monomial(ue).items():
+            _add(out, (rk, hexp), c * m)
+    return out

@@ -30,10 +30,12 @@ from ilwhodge.mpseries import (
     log_series,
 )
 from oracles import (
+    dx_reference,
     exp_power_sum,
     integrate_x_reference,
     inverse_power_sum,
     log_power_sum,
+    multiply_reference,
     normalize_reference,
 )
 
@@ -150,7 +152,7 @@ def check_normalize_idempotent(cases: int, seed: int) -> int:
 
 def _flat(p: DiffPoly) -> dict:
     """{(u-exps, (h, e)): Fraction}, the form the reference oracles take."""
-    return {(ue, hexp): c for ue, coef in p.terms.items() for hexp, c in coef.terms.items()}
+    return {(ue, (a, b)): c for (ue, a, b), c in p.terms.items()}
 
 
 def _integrate_or_error(integrate, p):
@@ -175,6 +177,27 @@ def check_normalize_against_reference(cases: int, seed: int) -> int:
     return cases
 
 
+# coefficient rings for the flat product: the square box the engine uses and
+# an uneven one where products of random terms are often truncated
+RING_BOXES = [coeff_ring(2), (VarSpec("h", 3), VarSpec("e", 2))]
+
+
+def check_diffpoly_ring_against_reference(cases: int, seed: int) -> int:
+    rng = random.Random(seed)
+    truncated = 0
+    for n in range(cases):
+        cvars = RING_BOXES[n % 2]
+        p = random_diffpoly(cvars, rng, with_params=True)
+        q = random_diffpoly(cvars, rng, with_params=True)
+        h_order, e_order = (v.order for v in cvars)
+        expected = multiply_reference(_flat(p), _flat(q), h_order, e_order)
+        assert _flat(p * q) == expected
+        truncated += expected != multiply_reference(_flat(p), _flat(q), 2 * h_order, 2 * e_order)
+        assert _flat(total_x_derivative(p)) == dx_reference(_flat(p))
+    assert truncated, "no product was truncated"
+    return cases
+
+
 ALL_SUITES = [
     ("exp/log inversion", check_exp_log_inversion),
     ("series ops vs power sums", check_series_ops_against_power_sums),
@@ -184,4 +207,5 @@ ALL_SUITES = [
     ("Miura roundtrip", check_miura_roundtrip),
     ("normalize idempotence", check_normalize_idempotent),
     ("normal form vs max-scan reference", check_normalize_against_reference),
+    ("flat ring vs reference", check_diffpoly_ring_against_reference),
 ]

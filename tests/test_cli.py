@@ -190,6 +190,20 @@ class TestVerify:
             main(["verify", "everything"])
         assert exc.value.code == 2
 
+    def test_engine_error_reports_the_order_its_check_ran_at(self, capsys, monkeypatch):
+        from ilwhodge import ilw
+
+        def boom(i, j, G, cg_values=None):
+            raise RuntimeError(f"no bracket for h_{i}, h_{j}")
+
+        monkeypatch.setattr(ilw, "verify_commutation", boom)
+        code, data = run_json(capsys, "verify", "commute", "--genus", "5")
+        assert code == 1
+        assert [(d["name"], d["status"], d["order_checked"]) for d in data["details"]] == [
+            ("commute(2,1)", "error", 5),
+            ("commute(3,2)", "error", 2),
+        ]
+
 
 class TestPlumbing:
     def test_output_file(self, tmp_path, capsys):

@@ -27,6 +27,7 @@ from ilwhodge.diffalg import (
 from ilwhodge.mpseries import MultiSeries
 from properties import (
     check_bracket_antisymmetry_jacobi,
+    check_diffpoly_ring_against_reference,
     check_dx_derivation,
     check_euler_kills_dx,
     check_miura_roundtrip,
@@ -149,7 +150,7 @@ class TestIntegrateX:
         assert total_x_derivative(phi) == q
 
     def test_rejects_non_derivative(self):
-        with pytest.raises(NotTotalDerivativeError):
+        with pytest.raises(NotTotalDerivativeError, match=r"monomial u\^2 "):
             integrate_x(dp({((0, 2),): 1}))
 
     def test_randomized_right_inverse(self):
@@ -207,6 +208,16 @@ def test_monomial_iteration_canonical_order():
     assert keys == [((0, 2),), ((1, 1), (2, 1)), ((0, 1), (3, 1))]
 
 
+# (h + 1/2*e)*u_1 + u^2: one u-monomial carrying two (h, e) terms
+MULTI = DiffPoly(
+    coeff_ring(1),
+    {
+        u_key({1: 1}): MultiSeries(coeff_ring(1), {(1, 0): 1, (0, 1): Fraction(1, 2)}),
+        u_key({0: 2}): 1,
+    },
+)
+
+
 def test_pretty_and_latex():
     cv = coeff_ring(1)
     p = DiffPoly(
@@ -218,6 +229,9 @@ def test_pretty_and_latex():
     )
     assert p.pretty() == "u*u_1 + 1/12*h*u_3"
     assert r"\frac{1}{12}\hbar u_{3}" in p.latex()
+    # several (h, e) terms on one u-monomial render as one bracketed coefficient
+    assert MULTI.pretty() == "u^2 + (1/2*e + h)*u_1"
+    assert MULTI.latex() == r"u^{2} + \left(\frac{1}{2}\varepsilon + \hbar\right) u_{1}"
 
 
 def test_json_schema():
@@ -225,6 +239,13 @@ def test_json_schema():
     data = p.to_json_dict()
     assert data[0]["u"] == [[0, 1], [2, 1]]
     assert data[0]["coef"]["terms"][0]["coef"] == "1/24"
+    ring = {"vars": [{"name": "h", "order": 2}, {"name": "e", "order": 2}]}
+    assert MULTI.to_json_dict() == [
+        {"coef": {**ring, "terms": [{"exp": [0, 0], "coef": "1"}]}, "u": [[0, 2]]},
+        {"coef": {**ring, "terms": [{"exp": [0, 1], "coef": "1/2"},
+                                    {"exp": [1, 0], "coef": "1"}]},
+         "u": [[1, 1]]},
+    ]
 
 
 def test_local_functional_algebra():
@@ -255,3 +276,7 @@ def test_normalize_idempotent_and_class_preserving():
 
 def test_normal_form_matches_max_scan_reference():
     check_normalize_against_reference(200, 2028)
+
+
+def test_flat_ring_matches_reference():
+    check_diffpoly_ring_against_reference(200, 2029)

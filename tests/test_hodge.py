@@ -246,3 +246,26 @@ class TestBracketTableRendering:
         data = one_point_table(1).to_json_dict()
         assert data["flavor"] == "plain"
         assert len(data["entries"]) == 2
+
+
+def test_sympy_oracle_one_point_and_bernoulli():
+    """A third route, independent of the engine and of tests/oracles.py:
+    sympy's own series of (t/2)/sin(t/2), raised to the power k + 1 as the
+    truncated binomial sum over falling factorials (the series minus 1 has
+    no constant term, so six powers reach t^12)."""
+    sympy = pytest.importorskip("sympy")
+    G = 6
+    t, k = sympy.symbols("t k")
+    x = sympy.expand(sympy.series((t / 2) / sympy.sin(t / 2), t, 0, 2 * G + 1).removeO() - 1)
+    power = sum(sympy.ff(k + 1, n) / sympy.factorial(n) * x**n for n in range(G + 1))
+    coeffs = sympy.Poly(sympy.expand(power), t, k).as_dict()
+    entries = one_point_table(G).entries
+    for g in range(1, G + 1):
+        for i in range(g + 1):
+            want = entries.get((g, g - i, (2 * g - 2 + i,)), Fraction(0))
+            assert coeffs.get((2 * g, i), 0) == sympy.Rational(want.numerator, want.denominator)
+    # sympy 1.14 takes B_1 = +1/2; the engine takes B_1 = -1/2
+    for n in range(41):
+        if n != 1:
+            b = exactnum.bernoulli(n)
+            assert sympy.bernoulli(n) == sympy.Rational(b.numerator, b.denominator), n
