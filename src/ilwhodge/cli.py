@@ -323,6 +323,8 @@ def _run_verifications(which: str, G: int, cg_values) -> list[VerificationReport
 
 
 def cmd_verify(cfg: RunConfig, which: str, genus: int, perturb) -> int:
+    if cfg.output_format not in ("pretty", "json"):
+        _usage_error(f"verify renders only pretty and json, not {cfg.output_format}")
     if perturb and not 1 <= perturb[0] <= genus:
         _usage_error(f"--perturb-cg locus {perturb[0]} is outside 1..{genus}")
     cg_values = perturbed_cg(*perturb) if perturb else None

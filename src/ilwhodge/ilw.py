@@ -6,11 +6,15 @@ The first Hamiltonian is explicit,
     c_g = |B_{2g}| / (2 (2g)!),
 
 and generates the first flow u_t = u u_x + sum_g h^g e^{g-1} (|B_{2g}|/(2g)!)
-u_{2g+1}.  Higher Hamiltonians start from u^{i+2}/(i+2)! and are pinned down
-by commutation with h_1: an ansatz over normal-form monomials obeying the
-observed grading (differential degree 2g at h^g; e-exponent g - (i+2-n) for
-u-degree n) is solved order by order with exact Gaussian elimination.  Any
-rank defect is surfaced, never repaired silently.
+u_{2g+1}.  The ILW hierarchy is the double-ramification hierarchy of the
+Hodge class, and h_1 is its first Hamiltonian (Buryak, CMP 336 (2015)), so
+the higher densities follow from the recursion
+
+    d/dx (D - 1) g_{d+1} = {g_d, h_1},    g_{-1} = u,
+
+with D = 2h d/dh + sum_s u_s d/du_s (Buryak-Rossi, CMP 342 (2016)); h_i is
+int g_i dx.  Each step is an exact x-antiderivative followed by a division,
+and the result is re-checked against {h_i, h_1} = 0.
 """
 
 from __future__ import annotations
@@ -18,15 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import exactnum
 from .diffalg import (
     DiffPoly,
     LocalFunctional,
-    UExps,
+    NotTotalDerivativeError,
     coeff_ring,
     differential_degree,
+    frechet_apply,
+    integrate_x,
     monomial_sort_key,
     normalize,
     poisson_bracket,
@@ -36,15 +42,12 @@ from .diffalg import (
     u_monomial_pretty,
     variational_derivative,
 )
-from .exactnum import rational_to_str
-from .linalg import solve_exact
 from .mpseries import MultiSeries
 from .reports import VerificationReport, first_mismatch
 
 __all__ = [
     "Hamiltonian",
     "InconsistentSystemError",
-    "UnderdeterminedSystemError",
     "h1",
     "hamiltonian",
     "higher_hamiltonian",
@@ -61,20 +64,11 @@ __all__ = [
 CgValues = Callable[[int], Fraction]
 
 
-class UnderdeterminedSystemError(RuntimeError):
-    """The commutation system leaves free directions; they are reported."""
-
-    def __init__(self, index: int, genus: int, directions: list[str]):
-        self.index = index
-        self.genus = genus
-        self.directions = directions
-        super().__init__(
-            f"h_{index} at h^{genus} is underdetermined; ambiguity basis: {directions}"
-        )
-
-
 class InconsistentSystemError(RuntimeError):
-    """The commutation system has no solution (ansatz/grading bug)."""
+    """h_i cannot be made to commute with h_1, which signals a faulty h_1
+    such as a shifted c_g: the recursion meets a right-hand side with no
+    x-antiderivative, or its result fails the bracket re-check.  `genus` is
+    the lowest h-order of the obstruction."""
 
     def __init__(self, index: int, genus: int):
         self.index = index
@@ -112,48 +106,18 @@ def flow(h: Hamiltonian | LocalFunctional) -> DiffPoly:
     return total_x_derivative(variational_derivative(functional))
 
 
-def _partitions(total: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    # partitions of `total` into parts <= max_part, weakly decreasing
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
-
-
-def ansatz_monomials(i: int, g: int) -> list[tuple[UExps, int]]:
-    """Normal-form monomials allowed at h^g for the index-i Hamiltonian,
-    paired with their e-exponent g - (i + 2 - n)."""
-    out: list[tuple[UExps, int]] = []
-    for n in range(max(2, i + 2 - g), i + 3):
-        j = g - (i + 2 - n)
-        for part in _partitions(2 * g, 2 * g):
-            if len(part) > n:
-                continue
-            if part and part.count(part[0]) < 2:
-                continue  # strictly-top linear factor: not a normal form
-            exps: dict[int, int] = {0: n - len(part)}
-            for k in part:
-                exps[k] = exps.get(k, 0) + 1
-            out.append((u_key(exps), j))
-    out.sort(key=lambda mj: (mj[1], monomial_sort_key(mj[0])))
-    return out
-
-
-def _h_slice(p: DiffPoly, g: int) -> dict[tuple[UExps, int], Fraction]:
-    """Rows (u-monomial, e-exponent) -> coefficient of the h^g part."""
-    return {(ue, b): val for (ue, a, b), val in p.terms.items() if a == g}
+def _lowest_h_order(p: DiffPoly) -> int:
+    return min(a for _, a, _ in p.terms)
 
 
 def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Hamiltonian:
-    """The index-i Hamiltonian (i >= 2) determined by commutation with h_1.
+    """The index-i Hamiltonian (i >= 2), built by the double-ramification
+    recursion from g_{-1} = u.
 
-    Solves {candidate, h_1} = 0 coefficient-wise, one h-order at a time;
-    demands a unique solution over the graded normal-form ansatz and
-    re-verifies the full bracket afterwards.  The bracket of the part solved
-    so far with h_1 is kept across orders: the bracket is bilinear and
-    `normalize` is linear, so each solved layer adds its own bracket once.
+    Step d integrates {g_d, h_1} = sum_s (dg_d/du_s) d^s/dx^s flow(h_1) once
+    in x and divides each term h^a (u-monomial of degree n) by its D - 1
+    eigenvalue 2a + n - 1.  The normal form of g_i is checked for grading
+    and re-verified against {h_i, h_1} = 0.
     """
     if i < 2:
         raise ValueError(f"higher Hamiltonian index must be >= 2, got {i}")
@@ -161,64 +125,31 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
         raise ValueError(f"genus order must be >= 0, got {G}")
     cvars = coeff_ring(G)
     h1_full = h1(G, cg_values)
-    xdh1_full = total_x_derivative(variational_derivative(h1_full.functional))
-    # the h^0 flow generator u*u_1 of int u^3/6: all unknowns pair with it
-    xdh1_zero = DiffPoly(cvars, {u_key({0: 1, 1: 1}): 1})
-
-    density = DiffPoly(cvars, {u_key({0: i + 2}): Fraction(1, factorial(i + 2))})
-    known = normalize(variational_derivative(density) * xdh1_full).density
-    for g in range(1, G + 1):
-        basis = ansatz_monomials(i, g)
-        columns: list[dict[tuple[UExps, int], Fraction]] = []
-        for ue, j in basis:
-            mono = DiffPoly(cvars, {ue: 1})
-            bracket = normalize(variational_derivative(mono) * xdh1_zero).density
-            col = {
-                (row_ue, j): val
-                for (row_ue, b0), val in _h_slice(bracket, 0).items()
-                if b0 == 0
-            }
-            columns.append(col)
-        rhs_rows = _h_slice(known, g)
-
-        row_keys = sorted(
-            {rk for col in columns for rk in col} | set(rhs_rows),
-            key=lambda rk: (rk[1], monomial_sort_key(rk[0])),
-        )
-        matrix = [[col.get(rk, Fraction(0)) for col in columns] for rk in row_keys]
-        rhs = [-rhs_rows.get(rk, Fraction(0)) for rk in row_keys]
-        result = solve_exact(matrix, rhs)
-        if not result.consistent:
-            raise InconsistentSystemError(i, g)
-        if result.free_directions:
-            pretty = [
-                " + ".join(
-                    f"{rational_to_str(c)}*{u_monomial_pretty(ue)}"
-                    for (ue, _), c in zip(basis, direction)
-                    if c != 0
-                )
-                for direction in result.free_directions
-            ]
-            raise UnderdeterminedSystemError(i, g, pretty)
-        layer = DiffPoly(
+    xdh1 = flow(h1_full)
+    density = DiffPoly.u_power(cvars)
+    for _ in range(i + 1):
+        rhs = frechet_apply(density, xdh1)
+        try:
+            phi = integrate_x(rhs)
+        except NotTotalDerivativeError:
+            raise InconsistentSystemError(
+                i, _lowest_h_order(variational_derivative(rhs))
+            ) from None
+        density = DiffPoly._make(
             cvars,
-            {ue: MultiSeries.monomial(cvars, (g, j), c)
-             for (ue, j), c in zip(basis, result.solution)},
+            {(ue, a, b): c / (2 * a + u_degree(ue) - 1) for (ue, a, b), c in phi.terms.items()},
         )
-        density = density + layer
-        if g < G:
-            known = known + normalize(variational_derivative(layer) * xdh1_full).density
 
     ham = Hamiltonian(i, G, normalize(density))
     check_grading(ham)
     residual = poisson_bracket(ham.functional, h1_full.functional)
     if not residual.is_zero():
-        raise InconsistentSystemError(i, G)
+        raise InconsistentSystemError(i, _lowest_h_order(residual.density))
     return ham
 
 
 def hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Hamiltonian:
-    """h_i at truncation order G (explicit for i = 1, solved for i >= 2)."""
+    """h_i at truncation order G (explicit for i = 1, by recursion for i >= 2)."""
     if i < 1:
         raise ValueError(f"hierarchy index must be >= 1, got {i}")
     return h1(G, cg_values) if i == 1 else higher_hamiltonian(i, G, cg_values)

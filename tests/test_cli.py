@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +187,21 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "outside 1..3" in captured.err
 
+    @pytest.mark.parametrize("fmt", ["csv", "latex"])
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_table_formats_rejected(self, capsys, monkeypatch, fmt, from_env):
+        argv = ["verify", "cg", "--genus", "2"]
+        if from_env:
+            monkeypatch.setenv("ILWHODGE_FORMAT", fmt)
+        else:
+            argv += ["--format", fmt]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and fmt in captured.err
+
     def test_unknown_selector(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "everything"])
@@ -287,6 +304,21 @@ class TestPlumbing:
         _, a = run(capsys, "verify", "all", "--genus", "2", "--format", "json")
         _, b = run(capsys, "verify", "all", "--genus", "2", "--format", "json")
         assert a == b
+
+    def test_tracer_finds_every_span(self):
+        # perfbench/tracing.py wraps engine functions by name, linalg.solve_exact
+        # included, and fails every traced call if one is bound nowhere
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracing.py"),
+             "hamiltonian", "--index", "2", "--genus", "2", "--format", "json"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads(proc.stderr.splitlines()[-1])
+        assert "ilw.higher_hamiltonian" in summary["spans"]
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -15,9 +15,6 @@ from ilwhodge.diffalg import (
 )
 import ilwhodge.ilw
 from ilwhodge.ilw import (
-    InconsistentSystemError,
-    UnderdeterminedSystemError,
-    ansatz_monomials,
     check_grading,
     first_diffpoly_mismatch,
     flow,
@@ -112,19 +109,10 @@ class TestHigherHamiltonian:
         check_grading(higher_hamiltonian(2, 3))
         check_grading(higher_hamiltonian(3, 2))
 
-    def test_ansatz_monomials_shape(self):
-        for i, g in ((2, 1), (2, 2), (3, 2)):
-            for ue, j in ansatz_monomials(i, g):
-                assert sum(k * m for k, m in ue) == 2 * g
-                top, mult = ue[-1]
-                assert top == 0 or mult >= 2
-                n = sum(m for _, m in ue)
-                assert j == g - (i + 2 - n) >= 0
-
 
 class TestTheorem1:
     def test_t2_flow_matches(self):
-        for G in (1, 2, 3):
+        for G in (1, 2, 3, 20):
             assert verify_flow_t2(G).ok
 
     def test_t1_flow_matches(self):
@@ -140,25 +128,6 @@ class TestTheorem1:
         assert f.coefficient_of({0: 1, 3: 1}) == MultiSeries.monomial(
             cv, (1, 0), Fraction(1, 12)
         )
-
-
-class TestRankDefectSurfacing:
-    def test_duplicate_ansatz_column_is_underdetermined(self, monkeypatch):
-        original = ansatz_monomials
-
-        def doubled(i, g):
-            basis = original(i, g)
-            return basis + [basis[0]]
-
-        monkeypatch.setattr(ilwhodge.ilw, "ansatz_monomials", doubled)
-        with pytest.raises(UnderdeterminedSystemError) as exc:
-            higher_hamiltonian(2, 1)
-        assert exc.value.directions
-
-    def test_empty_ansatz_is_inconsistent(self, monkeypatch):
-        monkeypatch.setattr(ilwhodge.ilw, "ansatz_monomials", lambda i, g: [])
-        with pytest.raises(InconsistentSystemError):
-            higher_hamiltonian(2, 1)
 
 
 class TestCommutation:
