@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 Rational = Fraction
 
@@ -37,17 +37,20 @@ def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n, with B_1 = -1/2.
 
     Computed by the binomial recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0,
-    memoized; exact at every index.
+    memoized; exact at every index.  Each step sums in integers over the lcm
+    of the denominators and skips the odd B_k (k >= 3), which vanish.
     """
     if n < 0:
         raise ValueError(f"Bernoulli index must be non-negative, got {n}")
     with _cache_lock:
         while len(_bernoulli_cache) <= n:
             m = len(_bernoulli_cache)
-            acc = Fraction(0)
-            for k in range(m):
-                acc += comb(m + 1, k) * _bernoulli_cache[k]
-            _bernoulli_cache.append(-acc / (m + 1))
+            known = [(k, b) for k, b in enumerate(_bernoulli_cache) if b]
+            den = lcm(*(b.denominator for _, b in known))
+            acc = sum(comb(m + 1, k) * b.numerator * (den // b.denominator) for k, b in known)
+            _bernoulli_cache.append(Fraction(-acc, den * (m + 1)))
+            if m >= 2:
+                _bernoulli_cache.append(Fraction(0))  # B_{m+1}
         return _bernoulli_cache[n]
 
 

@@ -19,13 +19,18 @@ Euler derivative sum_i x_i d/dx_i, which scales degree d by d, turns the
 functional equation into such a recurrence.  Each slice is a sum of ordinary
 products of homogeneous components, so the work is about that of a single
 product, not one product per power.
+
+Products run through one integer kernel: coefficients become numerators over
+the lcm of their denominators, pairs multiply in integers, and a reduced
+`Fraction` is built once per output term, in the graded solve as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import add, lt
 from typing import Iterable, Mapping
 
 from .exactnum import bernoulli, rational_from_str, rational_to_str
@@ -231,19 +236,9 @@ class MultiSeries:
         if not isinstance(other, MultiSeries):
             return NotImplemented
         self._check_same_vars(other)
-        bounds = tuple(v.order for v in self.vars)
-        terms: dict[Exponents, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                if any(x >= b for x, b in zip(e, bounds)):
-                    continue  # truncated away
-                acc = terms.get(e, Fraction(0)) + ca * cb
-                if acc == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = acc
-        return MultiSeries._make(self.vars, terms)
+        (da, na), (db, nb) = _scaled(self.terms), _scaled(other.terms)
+        product = _int_product(na, nb, tuple(v.order for v in self.vars))
+        return MultiSeries._make(self.vars, _unscale(product, da * db))
 
     __rmul__ = __mul__
 
@@ -371,23 +366,59 @@ def _components(a: MultiSeries) -> list[MultiSeries]:
     return [MultiSeries._make(a.vars, t) for t in parts]
 
 
+def _scaled(terms: Mapping[Exponents, Fraction]) -> tuple[int, dict[Exponents, int]]:
+    """(den, nums) with terms[e] = nums[e] / den and den the lcm of the denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def _int_product(na: dict, nb: dict, bounds: Exponents) -> dict[Exponents, int]:
+    """Integer numerators of a truncated product; a sum that cancels stays as 0."""
+    out: dict[Exponents, int] = {}
+    for ea, ca in na.items():
+        for eb, cb in nb.items():
+            e = tuple(map(add, ea, eb))
+            if all(map(lt, e, bounds)):
+                out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def _unscale(nums: dict[Exponents, int], den: int) -> dict[Exponents, Fraction]:
+    """The reduced coefficients nums[e] / den, zeros dropped."""
+    return {e: Fraction(n, den) for e, n in nums.items() if n}
+
+
 def _solve_graded(base: list[MultiSeries], left: list[MultiSeries], weight) -> MultiSeries:
     """The series y with weight(d) * y_d = base_d + sum_{k=1..d} left_k * y_{d-k}
     in every total degree d, built from the degrees below d.
 
     Each degree slice is a sum of products of homogeneous components, so the
-    whole solve costs about one product's worth of coefficient work.
+    whole solve costs about one product's worth of coefficient work.  Each
+    solved component stays integer numerators over one positive denominator;
+    division by weight(d) and reduction by the content are done in integers.
     """
-    y: list[MultiSeries] = []
-    for d, b in enumerate(base):
-        acc = b
-        for k in range(1, d + 1):
-            if left[k] and y[d - k]:
-                acc = acc + left[k] * y[d - k]
-        y.append(acc * (Fraction(1) / weight(d)))
+    bounds = tuple(v.order for v in base[0].vars)
+    lefts = [_scaled(p.terms) for p in left]
+    y: list[tuple[int, dict[Exponents, int]]] = []
     out: dict[Exponents, Fraction] = {}
-    for part in y:
-        out.update(part.terms)
+    for d, b in enumerate(base):
+        slices = [_scaled(b.terms)] + [
+            (lefts[k][0] * y[d - k][0], _int_product(lefts[k][1], y[d - k][1], bounds))
+            for k in range(1, d + 1) if lefts[k][1] and y[d - k][1]
+        ]
+        w = Fraction(weight(d))
+        sign_den = w.denominator if w > 0 else -w.denominator  # den stays positive
+        den = lcm(*(s for s, _ in slices))
+        acc: dict[Exponents, int] = {}
+        for s, nums in slices:
+            f = den // s * sign_den
+            for e, n in nums.items():
+                acc[e] = acc.get(e, 0) + n * f
+        den *= abs(w.numerator)
+        g = gcd(den, *acc.values())
+        den, nums = den // g, {e: n // g for e, n in acc.items() if n}
+        y.append((den, nums))
+        out.update(_unscale(nums, den))
     return MultiSeries._make(base[0].vars, out)
 
 

@@ -10,7 +10,10 @@ Taylor sums sum_n a^n / n!, sum_n (-1)^(n+1) (a-1)^n / n and
 sum_n (1 - a/c)^n / c over full series products, a reference for the
 engine's degree-by-degree recurrences; they take the series class from
 their argument, because `perfbench/workloads.py` loads this file by path
-without `ilwhodge` on the import path.
+without `ilwhodge` on the import path.  Those products run through the
+engine's own integer product kernel, so `series_product_reference` is the
+truncated product done pair by pair in `Fraction` arithmetic on plain
+{exps: Fraction} maps, a reference for that kernel.
 `normalize_reference` and `integrate_x_reference` are the integration-by-
 parts normal form and the x-antiderivative by a full max-scan of the
 worklist on every step, over plain {(u-exps, (h, e)): Fraction} maps; they
@@ -120,6 +123,19 @@ def _power_sum(x, coeff):
         power = power * x
         n += 1
     return acc
+
+
+def series_product_reference(a_terms: dict, b_terms: dict, bounds: tuple) -> dict:
+    """Product of two {exps: Fraction} maps, dropping every exponent vector
+    with a component at or past its bound and every coefficient that sums
+    to zero."""
+    out: dict = {}
+    for ea, ca in a_terms.items():
+        for eb, cb in b_terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if all(x < b for x, b in zip(e, bounds)):
+                _add(out, e, ca * cb)
+    return out
 
 
 def exp_power_sum(a):

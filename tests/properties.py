@@ -37,6 +37,7 @@ from oracles import (
     log_power_sum,
     multiply_reference,
     normalize_reference,
+    series_product_reference,
 )
 
 
@@ -86,6 +87,56 @@ def check_series_ops_against_power_sums(cases: int, seed: int) -> int:
         assert inverse_series(c) == inverse_power_sum(c)
         num = random_series(rng, vars, zero_constant=rng.random() < 0.5)
         assert divide_series(num, c) == num * inverse_power_sum(c)
+    return cases
+
+
+# prime powers shared by the drawn denominators, so that their lcm stays far
+# below their product and the kernel's common denominators are exercised
+SHARED_DENOMINATORS = (1, 2**19, 3**12, 2**6 * 5**5, 7**7)
+
+
+def _big_terms(rng: random.Random, vars: tuple[VarSpec, ...]) -> dict:
+    """Up to six terms with numerators up to 10^9 in size over denominators
+    up to 10^12; about one term in ten is an integer."""
+    return {
+        tuple(rng.randrange(v.order) for v in vars): Fraction(
+            rng.choice((-1, 1)) * rng.randint(1, 10**9),
+            rng.choice((1, rng.randint(1, 10**6))) * rng.choice(SHARED_DENOMINATORS),
+        )
+        for _ in range(rng.randint(1, 6))
+    }
+
+
+def check_series_kernel_against_reference(cases: int, seed: int) -> int:
+    rng = random.Random(seed)
+    cancelled = truncated = integral = 0
+    for n in range(cases):
+        vars = SERIES_BOXES[n % len(SERIES_BOXES)]
+        bounds = tuple(v.order for v in vars)
+        a = MultiSeries(vars, _big_terms(rng, vars))
+        b = MultiSeries(vars, _big_terms(rng, vars))
+        if n % 2:  # (a + b)(a - b): the cross terms ab and -ba cancel
+            a, b = a + b, a - b
+        expected = series_product_reference(a.terms, b.terms, bounds)
+        got = a * b
+        assert got.terms == expected
+        for e, c in got.terms.items():
+            assert type(c) is Fraction and c != 0
+            assert all(0 <= x < bound for x, bound in zip(e, bounds))
+            integral += c.denominator == 1
+        sums = {tuple(x + y for x, y in zip(ea, eb)) for ea in a.terms for eb in b.terms}
+        inside = {e for e in sums if all(x < bound for x, bound in zip(e, bounds))}
+        truncated += inside != sums
+        cancelled += len(inside) != len(expected)
+        # division by a series whose constant term is a negative non-integer
+        den = _big_terms(rng, vars)
+        den[(0,) * len(vars)] = -(rng.randint(0, 1000) + Fraction(3, 7))
+        c = MultiSeries(vars, den)
+        num = MultiSeries(vars, _big_terms(rng, vars))
+        assert divide_series(num, c) * c == num
+    assert truncated, "no product was truncated"
+    assert cancelled, "no product coefficient cancelled to zero"
+    assert integral, "no product coefficient was an integer"
     return cases
 
 
@@ -201,6 +252,7 @@ def check_diffpoly_ring_against_reference(cases: int, seed: int) -> int:
 ALL_SUITES = [
     ("exp/log inversion", check_exp_log_inversion),
     ("series ops vs power sums", check_series_ops_against_power_sums),
+    ("series kernel vs reference", check_series_kernel_against_reference),
     ("Euler kills d/dx", check_euler_kills_dx),
     ("d/dx derivation rule", check_dx_derivation),
     ("bracket antisymmetry + Jacobi", check_bracket_antisymmetry_jacobi),

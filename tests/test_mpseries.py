@@ -21,6 +21,7 @@ from ilwhodge.mpseries import (
 )
 from properties import (
     check_exp_log_inversion,
+    check_series_kernel_against_reference,
     check_series_ops_against_power_sums,
     random_series,
 )
@@ -224,6 +225,10 @@ def test_exp_log_inversion_property():
 
 def test_series_ops_match_power_sums():
     check_series_ops_against_power_sums(200, 102)
+
+
+def test_series_kernel_matches_reference():
+    check_series_kernel_against_reference(200, 103)
 
 
 def test_divide_series_hand_expansion():
