@@ -25,10 +25,11 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import neg
 from typing import Iterable, Iterator, Mapping, Union
 
-from .mpseries import MultiSeries, VarSpec
+from .mpseries import MultiSeries, VarSpec, _scaled, _unscale
 
 __all__ = [
     "DiffAlgError",
@@ -42,7 +43,6 @@ __all__ = [
     "DiffPoly",
     "LocalFunctional",
     "total_x_derivative",
-    "x_derivative_n",
     "variational_derivative",
     "normalize",
     "poisson_bracket",
@@ -125,7 +125,7 @@ def _heap_key(ue: UExps) -> tuple:
     if not ue:
         return (1,)
     top = ue[-1][0]
-    return (-top, *(-m for m in reversed(_dense(ue, top + 1))))
+    return (-top, *map(neg, reversed(_dense(ue, top + 1))))
 
 
 @dataclass(frozen=True)
@@ -255,14 +255,9 @@ class DiffPoly:
         if not isinstance(other, DiffPoly):
             return NotImplemented
         self._check_ring(other)
-        h_order, e_order = (v.order for v in self.coeff_vars)
-        terms: dict[FlatKey, Fraction] = {}
-        for (ua, a1, b1), ca in self.terms.items():
-            for (ub, a2, b2), cb in other.terms.items():
-                a, b = a1 + a2, b1 + b2
-                if a < h_order and b < e_order:  # else truncated away
-                    _accumulate(terms, (_merge_keys(ua, ub), a, b), ca * cb)
-        return DiffPoly._make(self.coeff_vars, terms)
+        (da, na), (db, nb) = _scaled(self.terms), _scaled(other.terms)
+        product = _int_product(na, nb, self.coeff_vars, {})
+        return DiffPoly._make(self.coeff_vars, _unscale(product, da * db))
 
     __rmul__ = __mul__
 
@@ -323,6 +318,13 @@ def _merge_keys(a: UExps, b: UExps) -> UExps:
     for k, m in b:
         acc[k] = acc.get(k, 0) + m
     return tuple(sorted(acc.items()))
+
+
+def _times_top(ue: UExps, k: int, m: int) -> UExps:
+    """ue * u_k^m for k at or above every index of ue."""
+    if ue and ue[-1][0] == k:
+        return ue[:-1] + ((k, ue[-1][1] + m),)
+    return ue + ((k, m),)
 
 
 def u_monomial_pretty(ue: Iterable[Iterable[int]]) -> str:
@@ -395,20 +397,9 @@ def _latex_term(m: DiffMonomial) -> str:
 # -- calculus ---------------------------------------------------------------------
 
 
-def partial_u(p: DiffPoly, k: int) -> DiffPoly:
-    """Partial derivative with respect to the symbol u_k."""
-    terms: dict[FlatKey, Fraction] = {}
-    for (ue, a, b), coef in p.terms.items():
-        d = dict(ue)
-        m = d.get(k)
-        if not m:
-            continue
-        if m == 1:
-            del d[k]
-        else:
-            d[k] = m - 1
-        _accumulate(terms, (tuple(sorted(d.items())), a, b), coef * m)
-    return DiffPoly._make(p.coeff_vars, terms)
+# The calculus runs on integer numerators over one common denominator
+# (`mpseries._scaled`); a sum that cancels may stay as 0 until `_unscale`.
+IntTerms = dict[FlatKey, int]
 
 
 def _dx_monomial(ue: UExps) -> list[tuple[UExps, int]]:
@@ -429,19 +420,46 @@ def _dx_monomial(ue: UExps) -> list[tuple[UExps, int]]:
     return out
 
 
+def _int_dx(nums: IntTerms, out: IntTerms | None = None, sign: int = 1) -> IntTerms:
+    """sign * d/dx of nums, added into `out` (a new map when None)."""
+    out = {} if out is None else out
+    for (ue, a, b), c in nums.items():
+        c *= sign
+        for dx_ue, m in _dx_monomial(ue):
+            key = (dx_ue, a, b)
+            out[key] = out.get(key, 0) + m * c
+    return out
+
+
+def _int_partials(nums: IntTerms) -> dict[int, IntTerms]:
+    """{k: dp/du_k} for every u_k present, in one pass; taking one u_k off
+    is injective on monomials, so no two terms collide."""
+    parts: dict[int, IntTerms] = {}
+    for (ue, a, b), c in nums.items():
+        for pos, (k, m) in enumerate(ue):
+            lowered = ((k, m - 1),) if m > 1 else ()
+            parts.setdefault(k, {})[(ue[:pos] + lowered + ue[pos + 1:], a, b)] = m * c
+    return parts
+
+
+def _int_product(na: IntTerms, nb: IntTerms, cvars: tuple[VarSpec, ...],
+                 out: IntTerms) -> IntTerms:
+    """na * nb added into `out`, dropping every term at or past the h or e
+    order of `cvars`."""
+    h_order, e_order = (v.order for v in cvars)
+    for (ua, a1, b1), ca in na.items():
+        for (ub, a2, b2), cb in nb.items():
+            a, b = a1 + a2, b1 + b2
+            if a < h_order and b < e_order:  # else truncated away
+                key = (_merge_keys(ua, ub), a, b)
+                out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
 def total_x_derivative(p: DiffPoly) -> DiffPoly:
     """d/dx p = sum_k (dp/du_k) u_{k+1}; a derivation, kills constants."""
-    terms: dict[FlatKey, Fraction] = {}
-    for (ue, a, b), coef in p.terms.items():
-        for dx_ue, m in _dx_monomial(ue):
-            _accumulate(terms, (dx_ue, a, b), coef * m)
-    return DiffPoly._make(p.coeff_vars, terms)
-
-
-def x_derivative_n(p: DiffPoly, n: int) -> DiffPoly:
-    for _ in range(n):
-        p = total_x_derivative(p)
-    return p
+    den, nums = _scaled(p.terms)
+    return DiffPoly._make(p.coeff_vars, _unscale(_int_dx(nums), den))
 
 
 def substitute_u(p: DiffPoly, image: DiffPoly) -> DiffPoly:
@@ -460,16 +478,18 @@ def substitute_u(p: DiffPoly, image: DiffPoly) -> DiffPoly:
 
 
 def variational_derivative(h: "LocalFunctional | DiffPoly") -> DiffPoly:
-    """Euler operator: delta/delta u = sum_k (-d/dx)^k (partial/partial u_k).
+    """Euler operator: delta/delta u = sum_k (-d/dx)^k (partial/partial u_k),
+    evaluated by Horner as P_0 - d/dx(P_1 - d/dx(P_2 - ...)).
 
     Representative-independent: total x-derivatives are killed.
     """
     f = h.density if isinstance(h, LocalFunctional) else h
-    out = DiffPoly.zero(f.coeff_vars)
-    for k in range(f.max_index() + 1):
-        term = x_derivative_n(partial_u(f, k), k)
-        out = out + (term if k % 2 == 0 else -term)
-    return out
+    den, nums = _scaled(f.terms)
+    parts = _int_partials(nums)
+    acc: IntTerms = {}
+    for k in range(max(parts, default=-1), -1, -1):
+        acc = _int_dx(acc, parts.get(k, {}), -1)
+    return DiffPoly._make(f.coeff_vars, _unscale(acc, den))
 
 
 # -- normal form -------------------------------------------------------------------
@@ -548,8 +568,8 @@ def normalize(p: DiffPoly) -> LocalFunctional:
     The result is the projection onto the complement of im(d/dx), hence
     idempotent and independent of reduction order.
     """
-    work, heap = _worklist(p)
-    out: dict[FlatKey, Fraction] = {}
+    den, work, heap = _worklist(p)
+    out: IntTerms = {}
     while heap:
         key = heapq.heappop(heap)[1]
         coef = work.pop(key)
@@ -560,23 +580,38 @@ def normalize(p: DiffPoly) -> LocalFunctional:
             out[key] = coef
             continue
         top = ue[-1][0]
-        rest = dict(ue[:-1])
-        j = rest.pop(top - 1, 0)
-        for rk, m in _dx_monomial(tuple(sorted(rest.items()))):
-            new_ue = _merge_keys(rk, ((top - 1, j + 1),))
-            _push(work, heap, (new_ue, a, b), coef * Fraction(-m, j + 1))
-    return LocalFunctional(DiffPoly._make(p.coeff_vars, out))
+        rest, j = ue[:-1], 0
+        if rest and rest[-1][0] == top - 1:
+            rest, j = rest[:-1], rest[-1][1]
+        coef = _exact_div(coef, j + 1)
+        for rk, m in _dx_monomial(rest):
+            _push(work, heap, (_times_top(rk, top - 1, j + 1), a, b), -m * coef)
+    return LocalFunctional(DiffPoly._make(p.coeff_vars, _unscale(out, den)))
 
 
-def _worklist(p: DiffPoly) -> tuple[dict[FlatKey, Fraction], list]:
-    """The terms of p, and a heap that pops them greatest u-monomial first
-    in integration-by-parts order."""
-    heap = [(_heap_key(key[0]), key) for key in p.terms]
+def _worklist(p: DiffPoly) -> tuple[int, IntTerms, list]:
+    """(den, nums, heap): p's terms as nums[key] / den, and a heap that pops
+    them greatest u-monomial first in integration-by-parts order.
+
+    A reduction keeps the u-degree, divides by at most the largest u-degree d
+    and lowers the top index; nums is scaled by lcm(1..d)^(top index) once, so
+    every division is exact."""
+    d = max((u_degree(ue) for ue, _, _ in p.terms), default=0)
+    den, nums = _scaled(p.terms)
+    scale = lcm(*range(1, d + 1)) ** max(p.max_index(), 0)
+    heap = [(_heap_key(key[0]), key) for key in nums]
     heapq.heapify(heap)
-    return dict(p.terms), heap
+    return den * scale, {key: c * scale for key, c in nums.items()}, heap
 
 
-def _push(work: dict[FlatKey, Fraction], heap: list, key: FlatKey, coef: Fraction) -> None:
+def _exact_div(n: int, d: int) -> int:
+    q, r = divmod(n, d)
+    if r:
+        raise DiffAlgError(f"numerator {n} is not divisible by {d} in the scaled worklist")
+    return q
+
+
+def _push(work: IntTerms, heap: list, key: FlatKey, coef: int) -> None:
     # Reductions only produce monomials below the one being reduced, so a
     # term enters the heap once, the first time it is seen; a sum that
     # cancels stays in `work` as zero until it is popped.
@@ -654,8 +689,8 @@ def integrate_x(q: DiffPoly) -> DiffPoly:
     q in the image of d/dx that monomial has a linear strictly-top factor
     u_N, and its unique preimage lowers u_N to u_{N-1}.
     """
-    work, heap = _worklist(q)
-    phi: dict[FlatKey, Fraction] = {}
+    den, work, heap = _worklist(q)
+    phi: IntTerms = {}
     while heap:
         key = heapq.heappop(heap)[1]
         coef = work.pop(key)
@@ -669,29 +704,30 @@ def integrate_x(q: DiffPoly) -> DiffPoly:
         top, mult = ue[-1]
         if mult != 1:
             raise NotTotalDerivativeError(
-                f"leading monomial has u_{top}^{mult}; input is not a total derivative"
+                f"leading monomial {u_monomial_pretty(ue)} at h^{a} e^{b} has "
+                f"u_{top}^{mult}; input is not a total derivative"
             )
-        pre_key = _merge_keys(ue[:-1], ((top - 1, 1),))
-        j = pre_key[-1][1]
-        phi[(pre_key, a, b)] = coef * Fraction(1, j)
+        pre_key = _times_top(ue[:-1], top - 1, 1)
+        coef = phi[(pre_key, a, b)] = _exact_div(coef, pre_key[-1][1])
         # d/dx(pre) = j * (its u_{N-1}^j factor raised) + lower monomials; the
         # first is the popped monomial and cancels exactly
         for rk, m in _dx_monomial(pre_key):
             if rk != ue:
-                _push(work, heap, (rk, a, b), coef * Fraction(-m, j))
-    return DiffPoly._make(q.coeff_vars, phi)
+                _push(work, heap, (rk, a, b), -m * coef)
+    return DiffPoly._make(q.coeff_vars, _unscale(phi, den))
 
 
 def frechet_apply(phi: DiffPoly, b: DiffPoly) -> DiffPoly:
     """Frechet derivative of phi applied to b: sum_k (dphi/du_k) d^k/dx^k b."""
     phi._check_ring(b)
-    out = DiffPoly.zero(phi.coeff_vars)
-    bk = b
-    for k in range(phi.max_index() + 1):
+    (dphi, nphi), (db, bk) = _scaled(phi.terms), _scaled(b.terms)
+    parts = _int_partials(nphi)
+    out: IntTerms = {}
+    for k in range(max(parts, default=-1) + 1):
         if k > 0:
-            bk = total_x_derivative(bk)
-        out = out + partial_u(phi, k) * bk
-    return out
+            bk = _int_dx(bk)
+        _int_product(parts.get(k, {}), bk, phi.coeff_vars, out)
+    return DiffPoly._make(phi.coeff_vars, _unscale(out, dphi * db))
 
 
 def random_diffpoly(

@@ -42,7 +42,6 @@ from .diffalg import (
     u_monomial_pretty,
     variational_derivative,
 )
-from .mpseries import MultiSeries
 from .reports import VerificationReport, first_mismatch
 
 __all__ = [
@@ -90,14 +89,17 @@ def h1(G: int, cg_values: CgValues | None = None) -> Hamiltonian:
     if G < 0:
         raise ValueError(f"genus order must be >= 0, got {G}")
     cg = cg_values or exactnum.c_g
-    cvars = coeff_ring(G)
-    density = DiffPoly(cvars, {u_key({0: 3}): Fraction(1, 6)})
+    terms = {(u_key({0: 3}), 0, 0): Fraction(1, 6)}
     for g in range(1, G + 1):
-        coef = MultiSeries.monomial(cvars, (g, g - 1), cg(g))
-        density = density + DiffPoly(cvars, {u_key({0: 1, 2 * g: 1}): coef})
-    ham = Hamiltonian(1, G, normalize(density))
+        terms[(u_key({0: 1, 2 * g: 1}), g, g - 1)] = cg(g)
+    ham = Hamiltonian(1, G, normalize(_flat_poly(G, terms)))
     check_grading(ham)
     return ham
+
+
+def _flat_poly(G: int, terms: dict) -> DiffPoly:
+    """{(u-monomial, h-exp, e-exp): rational} inside coeff_ring(G), zeros dropped."""
+    return DiffPoly._make(coeff_ring(G), {key: Fraction(c) for key, c in terms.items() if c})
 
 
 def flow(h: Hamiltonian | LocalFunctional) -> DiffPoly:
@@ -193,32 +195,27 @@ def first_diffpoly_mismatch(computed: DiffPoly, expected: DiffPoly) -> dict | No
 def t1_flow_rhs(G: int) -> DiffPoly:
     """Closed form of the first flow: u u_x + sum_g h^g e^{g-1}
     (|B_{2g}|/(2g)!) u_{2g+1}."""
-    cvars = coeff_ring(G)
-    out = DiffPoly(cvars, {u_key({0: 1, 1: 1}): 1})
+    terms = {(u_key({0: 1, 1: 1}), 0, 0): 1}
     for g in range(1, G + 1):
-        coef = MultiSeries.monomial(cvars, (g, g - 1), exactnum.dispersion_coeff(g))
-        out = out + DiffPoly(cvars, {u_key({2 * g + 1: 1}): coef})
-    return out
+        terms[(u_key({2 * g + 1: 1}), g, g - 1)] = exactnum.dispersion_coeff(g)
+    return _flat_poly(G, terms)
 
 
 def t2_flow_rhs(G: int) -> DiffPoly:
     """Closed form of the second flow: (1/2)u^2 u_x plus the two displayed
     dispersive sums with coefficients |B_{2g}|/(2g)!."""
     cvars = coeff_ring(G)
-    out = DiffPoly(cvars, {u_key({0: 2, 1: 1}): Fraction(1, 2)})
-    usq = DiffPoly(cvars, {u_key({0: 2}): 1})
+    terms = {(u_key({0: 2, 1: 1}), 0, 0): Fraction(1, 2)}
+    dxs = total_x_derivative(DiffPoly(cvars, {u_key({0: 2}): 1}))
     for g in range(1, G + 1):
         disp = exactnum.dispersion_coeff(g)
         inner = total_x_derivative(DiffPoly(cvars, {u_key({0: 1, 2 * g: 1}): 2}))
-        dxs = usq
-        for _ in range(2 * g + 1):
-            dxs = total_x_derivative(dxs)
-        coef = MultiSeries.monomial(cvars, (g, g - 1), disp / 4)
-        out = out + (inner + dxs) * coef
+        dxs = total_x_derivative(total_x_derivative(dxs))  # d^(2g+1)/dx^(2g+1) u^2
+        for (ue, _, _), c in (inner + dxs).terms.items():
+            terms[(ue, g, g - 1)] = c * disp / 4
         if g >= 2:
-            coef2 = MultiSeries.monomial(cvars, (g, g - 2), disp * (g + 1))
-            out = out + DiffPoly(cvars, {u_key({2 * g + 1: 1}): coef2})
-    return out
+            terms[(u_key({2 * g + 1: 1}), g, g - 2)] = disp * (g + 1)
+    return _flat_poly(G, terms)
 
 
 def verify_flow_t1(G: int, cg_values: CgValues | None = None) -> VerificationReport:

@@ -21,6 +21,11 @@ are the reference for the engine's heap-ordered versions.
 `multiply_reference` and `dx_reference` are the product (truncated at given
 h and e orders) and the total x-derivative on the same plain maps, a
 reference for the engine's flat differential-polynomial ring.
+`variational_reference` is the naive Euler sum over k of (-d/dx)^k applied
+to each partial derivative d/du_k, every power taken as k separate
+x-derivatives, and `frechet_reference` the sum over k of d/du_k times the
+k-th x-derivative, each product truncated; they are the reference for the
+engine's one-pass partials and Horner evaluation on integer numerators.
 """
 
 from __future__ import annotations
@@ -258,4 +263,50 @@ def dx_reference(terms: dict) -> dict:
     for (ue, hexp), c in terms.items():
         for rk, m in _dx_monomial(ue).items():
             _add(out, (rk, hexp), c * m)
+    return out
+
+
+def _partial_reference(terms: dict, k: int) -> dict:
+    """d/du_k of a {(u-exps, (h, e)): c} map."""
+    out: dict = {}
+    for (ue, hexp), c in terms.items():
+        d = dict(ue)
+        m = d.get(k, 0)
+        if not m:
+            continue
+        if m == 1:
+            del d[k]
+        else:
+            d[k] = m - 1
+        _add(out, (tuple(sorted(d.items())), hexp), c * m)
+    return out
+
+
+def _top_index(terms: dict) -> int:
+    return max((k for ue, _ in terms for k, _ in ue), default=-1)
+
+
+def variational_reference(terms: dict) -> dict:
+    """sum_k (-d/dx)^k d/du_k of a {(u-exps, (h, e)): c} map."""
+    out: dict = {}
+    for k in range(_top_index(terms) + 1):
+        term = _partial_reference(terms, k)
+        for _ in range(k):
+            term = dx_reference(term)
+        for key, c in term.items():
+            _add(out, key, (-1) ** k * c)
+    return out
+
+
+def frechet_reference(phi: dict, b: dict, h_order: int, e_order: int) -> dict:
+    """sum_k (d phi/du_k) * (d^k b/dx^k), each product truncated at the given
+    h and e orders."""
+    out: dict = {}
+    bk = dict(b)
+    for k in range(_top_index(phi) + 1):
+        if k:
+            bk = dx_reference(bk)
+        product = multiply_reference(_partial_reference(phi, k), bk, h_order, e_order)
+        for key, c in product.items():
+            _add(out, key, c)
     return out

@@ -12,6 +12,7 @@ from fractions import Fraction
 from ilwhodge.diffalg import (
     DiffPoly,
     coeff_ring,
+    frechet_apply,
     integrate_x,
     miura_forward,
     miura_inverse,
@@ -32,12 +33,14 @@ from ilwhodge.mpseries import (
 from oracles import (
     dx_reference,
     exp_power_sum,
+    frechet_reference,
     integrate_x_reference,
     inverse_power_sum,
     log_power_sum,
     multiply_reference,
     normalize_reference,
     series_product_reference,
+    variational_reference,
 )
 
 
@@ -249,6 +252,59 @@ def check_diffpoly_ring_against_reference(cases: int, seed: int) -> int:
     return cases
 
 
+def _big_diffpoly(rng: random.Random, cvars: tuple[VarSpec, ...],
+                  max_udeg: int, max_index: int) -> DiffPoly:
+    """Up to three terms at random (h, e) exponents, with the coefficients of
+    `_big_terms`; the indices of a monomial are drawn from a window of three,
+    so factors repeat and sit next to each other."""
+    terms: dict = {}
+    for _ in range(rng.randint(1, 3)):
+        ue: dict[int, int] = {}
+        low = rng.randint(0, max(0, max_index - 2))
+        for _ in range(rng.randint(0, max_udeg)):
+            k = rng.randint(low, min(low + 2, max_index))
+            ue[k] = ue.get(k, 0) + 1
+        key = (tuple(sorted(ue.items())), rng.randrange(cvars[0].order),
+               rng.randrange(cvars[1].order))
+        terms[key] = Fraction(
+            rng.choice((-1, 1)) * rng.randint(1, 10**9),
+            rng.choice((1, rng.randint(1, 10**6))) * rng.choice(SHARED_DENOMINATORS),
+        )
+    return DiffPoly._make(cvars, terms)
+
+
+def check_calculus_kernel_against_reference(cases: int, seed: int) -> int:
+    """Euler operator, Frechet derivative, product, normal form and
+    x-antiderivative on integer numerators, each against its plain-Fraction
+    reference.  p has u-degree up to 6 and top index up to 8; q, the second
+    factor and the Frechet direction, has both up to 3."""
+    rng = random.Random(seed)
+    truncated = repeated = reduced = 0
+    for n in range(cases):
+        cvars = RING_BOXES[n % 2]
+        h_order, e_order = (v.order for v in cvars)
+        p, q = _big_diffpoly(rng, cvars, 6, 8), _big_diffpoly(rng, cvars, 3, 3)
+        fp, fq = _flat(p), _flat(q)
+        assert _flat(variational_derivative(p)) == variational_reference(fp)
+        assert _flat(frechet_apply(p, q)) == frechet_reference(fp, fq, h_order, e_order)
+        product = multiply_reference(fp, fq, h_order, e_order)
+        assert _flat(p * q) == product
+        truncated += product != multiply_reference(fp, fq, 2 * h_order, 2 * e_order)
+        assert _flat(normalize(p).density) == normalize_reference(fp)
+        dp = total_x_derivative(p)
+        assert _flat(integrate_x(dp)) == integrate_x_reference(_flat(dp))
+        assert (_integrate_or_error(lambda x: _flat(integrate_x(x)), p)
+                == _integrate_or_error(integrate_x_reference, fp))
+        repeated += any(m > 1 for ue in p.terms for _, m in ue[0])
+        # a term c*R*u_{N-1}^j*u_N with j >= 1 divides by j + 1 >= 2 when reduced
+        reduced += any(len(ue) > 1 and ue[-1][1] == 1 and ue[-2][0] == ue[-1][0] - 1
+                       for ue, _, _ in p.terms)
+    assert truncated, "no product was truncated"
+    assert repeated, "no input had a repeated factor"
+    assert reduced, "no input term divided by j + 1 >= 2 in the normal form"
+    return cases
+
+
 ALL_SUITES = [
     ("exp/log inversion", check_exp_log_inversion),
     ("series ops vs power sums", check_series_ops_against_power_sums),
@@ -260,4 +316,5 @@ ALL_SUITES = [
     ("normalize idempotence", check_normalize_idempotent),
     ("normal form vs max-scan reference", check_normalize_against_reference),
     ("flat ring vs reference", check_diffpoly_ring_against_reference),
+    ("calculus kernel vs reference", check_calculus_kernel_against_reference),
 ]

@@ -27,6 +27,7 @@ from ilwhodge.diffalg import (
 from ilwhodge.mpseries import MultiSeries
 from properties import (
     check_bracket_antisymmetry_jacobi,
+    check_calculus_kernel_against_reference,
     check_diffpoly_ring_against_reference,
     check_dx_derivation,
     check_euler_kills_dx,
@@ -152,6 +153,12 @@ class TestIntegrateX:
     def test_rejects_non_derivative(self):
         with pytest.raises(NotTotalDerivativeError, match=r"monomial u\^2 "):
             integrate_x(dp({((0, 2),): 1}))
+
+    def test_rejects_nonlinear_top_factor_by_name(self):
+        q = DiffPoly._make(CV, {(((0, 1), (3, 2)), 1, 0): Fraction(1, 5)})
+        with pytest.raises(NotTotalDerivativeError,
+                           match=r"monomial u\*u_3\^2 at h\^1 e\^0 has u_3\^2;"):
+            integrate_x(q)
 
     def test_randomized_right_inverse(self):
         rng = random.Random(31)
@@ -280,3 +287,7 @@ def test_normal_form_matches_max_scan_reference():
 
 def test_flat_ring_matches_reference():
     check_diffpoly_ring_against_reference(200, 2029)
+
+
+def test_calculus_kernel_matches_reference():
+    check_calculus_kernel_against_reference(200, 2030)

@@ -6,7 +6,9 @@ must leave these bytes unchanged.  A digest that moves means the output
 moved: find out why before re-pinning it.
 
 The three digests at genus 20 and 24 were taken before the series kernel
-moved to integer numerators over a common denominator.
+moved to integer numerators over a common denominator, and the three at
+`hamiltonian --index 4 --genus 10`, `flow --index 3 --genus 8` and
+`verify commute --genus 12` before the differential-polynomial calculus did.
 
 The two JSON digests (`hamiltonian --index 2 --genus 6 --format json` and
 `verify all --genus 4 --format json`) were re-pinned when the `seed` key
@@ -70,6 +72,14 @@ GOLDEN = {
     ("verify", "one-point-reverse", "--genus", "20", "--perturb-cg", "20:-1/3",
      "--format", "json"):
         "e6b04d2660f2b16177ea39d9313fa6fcc3802c2116d3f831143daad6b22d1d39",
+    # the calculus kernel's orders: h_4 and the flow of h_3 in full, and every
+    # commutation check at genus 12
+    ("hamiltonian", "--index", "4", "--genus", "10", "--format", "json"):
+        "6c5fd30643340ce907a2da3430d7b9f5bc5eb44eb3c8ce6eb846e375e72b8b0c",
+    ("flow", "--index", "3", "--genus", "8", "--format", "json"):
+        "e5723be9f8c225c9b468c7b4e0c75e2abd6daf8ffa10ff2d05b695892d2cb3da",
+    ("verify", "commute", "--genus", "12", "--format", "json"):
+        "7aed0614b01b07ed34561486e988db62e00ab846ca699a60a0538f45e45592d8",
 }
 
 # Calls whose exit code is not 0: a perturbed run reports every mismatch
