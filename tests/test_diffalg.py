@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from ilwhodge.cli import _coefficient_rows
 from ilwhodge.diffalg import (
     DiffPoly,
     NotSelfAdjointError,
@@ -291,3 +295,32 @@ def test_flat_ring_matches_reference():
 
 def test_calculus_kernel_matches_reference():
     check_calculus_kernel_against_reference(200, 2030)
+
+
+# -- rendering digest ---------------------------------------------------------
+
+
+def _render_digest() -> tuple[str, int]:
+    """(SHA-256 over every rendering of 200 seeded polynomials, number of
+    draws with a u-monomial carrying more than one (h, e) term)."""
+    sha = hashlib.sha256()
+    multi = 0
+    for seed in range(200):
+        p = random_diffpoly(coeff_ring(3), random.Random(seed), max_index=2,
+                            max_udeg=2, max_terms=6, with_params=True)
+        per_monomial = Counter(ue for ue, _, _ in p.terms)
+        multi += any(n > 1 for n in per_monomial.values())
+        for text in (p.pretty(), p.latex(), json.dumps(p.to_json_dict()),
+                     normalize(p).pretty(), json.dumps(_coefficient_rows(p))):
+            sha.update(text.encode() + b"\n")
+    return sha.hexdigest(), multi
+
+
+RENDER_DIGEST = "77d054f6f817fe0079eaa7f7c12265036b23b166af85b7576ad84736e05626f8"
+
+
+def test_renderers_are_pinned():
+    # taken before the renderers read the flat term map directly
+    digest, multi = _render_digest()
+    assert multi >= 50, "too few draws exercise the bracketed (h, e) coefficient"
+    assert digest == RENDER_DIGEST

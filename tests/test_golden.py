@@ -9,6 +9,8 @@ The three digests at genus 20 and 24 were taken before the series kernel
 moved to integer numerators over a common denominator, and the three at
 `hamiltonian --index 4 --genus 10`, `flow --index 3 --genus 8` and
 `verify commute --genus 12` before the differential-polynomial calculus did.
+The two at `flow --index 3 --genus 6` (latex and csv) were taken before the
+renderers read the flat term map directly.
 
 The two JSON digests (`hamiltonian --index 2 --genus 6 --format json` and
 `verify all --genus 4 --format json`) were re-pinned when the `seed` key
@@ -80,6 +82,12 @@ GOLDEN = {
         "e5723be9f8c225c9b468c7b4e0c75e2abd6daf8ffa10ff2d05b695892d2cb3da",
     ("verify", "commute", "--genus", "12", "--format", "json"):
         "7aed0614b01b07ed34561486e988db62e00ab846ca699a60a0538f45e45592d8",
+    # the renderers' tables: every term of a flow on its own row (csv) and as
+    # one LaTeX expression
+    ("flow", "--index", "3", "--genus", "6", "--format", "latex"):
+        "32c62d93d38a78e2ec9f20646c450860225b236ea27376654a24b7138df455b4",
+    ("flow", "--index", "3", "--genus", "6", "--format", "csv"):
+        "88ea00c6e367afde537704a2eda487d313ca6ae1c1c1147c8b3a70249107ae89",
 }
 
 # Calls whose exit code is not 0: a perturbed run reports every mismatch
