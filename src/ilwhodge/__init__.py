@@ -26,7 +26,6 @@ from .mpseries import (
 )
 from .diffalg import (
     DiffAlgError,
-    DiffMonomial,
     DiffPoly,
     LocalFunctional,
     NotSelfAdjointError,

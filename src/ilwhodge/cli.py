@@ -301,13 +301,12 @@ def cmd_expression(cfg: RunConfig, command: str, index: int, genus: int) -> int:
 def _coefficient_rows(poly: DiffPoly) -> list[dict]:
     return [
         {
-            "monomial": u_monomial_pretty(m.u_exponents),
-            "h_exp": exps[0],
-            "e_exp": exps[1],
+            "monomial": u_monomial_pretty(ue),
+            "h_exp": a,
+            "e_exp": b,
             "coefficient": rational_to_str(value),
         }
-        for m in poly.monomials()
-        for exps, value in m.coefficient.sorted_terms()
+        for (ue, a, b), value in poly.sorted_terms()
     ]
 
 

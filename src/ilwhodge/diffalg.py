@@ -3,14 +3,14 @@
 A `DiffPoly` is a finite sum of monomials in u = u_0, u_1, u_2, ... (u_k is
 the k-th x-derivative of u) whose coefficients are polynomials in the two
 deformation parameters h and e, truncated at each parameter's order.  It is
-stored as one flat map (u-monomial, h-exponent, e-exponent) -> Fraction;
-`MultiSeries` appears only at the edges, as a coefficient the constructor
-accepts and as the per-monomial view the renderers read.  On top of
-the ring this module provides the total x-derivative, the variational
-(Euler) derivative, integration-by-parts normalization of densities, the
-Poisson bracket {f, g} = int (delta f/delta u) d/dx (delta g/delta u) dx,
-the triangular Miura substitution and its compositional inverse, and the
-reconstruction of a Hamiltonian from its flow via the homotopy formula.
+stored as one flat map (u-monomial, h-exponent, e-exponent) -> Fraction,
+and that map is the only coefficient shape it is built from, computed on
+and rendered from.  On top of the ring this module provides the total
+x-derivative, the variational (Euler) derivative, integration-by-parts
+normalization of densities, the Poisson bracket
+{f, g} = int (delta f/delta u) d/dx (delta g/delta u) dx, the triangular
+Miura substitution and its compositional inverse, and the reconstruction of
+a Hamiltonian from its flow via the homotopy formula.
 
 A `LocalFunctional` is the class of a density modulo total x-derivatives,
 stored in a canonical normal form: no monomial keeps a factor u_N (N >= 1)
@@ -23,13 +23,22 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import factorial, lcm
 from operator import neg
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
-from .mpseries import MultiSeries, VarSpec, _scaled, _unscale
+from .exactnum import rational_to_str
+from .mpseries import (
+    VarSpec,
+    _as_fraction,
+    _scaled,
+    _unscale,
+    join_signed,
+    series_text,
+    term_text,
+)
 
 __all__ = [
     "DiffAlgError",
@@ -39,7 +48,6 @@ __all__ = [
     "u_key",
     "u_monomial_pretty",
     "coeff_ring",
-    "DiffMonomial",
     "DiffPoly",
     "LocalFunctional",
     "total_x_derivative",
@@ -58,8 +66,6 @@ __all__ = [
 
 # ((derivative index, multiplicity), ...) sorted by index, multiplicities > 0
 UExps = tuple[tuple[int, int], ...]
-
-Coefficient = Union[int, Fraction, MultiSeries]
 
 
 class DiffAlgError(ValueError):
@@ -128,15 +134,6 @@ def _heap_key(ue: UExps) -> tuple:
     return (-top, *map(neg, reversed(_dense(ue, top + 1))))
 
 
-@dataclass(frozen=True)
-class DiffMonomial:
-    """One canonical term: a coefficient polynomial in (h, e) times a
-    u-derivative monomial."""
-
-    coefficient: MultiSeries
-    u_exponents: UExps
-
-
 # (u-monomial, h-exponent, e-exponent)
 FlatKey = tuple[UExps, int, int]
 
@@ -146,23 +143,21 @@ class DiffPoly:
     coefficient ring, stored flat as {(u-monomial, a, b): c}.
 
     `terms` never holds a zero coefficient or an exponent at or past its
-    variable's truncation order.  `monomials` and `coefficient_of` regroup
-    one u-monomial's terms into a `MultiSeries` for rendering and queries.
+    variable's truncation order.  The constructor canonicalizes each
+    u-monomial with `u_key`, so a repeated factor adds up; the renderers
+    read `sorted_terms`.
     """
 
     __slots__ = ("coeff_vars", "terms")
 
-    def __init__(self, coeff_vars: Iterable[VarSpec], terms: Mapping[UExps, Coefficient]):
+    def __init__(self, coeff_vars: Iterable[VarSpec], terms: Mapping[FlatKey, int | Fraction]):
         cvars = tuple(coeff_vars)
+        h_order, e_order = (v.order for v in cvars)
         clean: dict[FlatKey, Fraction] = {}
-        for ue, coef in terms.items():
-            if not isinstance(coef, MultiSeries):
-                coef = MultiSeries.constant(cvars, coef)
-            elif coef.vars != cvars:
-                raise DiffAlgError("coefficient series lives in a different ring")
-            key = u_key(dict(ue))
-            for (a, b), c in coef.terms.items():
-                _accumulate(clean, (key, a, b), c)
+        for (ue, a, b), coef in terms.items():
+            if not (0 <= a < h_order and 0 <= b < e_order):
+                raise DiffAlgError(f"h^{a} e^{b} is outside the coefficient ring")
+            _accumulate(clean, (u_key(ue), a, b), _as_fraction(coef))
         self.coeff_vars = cvars
         self.terms = clean
 
@@ -180,35 +175,27 @@ class DiffPoly:
         return cls._make(tuple(cvars), {})
 
     @classmethod
-    def constant(cls, cvars: Iterable[VarSpec], coef: Coefficient) -> "DiffPoly":
-        return cls(cvars, {(): coef})
+    def constant(cls, cvars: Iterable[VarSpec], coef: int | Fraction) -> "DiffPoly":
+        return cls(cvars, {((), 0, 0): coef})
 
     @classmethod
     def u_power(cls, cvars: Iterable[VarSpec], index: int = 0, mult: int = 1,
-                coef: Coefficient = 1) -> "DiffPoly":
-        return cls(cvars, {u_key({index: mult}): coef})
+                coef: int | Fraction = 1) -> "DiffPoly":
+        return cls(cvars, {(u_key({index: mult}), 0, 0): coef})
 
     # -- queries ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def monomials(self) -> Iterator[DiffMonomial]:
-        groups: dict[UExps, dict[tuple[int, int], Fraction]] = {}
-        for (ue, a, b), c in self.terms.items():
-            groups.setdefault(ue, {})[(a, b)] = c
-        for ue in sorted(groups, key=monomial_sort_key):
-            yield DiffMonomial(MultiSeries._make(self.coeff_vars, groups[ue]), ue)
-
     def max_index(self) -> int:
         """Highest derivative index present (-1 for u-free polynomials)."""
         return max((ue[-1][0] for ue, _, _ in self.terms if ue), default=-1)
 
-    def coefficient_of(self, ue: Mapping[int, int] | UExps) -> MultiSeries:
-        key = u_key(dict(ue))
-        return MultiSeries._make(
-            self.coeff_vars, {(a, b): c for (u, a, b), c in self.terms.items() if u == key}
-        )
+    def sorted_terms(self) -> list[tuple[FlatKey, Fraction]]:
+        """Terms in render order: u-monomials by `monomial_sort_key`, then
+        each one's (h, e) exponents graded-lex."""
+        return sorted(self.terms.items(), key=_render_key)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffPoly):
@@ -250,8 +237,6 @@ class DiffPoly:
             return DiffPoly._make(
                 self.coeff_vars, {key: c * other for key, c in self.terms.items()}
             )
-        if isinstance(other, MultiSeries):
-            other = DiffPoly.constant(self.coeff_vars, other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
         self._check_ring(other)
@@ -272,31 +257,20 @@ class DiffPoly:
     # -- serialization --------------------------------------------------------------
 
     def to_json_dict(self) -> list:
-        return [
-            {"coef": m.coefficient.to_json_dict(), "u": [list(p) for p in m.u_exponents]}
-            for m in self.monomials()
-        ]
+        ring = [{"name": v.name, "order": v.order} for v in self.coeff_vars]
+        out = []
+        for ue, items in _by_monomial(self):
+            terms = [{"exp": list(e), "coef": rational_to_str(c)} for e, c in items]
+            out.append({"coef": {"vars": ring, "terms": terms}, "u": [list(p) for p in ue]})
+        return out
 
     def pretty(self) -> str:
         """Plain-text rendering, e.g. "u*u_1 + 1/12*h*u_3"."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in self.monomials():
-            parts.append(_pretty_term(m))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return join_signed([_pretty_term(self.coeff_vars, ue, items)
+                            for ue, items in _by_monomial(self)])
 
     def latex(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = [_latex_term(m) for m in self.monomials()]
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return join_signed([_latex_term(ue, items) for ue, items in _by_monomial(self)])
 
     def __str__(self) -> str:
         return self.pretty()
@@ -334,64 +308,54 @@ def u_monomial_pretty(ue: Iterable[Iterable[int]]) -> str:
     ) or "1"
 
 
-def _pretty_term(m: DiffMonomial) -> str:
-    coef = m.coefficient
-    text = str(coef) if len(coef.terms) == 1 else f"({coef})"
-    if not m.u_exponents:
-        return text
-    body = u_monomial_pretty(m.u_exponents)
-    if text == "1":
-        return body
-    if text == "-1":
-        return "-" + body
-    return f"{text}*{body}"
+# one u-monomial's (h, e) coefficient: ((h-exponent, e-exponent), value) pairs
+CoefItems = list[tuple[tuple[int, int], Fraction]]
 
 
-_LATEX_VAR = {"h": r"\hbar", "e": r"\varepsilon"}
+def _render_key(item: tuple[FlatKey, Fraction]) -> tuple:
+    (ue, a, b), _ = item
+    return (monomial_sort_key(ue), a + b, a, b)
 
 
-def _latex_coeff(coef: MultiSeries) -> str:
+def _by_monomial(p: DiffPoly) -> Iterator[tuple[UExps, CoefItems]]:
+    """`p.sorted_terms()` cut into runs that share a u-monomial."""
+    for ue, run in groupby(p.sorted_terms(), key=lambda item: item[0][0]):
+        yield ue, [((a, b), c) for (_, a, b), c in run]
+
+
+def _pretty_term(cvars: tuple[VarSpec, ...], ue: UExps, items: CoefItems) -> str:
+    text = series_text(cvars, items)
+    if len(items) > 1:
+        text = f"({text})"
+    return term_text(text, u_monomial_pretty(ue) if ue else "", "*")
+
+
+def _latex_coeff(items: CoefItems) -> str:
     parts = []
-    for e, c in coef.sorted_terms():
-        factors = []
-        for v, x in zip(coef.vars, e):
-            if x == 0:
-                continue
-            sym = _LATEX_VAR.get(v.name, v.name)
-            factors.append(sym if x == 1 else f"{sym}^{{{x}}}")
-        body = "".join(factors)
+    for e, c in items:
+        body = "".join(
+            sym if x == 1 else f"{sym}^{{{x}}}"
+            for sym, x in zip((r"\hbar", r"\varepsilon"), e)
+            if x
+        )
         if c.denominator == 1:
             num = str(abs(c.numerator))
         else:
             num = rf"\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
-        sign = "-" if c < 0 else "+"
-        if num == "1" and body:
-            parts.append((sign, body))
-        else:
-            parts.append((sign, num + body))
-    out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+        parts.append(("-" if c < 0 else "") + term_text(num, body, ""))
+    return join_signed(parts)
 
 
-def _latex_term(m: DiffMonomial) -> str:
+def _latex_term(ue: UExps, items: CoefItems) -> str:
     ufacs = []
-    for k, mult in m.u_exponents:
+    for k, mult in ue:
         base = f"u_{{{k}}}" if k else "u"
         ufacs.append(base if mult == 1 else f"{base}^{{{mult}}}")
     body = " ".join(ufacs)
-    coef = m.coefficient
-    rendered = _latex_coeff(coef)
-    if len(coef.terms) > 1:
-        return rf"\left({rendered}\right) {body}".strip()
-    if not body:
-        return rendered
-    if rendered == "1":
-        return body
-    if rendered == "-1":
-        return "-" + body
-    return f"{rendered} {body}"
+    rendered = _latex_coeff(items)
+    if len(items) > 1:
+        rendered = rf"\left({rendered}\right)"
+    return term_text(rendered, body, " ")
 
 
 # -- calculus ---------------------------------------------------------------------
@@ -538,7 +502,7 @@ class LocalFunctional:
         return LocalFunctional(-self.density)
 
     def __mul__(self, other) -> "LocalFunctional":
-        if isinstance(other, (int, Fraction, MultiSeries)):
+        if isinstance(other, (int, Fraction)):
             return LocalFunctional(self.density * other)
         return NotImplemented
 

@@ -92,14 +92,9 @@ def h1(G: int, cg_values: CgValues | None = None) -> Hamiltonian:
     terms = {(u_key({0: 3}), 0, 0): Fraction(1, 6)}
     for g in range(1, G + 1):
         terms[(u_key({0: 1, 2 * g: 1}), g, g - 1)] = cg(g)
-    ham = Hamiltonian(1, G, normalize(_flat_poly(G, terms)))
+    ham = Hamiltonian(1, G, normalize(DiffPoly(coeff_ring(G), terms)))
     check_grading(ham)
     return ham
-
-
-def _flat_poly(G: int, terms: dict) -> DiffPoly:
-    """{(u-monomial, h-exp, e-exp): rational} inside coeff_ring(G), zeros dropped."""
-    return DiffPoly._make(coeff_ring(G), {key: Fraction(c) for key, c in terms.items() if c})
 
 
 def flow(h: Hamiltonian | LocalFunctional) -> DiffPoly:
@@ -198,7 +193,7 @@ def t1_flow_rhs(G: int) -> DiffPoly:
     terms = {(u_key({0: 1, 1: 1}), 0, 0): 1}
     for g in range(1, G + 1):
         terms[(u_key({2 * g + 1: 1}), g, g - 1)] = exactnum.dispersion_coeff(g)
-    return _flat_poly(G, terms)
+    return DiffPoly(coeff_ring(G), terms)
 
 
 def t2_flow_rhs(G: int) -> DiffPoly:
@@ -206,16 +201,16 @@ def t2_flow_rhs(G: int) -> DiffPoly:
     dispersive sums with coefficients |B_{2g}|/(2g)!."""
     cvars = coeff_ring(G)
     terms = {(u_key({0: 2, 1: 1}), 0, 0): Fraction(1, 2)}
-    dxs = total_x_derivative(DiffPoly(cvars, {u_key({0: 2}): 1}))
+    dxs = total_x_derivative(DiffPoly.u_power(cvars, 0, 2))
     for g in range(1, G + 1):
         disp = exactnum.dispersion_coeff(g)
-        inner = total_x_derivative(DiffPoly(cvars, {u_key({0: 1, 2 * g: 1}): 2}))
+        inner = total_x_derivative(DiffPoly(cvars, {(u_key({0: 1, 2 * g: 1}), 0, 0): 2}))
         dxs = total_x_derivative(total_x_derivative(dxs))  # d^(2g+1)/dx^(2g+1) u^2
         for (ue, _, _), c in (inner + dxs).terms.items():
             terms[(ue, g, g - 1)] = c * disp / 4
         if g >= 2:
             terms[(u_key({2 * g + 1: 1}), g, g - 2)] = disp * (g + 1)
-    return _flat_poly(G, terms)
+    return DiffPoly(cvars, terms)
 
 
 def verify_flow_t1(G: int, cg_values: CgValues | None = None) -> VerificationReport:

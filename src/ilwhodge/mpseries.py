@@ -33,7 +33,7 @@ from math import factorial, gcd, lcm
 from operator import add, lt
 from typing import Iterable, Mapping
 
-from .exactnum import bernoulli, rational_from_str, rational_to_str
+from .exactnum import bernoulli, rational_to_str
 
 __all__ = [
     "SeriesError",
@@ -48,6 +48,9 @@ __all__ = [
     "pow_linear_exponent",
     "substitute_square",
     "divide_by_var",
+    "series_text",
+    "term_text",
+    "join_signed",
 ]
 
 Exponents = tuple[int, ...]
@@ -96,7 +99,7 @@ class MultiSeries:
             raise SeriesError(f"duplicate variable names in {names}")
         clean: dict[Exponents, Fraction] = {}
         for exps, coef in terms.items():
-            e = tuple(int(x) for x in exps)
+            e = _exponents(exps)
             if len(e) != len(vs):
                 raise SeriesError(f"exponent vector {e} has wrong arity for {names}")
             c = _as_fraction(coef)
@@ -163,7 +166,7 @@ class MultiSeries:
 
     def coefficient(self, exps: Exponents) -> Fraction:
         """Coefficient at an exponent vector; 0 if absent, error if out of range."""
-        e = tuple(int(x) for x in exps)
+        e = _exponents(exps)
         if len(e) != len(self.vars):
             raise SeriesError(f"exponent vector {e} has wrong arity")
         for x, v in zip(e, self.vars):
@@ -301,52 +304,51 @@ class MultiSeries:
             terms[tuple(ne)] = c
         return MultiSeries._make(vs, terms)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vars": [{"name": v.name, "order": v.order} for v in self.vars],
-            "terms": [
-                {"exp": list(e), "coef": rational_to_str(c)}
-                for e, c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "MultiSeries":
-        vs = tuple(VarSpec(v["name"], int(v["order"])) for v in data["vars"])
-        terms = {
-            tuple(int(x) for x in t["exp"]): rational_from_str(t["coef"])
-            for t in data["terms"]
-        }
-        return cls(vs, terms)
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            factors = [
-                v.name if x == 1 else f"{v.name}^{x}"
-                for v, x in zip(self.vars, e)
-                if x > 0
-            ]
-            if not factors:
-                parts.append(rational_to_str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append("*".join([rational_to_str(c)] + factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return series_text(self.vars, self.sorted_terms())
 
     def __repr__(self) -> str:
         names = ",".join(v.name for v in self.vars)
         return f"MultiSeries[{names}]({self})"
+
+
+def _exponents(exps: Iterable[int]) -> Exponents:
+    e = tuple(exps)
+    if not all(isinstance(x, int) for x in e):
+        raise SeriesError(f"exponents must be integers, got {e}")
+    return e
+
+
+def join_signed(parts: list[str]) -> str:
+    """The sum of signed terms, a leading "-" folded into " - "; "0" for none."""
+    out = parts[0] if parts else "0"
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+def term_text(coef: str, body: str, sep: str) -> str:
+    """The text of coef times body; an empty body leaves coef alone, and a
+    coefficient of 1 or -1 stays implicit."""
+    if not body:
+        return coef
+    if coef in ("1", "-1"):
+        return coef[:-1] + body
+    return coef + sep + body
+
+
+def series_text(vars: tuple[VarSpec, ...], items: Iterable[tuple[Exponents, Fraction]]) -> str:
+    """Plain text of (exponents, coefficient) terms in the order given,
+    e.g. "1/2*e + h"."""
+    parts = []
+    for e, c in items:
+        factors = [
+            v.name if x == 1 else f"{v.name}^{x}"
+            for v, x in zip(vars, e)
+            if x > 0
+        ]
+        parts.append(term_text(rational_to_str(c), "*".join(factors), "*"))
+    return join_signed(parts)
 
 
 def _var_index(vs: tuple[VarSpec, ...], name: str) -> int:

@@ -30,7 +30,6 @@ from ilwhodge.diffalg import (
 from ilwhodge.exactnum import rational_to_str
 from ilwhodge.ilw import CgValues, Hamiltonian, InconsistentSystemError, check_grading, h1
 from ilwhodge.linalg import solve_exact
-from ilwhodge.mpseries import MultiSeries
 
 __all__ = ["UnderdeterminedSystemError", "ansatz_monomials", "higher_hamiltonian"]
 
@@ -98,15 +97,15 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
     h1_full = h1(G, cg_values)
     xdh1_full = total_x_derivative(variational_derivative(h1_full.functional))
     # the h^0 flow generator u*u_1 of int u^3/6: all unknowns pair with it
-    xdh1_zero = DiffPoly(cvars, {u_key({0: 1, 1: 1}): 1})
+    xdh1_zero = DiffPoly(cvars, {(u_key({0: 1, 1: 1}), 0, 0): 1})
 
-    density = DiffPoly(cvars, {u_key({0: i + 2}): Fraction(1, factorial(i + 2))})
+    density = DiffPoly.u_power(cvars, 0, i + 2, Fraction(1, factorial(i + 2)))
     known = normalize(variational_derivative(density) * xdh1_full).density
     for g in range(1, G + 1):
         basis = ansatz_monomials(i, g)
         columns: list[dict[tuple[UExps, int], Fraction]] = []
         for ue, j in basis:
-            mono = DiffPoly(cvars, {ue: 1})
+            mono = DiffPoly(cvars, {(ue, 0, 0): 1})
             bracket = normalize(variational_derivative(mono) * xdh1_zero).density
             col = {
                 (row_ue, j): val
@@ -137,8 +136,7 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
             raise UnderdeterminedSystemError(i, g, pretty)
         layer = DiffPoly(
             cvars,
-            {ue: MultiSeries.monomial(cvars, (g, j), c)
-             for (ue, j), c in zip(basis, result.solution)},
+            {(ue, g, j): c for (ue, j), c in zip(basis, result.solution)},
         )
         density = density + layer
         if g < G:

@@ -2,6 +2,7 @@
 
 Each checker runs `cases` independently generated instances from an
 explicitly seeded `random.Random`, asserting an exact identity for each.
+`he_group` reads one u-monomial's whole (h, e) coefficient for the unit tests.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from ilwhodge.diffalg import (
     poisson_bracket,
     random_diffpoly,
     total_x_derivative,
+    u_key,
     variational_derivative,
 )
 from ilwhodge.mpseries import (
@@ -42,6 +44,13 @@ from oracles import (
     series_product_reference,
     variational_reference,
 )
+
+
+def he_group(p: DiffPoly, ue) -> dict:
+    """{(h-exponent, e-exponent): coefficient} of every term of p on the
+    u-monomial ue; comparing the whole group also rules out extra terms."""
+    key = u_key(ue)
+    return {(a, b): c for (u, a, b), c in p.terms.items() if u == key}
 
 
 def random_series(rng: random.Random, vars: tuple[VarSpec, ...],

@@ -10,6 +10,7 @@ import pytest
 
 from ilwhodge.cli import _coefficient_rows
 from ilwhodge.diffalg import (
+    DiffAlgError,
     DiffPoly,
     NotSelfAdjointError,
     NotTotalDerivativeError,
@@ -28,7 +29,7 @@ from ilwhodge.diffalg import (
     u_key,
     variational_derivative,
 )
-from ilwhodge.mpseries import MultiSeries
+from ilwhodge.mpseries import SeriesError
 from properties import (
     check_bracket_antisymmetry_jacobi,
     check_calculus_kernel_against_reference,
@@ -38,13 +39,14 @@ from properties import (
     check_miura_roundtrip,
     check_normalize_against_reference,
     check_normalize_idempotent,
+    he_group,
 )
 
 CV = coeff_ring(2)
 
 
 def dp(terms):
-    return DiffPoly(CV, {u_key(dict(k)): Fraction(*v) if isinstance(v, tuple) else v
+    return DiffPoly(CV, {(k, 0, 0): Fraction(*v) if isinstance(v, tuple) else v
                          for k, v in terms.items()})
 
 
@@ -70,8 +72,8 @@ class TestVariationalDerivative:
     def test_u_u2g(self):
         for g in (1, 2, 3):
             cv = coeff_ring(3)
-            p = DiffPoly(cv, {u_key({0: 1, 2 * g: 1}): 1})
-            assert variational_derivative(p) == DiffPoly(cv, {u_key({2 * g: 1}): 2})
+            p = DiffPoly(cv, {(u_key({0: 1, 2 * g: 1}), 0, 0): 1})
+            assert variational_derivative(p) == DiffPoly(cv, {(u_key({2 * g: 1}), 0, 0): 2})
 
     def test_u1_squared(self):
         assert variational_derivative(dp({((1, 2),): (1, 2)})) == dp({((2, 1),): -1})
@@ -132,14 +134,14 @@ class TestPoissonBracket:
 class TestMiura:
     def test_forward_series_coefficients(self):
         m = miura_series(CV, 2)
-        assert m.coefficient_of({0: 1}) == MultiSeries.constant(CV, 1)
-        assert m.coefficient_of({2: 1}) == MultiSeries.monomial(CV, (1, 1), Fraction(-1, 24))
-        assert m.coefficient_of({4: 1}) == MultiSeries.monomial(CV, (2, 2), Fraction(1, 1920))
+        assert he_group(m, {0: 1}) == {(0, 0): 1}
+        assert he_group(m, {2: 1}) == {(1, 1): Fraction(-1, 24)}
+        assert he_group(m, {4: 1}) == {(2, 2): Fraction(1, 1920)}
 
     def test_inverse_series_coefficients(self):
         w = miura_inverse_series(CV, 2)
-        assert w.coefficient_of({2: 1}) == MultiSeries.monomial(CV, (1, 1), Fraction(1, 24))
-        assert w.coefficient_of({4: 1}) == MultiSeries.monomial(CV, (2, 2), Fraction(7, 5760))
+        assert he_group(w, {2: 1}) == {(1, 1): Fraction(1, 24)}
+        assert he_group(w, {4: 1}) == {(2, 2): Fraction(7, 5760)}
 
     def test_roundtrip_on_generator(self):
         assert miura_inverse(miura_forward(U, 2), 2) == U
@@ -215,7 +217,7 @@ def test_frechet_apply_linear():
 
 def test_monomial_iteration_canonical_order():
     p = dp({((0, 1), (3, 1)): 1, ((1, 1), (2, 1)): 1, ((0, 2),): 1})
-    keys = [m.u_exponents for m in p.monomials()]
+    keys = [ue for (ue, _, _), _ in p.sorted_terms()]
     assert keys == [((0, 2),), ((1, 1), (2, 1)), ((0, 1), (3, 1))]
 
 
@@ -223,21 +225,40 @@ def test_monomial_iteration_canonical_order():
 MULTI = DiffPoly(
     coeff_ring(1),
     {
-        u_key({1: 1}): MultiSeries(coeff_ring(1), {(1, 0): 1, (0, 1): Fraction(1, 2)}),
-        u_key({0: 2}): 1,
+        (u_key({1: 1}), 1, 0): 1,
+        (u_key({1: 1}), 0, 1): Fraction(1, 2),
+        (u_key({0: 2}), 0, 0): 1,
     },
 )
 
 
+class TestConstructor:
+    def test_repeated_factor_adds_up(self):
+        p = DiffPoly(CV, {(((0, 1), (0, 1)), 0, 0): 1})
+        assert p.pretty() == "u^2"
+        assert p == DiffPoly.u_power(CV, 0, 2)
+
+    def test_rejects_exponents_outside_the_ring(self):
+        for a, b in ((3, 0), (0, 3), (-1, 0), (7, 7)):
+            with pytest.raises(DiffAlgError, match="outside the coefficient ring"):
+                DiffPoly(CV, {(u_key({0: 1}), a, b): 1})
+
+    def test_drops_zero_coefficients(self):
+        p = DiffPoly(CV, {(u_key({0: 1}), 0, 0): 0, (u_key({1: 2}), 1, 0): Fraction(0)})
+        assert p.is_zero() and p.terms == {}
+        # a zero sum of repeated keys is dropped as well
+        q = DiffPoly(CV, {(((0, 2),), 0, 0): 1, (((0, 1), (0, 1)), 0, 0): -1})
+        assert q.terms == {}
+
+    def test_rejects_inexact_coefficients(self):
+        for coef in (0.5, "1/3"):
+            with pytest.raises(SeriesError, match="exact rationals"):
+                DiffPoly(CV, {(u_key({0: 1}), 0, 0): coef})
+
+
 def test_pretty_and_latex():
     cv = coeff_ring(1)
-    p = DiffPoly(
-        cv,
-        {
-            u_key({0: 1, 1: 1}): 1,
-            u_key({3: 1}): MultiSeries.monomial(cv, (1, 0), Fraction(1, 12)),
-        },
-    )
+    p = DiffPoly(cv, {(u_key({0: 1, 1: 1}), 0, 0): 1, (u_key({3: 1}), 1, 0): Fraction(1, 12)})
     assert p.pretty() == "u*u_1 + 1/12*h*u_3"
     assert r"\frac{1}{12}\hbar u_{3}" in p.latex()
     # several (h, e) terms on one u-monomial render as one bracketed coefficient
@@ -250,6 +271,11 @@ def test_json_schema():
     data = p.to_json_dict()
     assert data[0]["u"] == [[0, 1], [2, 1]]
     assert data[0]["coef"]["terms"][0]["coef"] == "1/24"
+    # one u-monomial's (h, e) terms are listed graded-lex: total degree first
+    coef = {(2, 1): Fraction(7, 5760), (0, 0): 1, (1, 0): Fraction(-1, 24), (0, 2): 3}
+    graded = DiffPoly(coeff_ring(3), {(u_key({1: 1}), a, b): c for (a, b), c in coef.items()})
+    exps = [tuple(t["exp"]) for t in graded.to_json_dict()[0]["coef"]["terms"]]
+    assert exps == [(0, 0), (1, 0), (0, 2), (2, 1)]
     ring = {"vars": [{"name": "h", "order": 2}, {"name": "e", "order": 2}]}
     assert MULTI.to_json_dict() == [
         {"coef": {**ring, "terms": [{"exp": [0, 0], "coef": "1"}]}, "u": [[0, 2]]},

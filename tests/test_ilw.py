@@ -27,7 +27,7 @@ from ilwhodge.ilw import (
     verify_flow_t1,
     verify_flow_t2,
 )
-from ilwhodge.mpseries import MultiSeries
+from properties import he_group
 
 
 def perturbed(g0, delta=Fraction(1, 1000000)):
@@ -40,27 +40,22 @@ def perturbed(g0, delta=Fraction(1, 1000000)):
 class TestH1:
     def test_order_zero(self):
         cv = coeff_ring(0)
-        assert h1(0).functional == normalize(DiffPoly(cv, {u_key({0: 3}): Fraction(1, 6)}))
+        assert h1(0).functional == normalize(DiffPoly.u_power(cv, 0, 3, Fraction(1, 6)))
 
     def test_matches_displayed_density_as_functional(self):
         G = 3
         cv = coeff_ring(G)
-        displayed = DiffPoly(cv, {u_key({0: 3}): Fraction(1, 6)})
+        displayed = DiffPoly.u_power(cv, 0, 3, Fraction(1, 6))
         for g in range(1, G + 1):
-            coef = MultiSeries.monomial(cv, (g, g - 1), exactnum.c_g(g))
-            displayed = displayed + DiffPoly(cv, {u_key({0: 1, 2 * g: 1}): coef})
+            key = (u_key({0: 1, 2 * g: 1}), g, g - 1)
+            displayed = displayed + DiffPoly(cv, {key: exactnum.c_g(g)})
         assert h1(G).functional == normalize(displayed)
 
     def test_normal_form_coefficients(self):
         # int u u_{2g} = (-1)^g int u_g^2, so the stored density alternates sign
         density = h1(2).functional.density
-        cv = coeff_ring(2)
-        assert density.coefficient_of({1: 2}) == MultiSeries.monomial(
-            cv, (1, 0), Fraction(-1, 24)
-        )
-        assert density.coefficient_of({2: 2}) == MultiSeries.monomial(
-            cv, (2, 1), Fraction(1, 1440)
-        )
+        assert he_group(density, {1: 2}) == {(1, 0): Fraction(-1, 24)}
+        assert he_group(density, {2: 2}) == {(2, 1): Fraction(1, 1440)}
 
     def test_grading(self):
         check_grading(h1(4))
@@ -73,21 +68,20 @@ class TestFlow:
 
     def test_quadratic_hamiltonian(self):
         cv = coeff_ring(1)
-        lf = normalize(DiffPoly(cv, {u_key({0: 2}): Fraction(1, 2)}))
-        assert flow(lf) == DiffPoly(cv, {u_key({1: 1}): 1})
+        lf = normalize(DiffPoly.u_power(cv, 0, 2, Fraction(1, 2)))
+        assert flow(lf) == DiffPoly.u_power(cv, 1)
 
     def test_dispersion_coefficients(self):
         f = flow(h1(2))
-        cv = coeff_ring(2)
-        assert f.coefficient_of({3: 1}) == MultiSeries.monomial(cv, (1, 0), Fraction(1, 12))
-        assert f.coefficient_of({5: 1}) == MultiSeries.monomial(cv, (2, 1), Fraction(1, 720))
+        assert he_group(f, {3: 1}) == {(1, 0): Fraction(1, 12)}
+        assert he_group(f, {5: 1}) == {(2, 1): Fraction(1, 720)}
 
 
 class TestHigherHamiltonian:
     def test_order_zero(self):
         cv = coeff_ring(0)
         assert higher_hamiltonian(2, 0).functional == normalize(
-            DiffPoly(cv, {u_key({0: 4}): Fraction(1, 24)})
+            DiffPoly.u_power(cv, 0, 4, Fraction(1, 24))
         )
 
     def test_h2_first_order_density(self):
@@ -95,8 +89,8 @@ class TestHigherHamiltonian:
         expected = DiffPoly(
             cv,
             {
-                u_key({0: 4}): Fraction(1, 24),
-                u_key({0: 1, 1: 2}): MultiSeries.monomial(cv, (1, 0), Fraction(-1, 24)),
+                (u_key({0: 4}), 0, 0): Fraction(1, 24),
+                (u_key({0: 1, 1: 2}), 1, 0): Fraction(-1, 24),
             },
         )
         assert higher_hamiltonian(2, 1).functional.density == expected
@@ -121,13 +115,8 @@ class TestTheorem1:
     def test_t2_closed_form_low_order_slice(self):
         # h^1 e^0 slice is (1/48)(2 (u u_2)_x + d^3/dx^3 u^2)
         f = flow(higher_hamiltonian(2, 1))
-        cv = coeff_ring(1)
-        assert f.coefficient_of({1: 1, 2: 1}) == MultiSeries.monomial(
-            cv, (1, 0), Fraction(1, 6)
-        )
-        assert f.coefficient_of({0: 1, 3: 1}) == MultiSeries.monomial(
-            cv, (1, 0), Fraction(1, 12)
-        )
+        assert he_group(f, {1: 1, 2: 1}) == {(1, 0): Fraction(1, 6)}
+        assert he_group(f, {0: 1, 3: 1}) == {(1, 0): Fraction(1, 12)}
 
 
 class TestCommutation:
