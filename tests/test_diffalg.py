@@ -30,6 +30,7 @@ from ilwhodge.diffalg import (
     variational_derivative,
 )
 from ilwhodge.mpseries import SeriesError
+from oracles import series_reciprocal, sinc_half_coeffs
 from properties import (
     check_bracket_antisymmetry_jacobi,
     check_calculus_kernel_against_reference,
@@ -131,6 +132,12 @@ class TestPoissonBracket:
         assert poisson_bracket(h3, h2).is_zero()
 
 
+def _linear_terms(coeffs: list[Fraction]) -> dict:
+    """{(u_{2m}, m, m): coeffs[2m]} over the nonzero even coefficients."""
+    return {(u_key({x: 1}), x // 2, x // 2): c
+            for x, c in enumerate(coeffs) if x % 2 == 0 and c}
+
+
 class TestMiura:
     def test_forward_series_coefficients(self):
         m = miura_series(CV, 2)
@@ -142,6 +149,17 @@ class TestMiura:
         w = miura_inverse_series(CV, 2)
         assert he_group(w, {2: 1}) == {(1, 1): Fraction(1, 24)}
         assert he_group(w, {4: 1}) == {(2, 2): Fraction(7, 5760)}
+
+    def test_forward_series_is_the_sinc_series(self):
+        # u_{2m} h^m e^m carries the z^{2m} coefficient of sin(z/2)/(z/2)
+        for G in range(11):
+            s = sinc_half_coeffs(2 * G)
+            assert miura_series(coeff_ring(G), G).terms == _linear_terms(s)
+
+    def test_inverse_series_is_the_reciprocal_sinc_series(self):
+        for G in range(11):
+            s = series_reciprocal(sinc_half_coeffs(2 * G))
+            assert miura_inverse_series(coeff_ring(G), G).terms == _linear_terms(s)
 
     def test_roundtrip_on_generator(self):
         assert miura_inverse(miura_forward(U, 2), 2) == U
@@ -161,7 +179,9 @@ class TestIntegrateX:
             integrate_x(dp({((0, 2),): 1}))
 
     def test_rejects_nonlinear_top_factor_by_name(self):
-        q = DiffPoly._make(CV, {(((0, 1), (3, 2)), 1, 0): Fraction(1, 5)})
+        # the lower u^2 admits no antiderivative either; the greatest is named
+        q = DiffPoly._make(CV, {(((0, 1), (3, 2)), 1, 0): Fraction(1, 5),
+                                (((0, 2),), 0, 0): Fraction(1)})
         with pytest.raises(NotTotalDerivativeError,
                            match=r"monomial u\*u_3\^2 at h\^1 e\^0 has u_3\^2;"):
             integrate_x(q)
