@@ -6,11 +6,14 @@ deformation parameters h and e, truncated at each parameter's order.  It is
 stored as one flat map (u-monomial, h-exponent, e-exponent) -> Fraction,
 and that map is the only coefficient shape it is built from, computed on
 and rendered from.  On top of the ring this module provides the total
-x-derivative, the variational (Euler) derivative, integration-by-parts
-normalization of densities, the Poisson bracket
-{f, g} = int (delta f/delta u) d/dx (delta g/delta u) dx, the triangular
-Miura substitution and its compositional inverse, and the reconstruction of
-a Hamiltonian from its flow via the homotopy formula.
+x-derivative, the variational (Euler) derivative, the Poisson bracket
+{f, g} = int (delta f/delta u) d/dx (delta g/delta u) dx, one
+integration-by-parts reduction whose remainder is the normal form of a
+density and whose peeled terms are the x-antiderivative of a total
+derivative, the triangular Miura substitution (the series sin(z/2)/(z/2) of
+`mpseries` with z^2 read as h e d^2/dx^2) and its inverse (the reciprocal
+series), and the reconstruction of a Hamiltonian from its flow via the
+homotopy formula.
 
 A `LocalFunctional` is the class of a density modulo total x-derivatives,
 stored in a canonical normal form: no monomial keeps a factor u_N (N >= 1)
@@ -22,21 +25,25 @@ per class, so equality of functionals is a dictionary comparison.
 from __future__ import annotations
 
 import heapq
-import random
 from fractions import Fraction
 from itertools import groupby
-from math import factorial, lcm
+from math import lcm
 from operator import neg
 from typing import Iterable, Iterator, Mapping
 
 from .exactnum import rational_to_str
 from .mpseries import (
+    MultiSeries,
     VarSpec,
+    _accumulate,
     _as_fraction,
     _scaled,
     _unscale,
+    inverse_series,
     join_signed,
     series_text,
+    sinc_half_series,
+    substitute_square,
     term_text,
 )
 
@@ -61,7 +68,6 @@ __all__ = [
     "integrate_x",
     "frechet_apply",
     "reconstruct_functional_from_flow",
-    "random_diffpoly",
 ]
 
 # ((derivative index, multiplicity), ...) sorted by index, multiplicities > 0
@@ -279,14 +285,6 @@ class DiffPoly:
         return f"DiffPoly({self.pretty()})"
 
 
-def _accumulate(terms: dict[FlatKey, Fraction], key: FlatKey, coef: Fraction) -> None:
-    acc = terms.get(key, 0) + coef
-    if acc:
-        terms[key] = acc
-    else:
-        terms.pop(key, None)
-
-
 def _merge_keys(a: UExps, b: UExps) -> UExps:
     acc = dict(a)
     for k, m in b:
@@ -459,13 +457,6 @@ def variational_derivative(h: "LocalFunctional | DiffPoly") -> DiffPoly:
 # -- normal form -------------------------------------------------------------------
 
 
-def _is_normal_key(ue: UExps) -> bool:
-    if not ue:
-        return True
-    top, mult = ue[-1]
-    return top == 0 or mult >= 2
-
-
 class LocalFunctional:
     """int(density) dx modulo total x-derivatives, density in normal form.
 
@@ -524,48 +515,55 @@ class LocalFunctional:
 def normalize(p: DiffPoly) -> LocalFunctional:
     """Integration-by-parts normal form of int(p) dx.
 
+    The remainder of `_reduce`: the projection onto the complement of
+    im(d/dx), hence idempotent and independent of reduction order.
+    """
+    den, rest = _reduce(p)
+    return LocalFunctional(DiffPoly._make(p.coeff_vars, _unscale(rest, den)))
+
+
+def _reduce(p: DiffPoly, antiderivative: IntTerms | None = None) -> tuple[int, IntTerms]:
+    """(den, rest): the normal-form remainder of p as rest[key] / den, filled
+    greatest monomial first in integration-by-parts order.
+
     A monomial c*R*u_{N-1}^j*u_N with u_N linear and strictly top reduces to
     -c/(j+1) * dx(R) * u_{N-1}^{j+1}: the usual step int Q u_N = -int (dx Q)
     u_{N-1}, with the self-reproducing part (dx raising a u_{N-1} of Q back
-    to u_N) already solved for.  Every produced monomial has strictly lower
-    top index, so the loop terminates; pure c*u_N terms come out as zero.
-    The result is the projection onto the complement of im(d/dx), hence
-    idempotent and independent of reduction order.
+    to u_N) already solved for.  The peeled c/(j+1) * R * u_{N-1}^{j+1}, whose
+    x-derivative is the monomial minus its reduction, goes into
+    `antiderivative` (over the same den) when one is given.  Every produced
+    monomial has strictly lower top index, so the loop terminates; pure c*u_N
+    terms come out as zero.  A reduction keeps the u-degree and divides by at
+    most the largest u-degree d, so scaling by lcm(1..d)^(top index) once
+    makes every division exact.
     """
-    den, work, heap = _worklist(p)
-    out: IntTerms = {}
+    d = max((u_degree(ue) for ue, _, _ in p.terms), default=0)
+    den, nums = _scaled(p.terms)
+    scale = lcm(*range(1, d + 1)) ** max(p.max_index(), 0)
+    work = {key: c * scale for key, c in nums.items()}
+    heap = [(_heap_key(key[0]), key) for key in work]
+    heapq.heapify(heap)
+    rest: IntTerms = {}
     while heap:
         key = heapq.heappop(heap)[1]
         coef = work.pop(key)
         if not coef:
             continue
         ue, a, b = key
-        if _is_normal_key(ue):
-            out[key] = coef
+        top, mult = ue[-1] if ue else (0, 0)
+        if top == 0 or mult >= 2:  # already normal
+            rest[key] = coef
             continue
-        top = ue[-1][0]
-        rest, j = ue[:-1], 0
-        if rest and rest[-1][0] == top - 1:
-            rest, j = rest[:-1], rest[-1][1]
-        coef = _exact_div(coef, j + 1)
-        for rk, m in _dx_monomial(rest):
-            _push(work, heap, (_times_top(rk, top - 1, j + 1), a, b), -m * coef)
-    return LocalFunctional(DiffPoly._make(p.coeff_vars, _unscale(out, den)))
-
-
-def _worklist(p: DiffPoly) -> tuple[int, IntTerms, list]:
-    """(den, nums, heap): p's terms as nums[key] / den, and a heap that pops
-    them greatest u-monomial first in integration-by-parts order.
-
-    A reduction keeps the u-degree, divides by at most the largest u-degree d
-    and lowers the top index; nums is scaled by lcm(1..d)^(top index) once, so
-    every division is exact."""
-    d = max((u_degree(ue) for ue, _, _ in p.terms), default=0)
-    den, nums = _scaled(p.terms)
-    scale = lcm(*range(1, d + 1)) ** max(p.max_index(), 0)
-    heap = [(_heap_key(key[0]), key) for key in nums]
-    heapq.heapify(heap)
-    return den * scale, {key: c * scale for key, c in nums.items()}, heap
+        peeled = _times_top(ue[:-1], top - 1, 1)  # R * u_{N-1}^{j+1}
+        coef = _exact_div(coef, peeled[-1][1])
+        if antiderivative is not None:
+            # distinct for distinct popped monomials: u_N -> u_{N-1} is injective
+            antiderivative[(peeled, a, b)] = coef
+        # d/dx(peeled) is j+1 times the popped monomial plus the reduction
+        for rk, m in _dx_monomial(peeled):
+            if rk != ue:
+                _push(work, heap, (rk, a, b), -m * coef)
+    return den * scale, rest
 
 
 def _exact_div(n: int, d: int) -> int:
@@ -598,37 +596,27 @@ def poisson_bracket(
 # -- Miura substitution ---------------------------------------------------------
 
 
-def _miura_tail(cvars: tuple[VarSpec, ...], G: int) -> DiffPoly:
-    # sum_{g>=1} (-1)^g / (4^g (2g+1)!) h^g e^g u_{2g}
-    terms: dict[FlatKey, Fraction] = {}
-    hspec, espec = cvars[0], cvars[1]
-    for g in range(1, G + 1):
-        if g >= hspec.order or g >= espec.order:
-            break
-        terms[(u_key({2 * g: 1}), g, g)] = Fraction((-1) ** g, 4**g * factorial(2 * g + 1))
-    return DiffPoly._make(cvars, terms)
+def _derivative_series(cvars: tuple[VarSpec, ...], s: MultiSeries) -> DiffPoly:
+    """sum_m s_m h^m e^m u_{2m} for an even series sum_m s_m z^{2m}: the
+    operator s(sqrt(h e) d/dx) applied to u, truncated at the ring's orders."""
+    he = substitute_square(s, cvars)
+    return DiffPoly._make(cvars, {(((2 * m, 1),), m, m): c for (m, _), c in he.terms.items()})
 
 
 def miura_series(cvars: Iterable[VarSpec], G: int) -> DiffPoly:
     """The substitution series of the triangular change of dependent variable:
-    the image reads w + sum_{g>=1} (-1)^g/(2^{2g}(2g+1)!) h^g e^g w_{2g}."""
-    cvars = tuple(cvars)
-    return DiffPoly.u_power(cvars) + _miura_tail(cvars, G)
+    the image reads w + sum_{g>=1} (-1)^g/(2^{2g}(2g+1)!) h^g e^g w_{2g}, that
+    is sin(z/2)/(z/2) with z^2 read as h e d^2/dx^2, through h^G."""
+    return _derivative_series(tuple(cvars), sinc_half_series(2 * G + 1))
 
 
 def miura_inverse_series(cvars: Iterable[VarSpec], G: int) -> DiffPoly:
-    """Order-by-order compositional inverse of `miura_series`.
+    """Compositional inverse of `miura_series` through h^G.
 
-    Solved as the fixed point W = u - tail(W); the tail raises the h-degree,
-    so G sweeps suffice.
+    The substitution is the linear operator S(sqrt(h e) d/dx), so its
+    inverse is the reciprocal series 1/S read the same way.
     """
-    cvars = tuple(cvars)
-    tail = _miura_tail(cvars, G)
-    u = DiffPoly.u_power(cvars)
-    w = u
-    for _ in range(G):
-        w = u - substitute_u(tail, w)
-    return w
+    return _derivative_series(tuple(cvars), inverse_series(sinc_half_series(2 * G + 1)))
 
 
 def miura_forward(p: DiffPoly, G: int) -> DiffPoly:
@@ -649,35 +637,21 @@ def miura_inverse(p: DiffPoly, G: int) -> DiffPoly:
 def integrate_x(q: DiffPoly) -> DiffPoly:
     """A differential polynomial phi with d/dx phi = q, when one exists.
 
-    Repeatedly peels the greatest monomial (top derivative index first): for
-    q in the image of d/dx that monomial has a linear strictly-top factor
-    u_N, and its unique preimage lowers u_N to u_{N-1}.
+    The antiderivative that `_reduce` peels off; q is in the image of d/dx
+    exactly when nothing remains, and otherwise the greatest remaining
+    monomial is named.
     """
-    den, work, heap = _worklist(q)
     phi: IntTerms = {}
-    while heap:
-        key = heapq.heappop(heap)[1]
-        coef = work.pop(key)
-        if not coef:
-            continue
-        ue, a, b = key
-        if not ue or ue[-1][0] == 0:
-            raise NotTotalDerivativeError(
-                f"monomial {u_monomial_pretty(ue)} at h^{a} e^{b} admits no x-antiderivative"
-            )
-        top, mult = ue[-1]
-        if mult != 1:
-            raise NotTotalDerivativeError(
-                f"leading monomial {u_monomial_pretty(ue)} at h^{a} e^{b} has "
-                f"u_{top}^{mult}; input is not a total derivative"
-            )
-        pre_key = _times_top(ue[:-1], top - 1, 1)
-        coef = phi[(pre_key, a, b)] = _exact_div(coef, pre_key[-1][1])
-        # d/dx(pre) = j * (its u_{N-1}^j factor raised) + lower monomials; the
-        # first is the popped monomial and cancels exactly
-        for rk, m in _dx_monomial(pre_key):
-            if rk != ue:
-                _push(work, heap, (rk, a, b), -m * coef)
+    den, rest = _reduce(q, phi)
+    if rest:
+        ue, a, b = next(iter(rest))
+        top, mult = ue[-1] if ue else (0, 0)
+        name = f"{u_monomial_pretty(ue)} at h^{a} e^{b}"
+        if top == 0:
+            raise NotTotalDerivativeError(f"monomial {name} admits no x-antiderivative")
+        raise NotTotalDerivativeError(
+            f"leading monomial {name} has u_{top}^{mult}; input is not a total derivative"
+        )
     return DiffPoly._make(q.coeff_vars, _unscale(phi, den))
 
 
@@ -694,36 +668,12 @@ def frechet_apply(phi: DiffPoly, b: DiffPoly) -> DiffPoly:
     return DiffPoly._make(phi.coeff_vars, _unscale(out, dphi * db))
 
 
-def random_diffpoly(
-    cvars: tuple[VarSpec, ...],
-    rng: random.Random,
-    max_index: int = 3,
-    max_udeg: int = 3,
-    max_terms: int = 3,
-    with_params: bool = False,
-) -> DiffPoly:
-    """Small random differential polynomial for seeded property checks."""
-    terms: dict[FlatKey, Fraction] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        exps: dict[int, int] = {}
-        for _ in range(rng.randint(0, max_udeg)):
-            k = rng.randint(0, max_index)
-            exps[k] = exps.get(k, 0) + 1
-        coef = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        if coef == 0:
-            coef = Fraction(1)
-        a = b = 0
-        if with_params:
-            a, b = rng.randrange(cvars[0].order), rng.randrange(cvars[1].order)
-        _accumulate(terms, (u_key(exps), a, b), coef)
-    return DiffPoly._make(tuple(cvars), terms)
-
-
 def reconstruct_functional_from_flow(q: DiffPoly) -> LocalFunctional:
     """Recover h with d/dx (delta h/delta u) = q via the homotopy formula.
 
-    Checks that q is a total x-derivative (Euler derivative vanishes, no
-    u-free part), integrates it to phi, and evaluates
+    Integrates q to phi, which fails unless q is a total x-derivative with no
+    u-free part (with none, delta q/delta u = 0 exactly when `integrate_x`
+    leaves no remainder), and evaluates
     h = int_0^1 dl int u*phi[l*u] dx exactly: the l-integral weights each
     monomial of phi by 1/(u-degree + 1).  phi is a variational gradient
     exactly when it reproduces itself, delta h/delta u = phi (Olver,
@@ -732,8 +682,6 @@ def reconstruct_functional_from_flow(q: DiffPoly) -> LocalFunctional:
     """
     if any(not ue for ue, _, _ in q.terms):
         raise NotTotalDerivativeError("flow has a u-independent part")
-    if not variational_derivative(q).is_zero():
-        raise NotTotalDerivativeError("Euler derivative of the flow does not vanish")
     phi = integrate_x(q)
     terms: dict[FlatKey, Fraction] = {}
     for (ue, a, b), coef in phi.terms.items():

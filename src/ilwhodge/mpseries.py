@@ -112,9 +112,7 @@ class MultiSeries:
                     raise SeriesError(
                         f"exponent {x} of {v.name} exceeds truncation order {v.order}"
                     )
-            clean[e] = clean.get(e, Fraction(0)) + c
-            if clean[e] == 0:
-                del clean[e]
+            _accumulate(clean, e, c)
         self.vars = vs
         self.terms = clean
 
@@ -208,11 +206,7 @@ class MultiSeries:
         self._check_same_vars(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            acc = terms.get(e, Fraction(0)) + c
-            if acc == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = acc
+            _accumulate(terms, e, c)
         return MultiSeries._make(self.vars, terms)
 
     __radd__ = __add__
@@ -245,20 +239,6 @@ class MultiSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "MultiSeries":
-        if not isinstance(n, int) or n < 0:
-            raise SeriesError(f"series power must be a non-negative integer, got {n}")
-        out = MultiSeries.constant(self.vars, 1)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
     # -- calculus ------------------------------------------------------------
 
     def partial_derivative(self, name: str) -> "MultiSeries":
@@ -269,12 +249,8 @@ class MultiSeries:
             k = e[idx]
             if k == 0:
                 continue
-            ne = e[:idx] + (k - 1,) + e[idx + 1 :]
-            acc = terms.get(ne, Fraction(0)) + c * k
-            if acc == 0:
-                terms.pop(ne, None)
-            else:
-                terms[ne] = acc
+            # lowering one exponent is injective, so no two terms collide
+            terms[e[:idx] + (k - 1,) + e[idx + 1 :]] = c * k
         return MultiSeries._make(self.vars, terms)
 
     def lift(self, vars: Iterable[VarSpec]) -> "MultiSeries":
@@ -388,6 +364,15 @@ def _int_product(na: dict, nb: dict, bounds: Exponents) -> dict[Exponents, int]:
 def _unscale(nums: dict[Exponents, int], den: int) -> dict[Exponents, Fraction]:
     """The reduced coefficients nums[e] / den, zeros dropped."""
     return {e: Fraction(n, den) for e, n in nums.items() if n}
+
+
+def _accumulate(terms: dict, key, coef: Fraction) -> None:
+    """Add coef to terms[key], dropping the key when the sum is zero."""
+    acc = terms.get(key, 0) + coef
+    if acc:
+        terms[key] = acc
+    else:
+        terms.pop(key, None)
 
 
 def _solve_graded(base: list[MultiSeries], left: list[MultiSeries], weight) -> MultiSeries:

@@ -2,7 +2,8 @@
 
 Each checker runs `cases` independently generated instances from an
 explicitly seeded `random.Random`, asserting an exact identity for each.
-`he_group` reads one u-monomial's whole (h, e) coefficient for the unit tests.
+`he_group` reads one u-monomial's whole (h, e) coefficient for the unit tests,
+and `random_diffpoly` draws the small polynomials that the suites check.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from ilwhodge.diffalg import (
     miura_inverse,
     normalize,
     poisson_bracket,
-    random_diffpoly,
     total_x_derivative,
     u_key,
     variational_derivative,
@@ -51,6 +51,32 @@ def he_group(p: DiffPoly, ue) -> dict:
     u-monomial ue; comparing the whole group also rules out extra terms."""
     key = u_key(ue)
     return {(a, b): c for (u, a, b), c in p.terms.items() if u == key}
+
+
+def random_diffpoly(
+    cvars: tuple[VarSpec, ...],
+    rng: random.Random,
+    max_index: int = 3,
+    max_udeg: int = 3,
+    max_terms: int = 3,
+    with_params: bool = False,
+) -> DiffPoly:
+    """Small random differential polynomial for seeded property checks."""
+    terms: dict = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps: dict[int, int] = {}
+        for _ in range(rng.randint(0, max_udeg)):
+            k = rng.randint(0, max_index)
+            exps[k] = exps.get(k, 0) + 1
+        coef = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        if coef == 0:
+            coef = Fraction(1)
+        a = b = 0
+        if with_params:
+            a, b = rng.randrange(cvars[0].order), rng.randrange(cvars[1].order)
+        key = (u_key(exps), a, b)
+        terms[key] = terms.get(key, 0) + coef
+    return DiffPoly(cvars, terms)  # drops the sums that cancel
 
 
 def random_series(rng: random.Random, vars: tuple[VarSpec, ...],

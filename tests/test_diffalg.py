@@ -23,7 +23,6 @@ from ilwhodge.diffalg import (
     miura_series,
     normalize,
     poisson_bracket,
-    random_diffpoly,
     reconstruct_functional_from_flow,
     total_x_derivative,
     u_key,
@@ -41,6 +40,7 @@ from properties import (
     check_normalize_against_reference,
     check_normalize_idempotent,
     he_group,
+    random_diffpoly,
 )
 
 CV = coeff_ring(2)
@@ -161,6 +161,14 @@ class TestMiura:
             s = series_reciprocal(sinc_half_coeffs(2 * G))
             assert miura_inverse_series(coeff_ring(G), G).terms == _linear_terms(s)
 
+    def test_series_stop_at_h_G_on_a_wider_ring(self):
+        # the ring keeps h^(G+1) and h^(G+2); neither series may reach them
+        for G in range(7):
+            for series in (miura_series, miura_inverse_series):
+                wide = series(coeff_ring(G + 2), G)
+                assert max(a for _, a, _ in wide.terms) == G
+                assert wide.terms == series(coeff_ring(G), G).terms
+
     def test_roundtrip_on_generator(self):
         assert miura_inverse(miura_forward(U, 2), 2) == U
 
@@ -209,7 +217,7 @@ class TestReconstruct:
         assert got == normalize(dp({((0, 2),): (1, 2)}))
 
     def test_rejects_non_total_derivative(self):
-        with pytest.raises(NotTotalDerivativeError):
+        with pytest.raises(NotTotalDerivativeError, match=r"monomial u\^2 "):
             reconstruct_functional_from_flow(dp({((0, 2),): 1}))
         with pytest.raises(NotTotalDerivativeError):
             reconstruct_functional_from_flow(DiffPoly.constant(CV, 3))
