@@ -11,6 +11,9 @@ moved to integer numerators over a common denominator, and the three at
 `verify commute --genus 12` before the differential-polynomial calculus did.
 The two at `flow --index 3 --genus 6` (latex and csv) were taken before the
 renderers read the flat term map directly.
+The five at `verify linear-term` and `one-point --max-genus 12 --format
+latex` were taken before the linear-term check and the one-point expansion
+were written as series identities.
 
 The two JSON digests (`hamiltonian --index 2 --genus 6 --format json` and
 `verify all --genus 4 --format json`) were re-pinned when the `seed` key
@@ -88,6 +91,22 @@ GOLDEN = {
         "32c62d93d38a78e2ec9f20646c450860225b236ea27376654a24b7138df455b4",
     ("flow", "--index", "3", "--genus", "6", "--format", "csv"):
         "88ea00c6e367afde537704a2eda487d313ca6ae1c1c1147c8b3a70249107ae89",
+    # the linear-term identity, whole and with a shifted C_1, C_6 and C_12
+    # (the mismatch lines carry both sides' values), and the one-point table
+    # read off the exponential of (1 + k) log
+    ("verify", "linear-term", "--genus", "20", "--format", "json"):
+        "cf50624b3b5c8314fa7c5805fe8bdd9be83b01ec4289806b8238b2e42b9eb165",
+    ("verify", "linear-term", "--genus", "12", "--perturb-cg", "1:-37/123456",
+     "--format", "json"):
+        "43b3a5da83fdc1b2ef3fef3b75ed7ff57a87b2084527488431ce3a7e624d99d8",
+    ("verify", "linear-term", "--genus", "12", "--perturb-cg", "6:-37/123456",
+     "--format", "json"):
+        "c6bdd11a1cd45371a5ae918bb8fff515336a2ef3151ae85d72d42ef3e9bc48bd",
+    ("verify", "linear-term", "--genus", "12", "--perturb-cg", "12:-37/123456",
+     "--format", "json"):
+        "698f2ba33c296ab038ee19a46443a60219fc3b7245937d6998fe51af95680e07",
+    ("one-point", "--max-genus", "12", "--format", "latex"):
+        "8ca0a738929ca091428d483bff18685e21c4137e48a597d1db41d226d118a409",
 }
 
 # Calls whose exit code is not 0: a perturbed run reports every mismatch
@@ -97,6 +116,11 @@ EXIT_CODE = {
     ("verify", "cg", "--genus", "24", "--perturb-cg", "24:1/7", "--format", "json"): 1,
     ("verify", "one-point-reverse", "--genus", "20", "--perturb-cg", "20:-1/3",
      "--format", "json"): 1,
+    **{
+        ("verify", "linear-term", "--genus", "12", "--perturb-cg", f"{g0}:-37/123456",
+         "--format", "json"): 1
+        for g0 in (1, 6, 12)
+    },
 }
 
 
