@@ -20,7 +20,6 @@ from .mpseries import (
     inverse_series,
     log_series,
     log_sinc_half,
-    pow_linear_exponent,
     sinc_half_series,
     substitute_square,
 )
@@ -28,7 +27,6 @@ from .diffalg import (
     DiffAlgError,
     DiffPoly,
     LocalFunctional,
-    NotSelfAdjointError,
     NotTotalDerivativeError,
     coeff_ring,
     integrate_x,
@@ -38,7 +36,6 @@ from .diffalg import (
     miura_series,
     normalize,
     poisson_bracket,
-    reconstruct_functional_from_flow,
     total_x_derivative,
     u_key,
     variational_derivative,

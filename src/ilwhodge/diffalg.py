@@ -10,10 +10,9 @@ x-derivative, the variational (Euler) derivative, the Poisson bracket
 {f, g} = int (delta f/delta u) d/dx (delta g/delta u) dx, one
 integration-by-parts reduction whose remainder is the normal form of a
 density and whose peeled terms are the x-antiderivative of a total
-derivative, the triangular Miura substitution (the series sin(z/2)/(z/2) of
-`mpseries` with z^2 read as h e d^2/dx^2) and its inverse (the reciprocal
-series), and the reconstruction of a Hamiltonian from its flow via the
-homotopy formula.
+derivative, and the triangular Miura substitution (the series
+sin(z/2)/(z/2) of `mpseries` with z^2 read as h e d^2/dx^2) and its inverse
+(the reciprocal series).
 
 A `LocalFunctional` is the class of a density modulo total x-derivatives,
 stored in a canonical normal form: no monomial keeps a factor u_N (N >= 1)
@@ -50,7 +49,6 @@ from .mpseries import (
 __all__ = [
     "DiffAlgError",
     "NotTotalDerivativeError",
-    "NotSelfAdjointError",
     "UExps",
     "u_key",
     "u_monomial_pretty",
@@ -67,7 +65,6 @@ __all__ = [
     "miura_inverse",
     "integrate_x",
     "frechet_apply",
-    "reconstruct_functional_from_flow",
 ]
 
 # ((derivative index, multiplicity), ...) sorted by index, multiplicities > 0
@@ -80,10 +77,6 @@ class DiffAlgError(ValueError):
 
 class NotTotalDerivativeError(DiffAlgError):
     """The input is not a total x-derivative."""
-
-
-class NotSelfAdjointError(DiffAlgError):
-    """The integrated flow is not a variational gradient."""
 
 
 def u_key(exponents: Mapping[int, int] | Iterable[tuple[int, int]]) -> UExps:
@@ -666,32 +659,3 @@ def frechet_apply(phi: DiffPoly, b: DiffPoly) -> DiffPoly:
             bk = _int_dx(bk)
         _int_product(parts.get(k, {}), bk, phi.coeff_vars, out)
     return DiffPoly._make(phi.coeff_vars, _unscale(out, dphi * db))
-
-
-def reconstruct_functional_from_flow(q: DiffPoly) -> LocalFunctional:
-    """Recover h with d/dx (delta h/delta u) = q via the homotopy formula.
-
-    Integrates q to phi, which fails unless q is a total x-derivative with no
-    u-free part (with none, delta q/delta u = 0 exactly when `integrate_x`
-    leaves no remainder), and evaluates
-    h = int_0^1 dl int u*phi[l*u] dx exactly: the l-integral weights each
-    monomial of phi by 1/(u-degree + 1).  phi is a variational gradient
-    exactly when it reproduces itself, delta h/delta u = phi (Olver,
-    Applications of Lie Groups to Differential Equations, ch. 5); any other
-    phi is rejected.
-    """
-    if any(not ue for ue, _, _ in q.terms):
-        raise NotTotalDerivativeError("flow has a u-independent part")
-    phi = integrate_x(q)
-    terms: dict[FlatKey, Fraction] = {}
-    for (ue, a, b), coef in phi.terms.items():
-        weight = Fraction(1, u_degree(ue) + 1)
-        _accumulate(terms, (_merge_keys(ue, ((0, 1),)), a, b), coef * weight)
-    h = normalize(DiffPoly._make(q.coeff_vars, terms))
-    defect = variational_derivative(h) - phi
-    if not defect.is_zero():
-        raise NotSelfAdjointError(
-            "integrated flow is not a variational gradient; "
-            f"delta h/delta u - phi = {defect.pretty()}"
-        )
-    return h

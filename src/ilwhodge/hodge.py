@@ -14,9 +14,11 @@ coefficients are the constants
 
     C_g = |B_{2g}| / (2 (2g)!).
 
-Everything is verified coefficient-by-coefficient over the rationals; the
-linear-term identity check reproduces the step that equates the dilaton
-expansion of the t_1 flow with its right-hand side.
+Everything is verified coefficient-by-coefficient over the rationals.  The
+linear-term check is the step that equates the dilaton expansion of the t_1
+flow with its right-hand side, written as the series identity
+
+    (1 + 2h d/dh) S~ = (1 + Q) S~,  Q = sum_g 2 C_g h^g e^{g-1}.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .mpseries import (
     divide_series,
     exp_series,
     inverse_series,
+    log_series,
     log_sinc_half,
-    pow_linear_exponent,
     sinc_half_series,
     substitute_square,
 )
@@ -52,7 +54,6 @@ __all__ = [
     "s_series",
     "s_tilde_series",
     "s_tilde_from_constants",
-    "tilde_table",
     "extract_cg",
     "verify_cg",
     "verify_linear_term_identity",
@@ -78,7 +79,6 @@ class BracketTable:
     """Finite table of one-point bracket values keyed (genus, lambda-index,
     tau-index tuple)."""
 
-    flavor: str  # "plain" | "tilde"
     entries: dict[TableKey, Fraction] = field(default_factory=dict)
 
     def value(self, g: int, j: int, d: tuple[int, ...]) -> Fraction:
@@ -91,9 +91,6 @@ class BracketTable:
                 {"g": g, "j": j, "d": list(d), "value": rational_to_str(self.entries[(g, j, d)])}
             )
         return out
-
-    def to_json_dict(self) -> dict:
-        return {"flavor": self.flavor, "entries": self.rows()}
 
     def to_latex(self) -> str:
         lines = [
@@ -115,14 +112,14 @@ class BracketTable:
 
 def one_point_table(g_max: int) -> BracketTable:
     """One-point values <lambda_{g-i} tau_{2g-2+i}>_g for g <= g_max, read off
-    the exact expansion of ((t/2)/sin(t/2))^{k+1}."""
+    the exact expansion of ((t/2)/sin(t/2))^{k+1} = exp((1 + k) L(t)) with
+    L = log((t/2)/sin(t/2))."""
     if g_max < 1:
         raise ValueError(f"genus bound must be >= 1, got {g_max}")
-    base = inverse_series(sinc_half_series(2 * g_max + 1, "t"))
-    expansion = pow_linear_exponent(base, 1, 1, VarSpec("k", g_max + 1))
-    if expansion.coefficient((0, 0)) != 1:
-        raise HodgeConsistencyError("expansion constant term is not 1")
-    table = BracketTable("plain")
+    L = log_series(inverse_series(sinc_half_series(2 * g_max + 1, "t")))
+    exponent = {(e, m): c for (e,), c in L.terms.items() for m in (0, 1)}
+    expansion = exp_series(MultiSeries(L.vars + (VarSpec("k", g_max + 1),), exponent))
+    table = BracketTable()
     for g in range(1, g_max + 1):
         for i in range(0, g + 1):
             val = expansion.coefficient((2 * g, i))
@@ -182,18 +179,6 @@ def s_tilde_from_constants(G: int, cg_values: CgValues | None = None) -> MultiSe
     return exp_series(MultiSeries(coeff_ring(G), terms))
 
 
-def tilde_table(G: int) -> BracketTable:
-    """Tilde one-point values <lambda_j tau_0^2 tau_{3g-j}>~_g from S~."""
-    st = s_tilde_series(G)
-    table = BracketTable("tilde")
-    for (a, b), val in st.terms.items():
-        entry = (a, b, (0, 0, 3 * a - b))
-        if not dimension_check(a, 3, b, entry[2]):
-            raise HodgeConsistencyError(f"entry {entry} violates the dimension constraint")
-        table.entries[entry] = val
-    return table
-
-
 def extract_cg(G: int) -> list[Fraction]:
     """The constants [C_1, ..., C_G] read from (d/dh S~) / S~.
 
@@ -225,45 +210,21 @@ def verify_linear_term_identity(
     """Check the linear-in-t coefficient identity between the dilaton
     expansion of the t_1 flow and its right-hand side.
 
-    Left, per (h^a, e^b, t-label d): (2g+1) T~(g, j) at (g, j, 3g-j).
-    Right: T~(g, j) from u u_x plus sum_{g'>=1} 2 C_{g'} T~(h, j) at
-    (g'+h, g'+j-1, 3(g'+h)-(g'+j-1)).  Checked per label up to total
-    h-order G.
+    Left, per (h^a, e^b, t-label 3a-b): (2g+1) T~(g, j), that is
+    (1 + 2h d/dh) S~.  Right: T~(g, j) from u u_x plus sum_{g'>=1} 2 C_{g'}
+    T~(g'', j) at (g'+g'', g'+j-1), that is (1 + Q) S~ with
+    Q = sum_g 2 C_g h^g e^{g-1}.  Checked up to total h-order G.
     """
     cg = cg_values or exactnum.c_g
     st = s_tilde_series(G)
-
-    def t_value(g: int, j: int) -> Fraction:
-        if g < 0 or j < 0 or g > G or j > G:
-            return Fraction(0)
-        return st.terms.get((g, j), Fraction(0))
-
-    left: dict[tuple[int, int, int], Fraction] = {}
-    right: dict[tuple[int, int, int], Fraction] = {}
-    for g in range(0, G + 1):
-        for j in range(0, g + 1):
-            v = t_value(g, j)
-            if v == 0:
-                continue
-            key = (g, j, 3 * g - j)
-            left[key] = left.get(key, Fraction(0)) + (2 * g + 1) * v
-            right[key] = right.get(key, Fraction(0)) + v
-    for gp in range(1, G + 1):
-        two_c = 2 * cg(gp)
-        for h in range(0, G - gp + 1):
-            for j in range(0, h + 1):
-                v = t_value(h, j)
-                if v == 0:
-                    continue
-                a = gp + h
-                b = gp + j - 1
-                key = (a, b, 3 * a - b)
-                right[key] = right.get(key, Fraction(0)) + two_c * v
-
+    h = MultiSeries.variable(st.vars, "h")
+    q = MultiSeries(st.vars, {(g, g - 1): 2 * cg(g) for g in range(1, G + 1)})
+    left = st + 2 * h * st.partial_derivative("h")
+    right = st + q * st
     scan = (
-        ({"h_exp": a, "e_exp": b, "t_label": d},
-         left.get((a, b, d), Fraction(0)), right.get((a, b, d), Fraction(0)))
-        for a, b, d in sorted(left.keys() | right.keys())
+        ({"h_exp": a, "e_exp": b, "t_label": 3 * a - b},
+         left.terms.get((a, b), Fraction(0)), right.terms.get((a, b), Fraction(0)))
+        for a, b in sorted(left.terms.keys() | right.terms.keys())
     )
     return VerificationReport.of("linear-term", G, first_mismatch(scan, "left", "right"))
 

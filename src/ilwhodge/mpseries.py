@@ -45,7 +45,6 @@ __all__ = [
     "divide_series",
     "log_sinc_half",
     "sinc_half_series",
-    "pow_linear_exponent",
     "substitute_square",
     "divide_by_var",
     "series_text",
@@ -252,33 +251,6 @@ class MultiSeries:
             # lowering one exponent is injective, so no two terms collide
             terms[e[:idx] + (k - 1,) + e[idx + 1 :]] = c * k
         return MultiSeries._make(self.vars, terms)
-
-    def lift(self, vars: Iterable[VarSpec]) -> "MultiSeries":
-        """Reinterpret over a variable tuple that contains this one.
-
-        The existing variables must appear (same name, same order) in the
-        target tuple; new variables get exponent zero.
-        """
-        vs = tuple(vars)
-        positions = []
-        by_name = {v.name: (i, v) for i, v in enumerate(vs)}
-        for v in self.vars:
-            if v.name not in by_name:
-                raise SeriesError(f"target variables are missing {v.name}")
-            i, tv = by_name[v.name]
-            if tv.order != v.order:
-                raise SeriesError(
-                    f"variable {v.name} changes truncation order in lift "
-                    f"({v.order} -> {tv.order})"
-                )
-            positions.append(i)
-        terms: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(vs)
-            for pos, x in zip(positions, e):
-                ne[pos] = x
-            terms[tuple(ne)] = c
-        return MultiSeries._make(vs, terms)
 
     def __str__(self) -> str:
         return series_text(self.vars, self.sorted_terms())
@@ -493,25 +465,6 @@ def sinc_half_series(order: int, name: str = "z") -> MultiSeries:
         terms[(2 * m,)] = Fraction((-1) ** m, 4**m * factorial(2 * m + 1))
         m += 1
     return MultiSeries((v,), terms)
-
-
-def pow_linear_exponent(
-    base: MultiSeries, a0, a1, k: VarSpec
-) -> MultiSeries:
-    """base^(a0 + a1*k) = exp((a0 + a1*k) * log(base)) with k a fresh variable.
-
-    The base must have constant term 1; the output lives over the base's
-    variables extended by k.
-    """
-    if base.constant_term != 1:
-        raise SeriesError("pow_linear_exponent requires base constant term 1")
-    if any(v.name == k.name for v in base.vars):
-        raise SeriesError(f"exponent variable {k.name} already occurs in the base")
-    out_vars = base.vars + (k,)
-    lifted = log_series(base).lift(out_vars)
-    kvar = MultiSeries.variable(out_vars, k.name)
-    exponent = lifted * _as_fraction(a0) + (kvar * lifted) * _as_fraction(a1)
-    return exp_series(exponent)
 
 
 def substitute_square(a: MultiSeries, target: tuple[VarSpec, VarSpec]) -> MultiSeries:

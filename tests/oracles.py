@@ -5,6 +5,9 @@ triangle (a different algorithm from the engine's binomial recurrence).
 `one_point_oracle` expands ((t/2)/sin(t/2))^(k+1) by brute force: a
 hand-coded power-series reciprocal (long division), integer powers by
 convolution, and Vandermonde interpolation in k -- no exp/log anywhere.
+`linear_term_reference` builds both sides of the linear-term identity label
+by label from the S~ coefficients and the constants C_g, by explicit loops
+over genus shifts where the engine multiplies series.
 `exp_power_sum`, `log_power_sum` and `inverse_power_sum` are the plain
 Taylor sums sum_n a^n / n!, sum_n (-1)^(n+1) (a-1)^n / n and
 sum_n (1 - a/c)^n / c over full series products, a reference for the
@@ -115,6 +118,42 @@ def one_point_oracle(g_max: int) -> dict[tuple[int, int], Fraction]:
         for i, c in enumerate(coeffs):
             out[(g, i)] = c
     return out
+
+
+def linear_term_reference(s_tilde_terms: dict, cg, G: int) -> tuple[dict, dict]:
+    """Both sides of the linear-term identity as {(a, b, 3a-b): Fraction} maps.
+
+    Left: (2g+1) T~(g, j) at (g, j, 3g-j).  Right: T~(g, j) plus, for each
+    g' >= 1, 2 C_{g'} T~(g'', j) at (g'+g'', g'+j-1, 3(g'+g'')-(g'+j-1)),
+    up to total h-order G.  T~(g, j) is the coefficient of h^g e^j in S~.
+    """
+    def t_value(g: int, j: int) -> Fraction:
+        if g < 0 or j < 0 or g > G or j > G:
+            return Fraction(0)
+        return s_tilde_terms.get((g, j), Fraction(0))
+
+    left: dict[tuple[int, int, int], Fraction] = {}
+    right: dict[tuple[int, int, int], Fraction] = {}
+    for g in range(0, G + 1):
+        for j in range(0, g + 1):
+            v = t_value(g, j)
+            if v == 0:
+                continue
+            key = (g, j, 3 * g - j)
+            left[key] = left.get(key, Fraction(0)) + (2 * g + 1) * v
+            right[key] = right.get(key, Fraction(0)) + v
+    for gp in range(1, G + 1):
+        two_c = 2 * cg(gp)
+        for h in range(0, G - gp + 1):
+            for j in range(0, h + 1):
+                v = t_value(h, j)
+                if v == 0:
+                    continue
+                a = gp + h
+                b = gp + j - 1
+                key = (a, b, 3 * a - b)
+                right[key] = right.get(key, Fraction(0)) + two_c * v
+    return left, right
 
 
 def _power_sum(x, coeff):

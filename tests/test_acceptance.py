@@ -7,10 +7,12 @@ lines; every comparison is exact rational equality.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from ilwhodge import exactnum
 from ilwhodge.cli import main as cli_main
@@ -104,6 +106,7 @@ def test_criterion_3_second_flow():
         [sys.executable, "-m", "ilwhodge", "verify", "ilw-t2", "--genus", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
     )
     elapsed = time.monotonic() - start
     _report(

@@ -321,10 +321,12 @@ class TestPlumbing:
         assert "ilw.higher_hamiltonian" in summary["spans"]
 
     def test_module_entry_point(self):
+        root = Path(__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-m", "ilwhodge", "bernoulli", "--max", "4", "--format", "csv"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
         )
         assert proc.returncode == 0
         assert "B,4,-1/30" in proc.stdout

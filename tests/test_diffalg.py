@@ -8,11 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+from homotopy_reference import NotSelfAdjointError, reconstruct_functional_from_flow
 from ilwhodge.cli import _coefficient_rows
 from ilwhodge.diffalg import (
     DiffAlgError,
     DiffPoly,
-    NotSelfAdjointError,
     NotTotalDerivativeError,
     coeff_ring,
     frechet_apply,
@@ -23,7 +23,6 @@ from ilwhodge.diffalg import (
     miura_series,
     normalize,
     poisson_bracket,
-    reconstruct_functional_from_flow,
     total_x_derivative,
     u_key,
     variational_derivative,

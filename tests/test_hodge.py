@@ -16,7 +16,6 @@ from ilwhodge.hodge import (
     s_tilde_from_constants,
     s_tilde_series,
     sinc_factor_series,
-    tilde_table,
     verify_cg,
     verify_linear_term_identity,
     verify_one_point_reverse,
@@ -29,7 +28,8 @@ from ilwhodge.mpseries import (
     log_sinc_half,
     substitute_square,
 )
-from oracles import one_point_oracle
+from ilwhodge.reports import first_mismatch
+from oracles import linear_term_reference, one_point_oracle
 
 
 def perturbed(g0, delta=Fraction(1, 1000000)):
@@ -121,12 +121,12 @@ class TestSTilde:
         assert s_tilde_series(G) == path_a
 
     def test_tilde_table_keys(self):
-        table = tilde_table(3)
-        assert table.flavor == "tilde"
-        assert table.value(0, 0, (0, 0, 0)) == 1
-        assert table.value(1, 0, (0, 0, 3)) == Fraction(1, 24)
-        for (g, j, d) in table.entries:
-            assert dimension_check(g, 3, j, d)
+        # h^a e^b of S~ is the tilde value <lambda_b tau_0^2 tau_{3a-b}>~_a
+        terms = s_tilde_series(3).terms
+        assert terms[(0, 0)] == 1
+        assert terms[(1, 0)] == Fraction(1, 24)
+        for a, b in terms:
+            assert dimension_check(a, 3, b, (0, 0, 3 * a - b))
 
 
 class TestExtractCg:
@@ -174,6 +174,27 @@ class TestLinearTermIdentity:
         assert report.status == "mismatch"
         assert report.first_mismatch["h_exp"] == 2
 
+    def test_matches_label_by_label_reference(self):
+        # the series identity against the explicit loops over genus shifts,
+        # unperturbed and with C_{g0} shifted at every g0 <= G
+        seen = set()
+        for G in range(1, 13):
+            st = s_tilde_series(G)
+            for g0 in [None, *range(1, G + 1)]:
+                cg = exactnum.c_g if g0 is None else perturbed(g0)
+                left, right = linear_term_reference(st.terms, cg, G)
+                scan = (
+                    ({"h_exp": a, "e_exp": b, "t_label": d},
+                     left.get((a, b, d), Fraction(0)), right.get((a, b, d), Fraction(0)))
+                    for a, b, d in sorted(left.keys() | right.keys())
+                )
+                expected = first_mismatch(scan, "left", "right")
+                got = verify_linear_term_identity(G, cg).first_mismatch
+                assert got == expected, (G, g0)
+                assert got is None or list(got) == list(expected)
+                seen.add(got is None)
+        assert seen == {True, False}
+
 
 class TestOnePointReverse:
     def test_reverse_direction(self):
@@ -193,7 +214,7 @@ class TestOnePointReverse:
 @pytest.mark.parametrize(
     "entry",
     [
-        sinc_factor_series, s_series, s_tilde_series, s_tilde_from_constants, tilde_table,
+        sinc_factor_series, s_series, s_tilde_series, s_tilde_from_constants,
         extract_cg, verify_cg, verify_linear_term_identity, verify_one_point_reverse,
     ],
     ids=lambda f: f.__name__,
@@ -243,9 +264,7 @@ class TestBracketTableRendering:
         assert latex.startswith(r"\begin{tabular}")
 
     def test_json(self):
-        data = one_point_table(1).to_json_dict()
-        assert data["flavor"] == "plain"
-        assert len(data["entries"]) == 2
+        assert len(one_point_table(1).rows()) == 2
 
 
 def test_sympy_oracle_one_point_and_bernoulli():

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from homotopy_reference import reconstruct_functional_from_flow
 from ilwhodge import exactnum
 from ilwhodge.diffalg import (
     DiffPoly,
     coeff_ring,
     normalize,
     poisson_bracket,
-    reconstruct_functional_from_flow,
     u_key,
 )
 import ilwhodge.ilw

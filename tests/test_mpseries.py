@@ -15,7 +15,6 @@ from ilwhodge.mpseries import (
     inverse_series,
     log_series,
     log_sinc_half,
-    pow_linear_exponent,
     sinc_half_series,
     substitute_square,
 )
@@ -120,24 +119,6 @@ def test_log_sinc_half_against_sine_composition():
     # independent route: -log(sin(z/2)/(z/2))
     order = 12
     assert log_sinc_half(order) == -log_series(sinc_half_series(order))
-
-
-def test_pow_linear_exponent_trivial_cases():
-    one = MultiSeries.constant(T6, 1)
-    k = VarSpec("k", 3)
-    assert pow_linear_exponent(one, 7, 3, k) == MultiSeries.constant(T6 + (k,), 1)
-    b = series(T6, {(0,): 1, (2,): (1, 5)})
-    assert pow_linear_exponent(b, 1, 0, k) == b.lift(T6 + (k,))
-
-
-def test_pow_linear_exponent_sinc_inverse():
-    base = inverse_series(sinc_half_series(6, "t"))
-    k = VarSpec("k", 3)
-    p = pow_linear_exponent(base, 1, 1, k)
-    # t^2 coefficient is (k+1)/24
-    assert p.coefficient((2, 0)) == Fraction(1, 24)
-    assert p.coefficient((2, 1)) == Fraction(1, 24)
-    assert p.coefficient((2, 2)) == 0
 
 
 def test_substitute_square():
