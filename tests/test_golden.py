@@ -14,6 +14,9 @@ renderers read the flat term map directly.
 The five at `verify linear-term` and `one-point --max-genus 12 --format
 latex` were taken before the linear-term check and the one-point expansion
 were written as series identities.
+The four at `verify one-point-reverse --genus 12|20` and the one at
+`one-point --max-genus 30 --format csv` were taken before the one-point table
+and S were both read off the one expansion of ((t/2)/sin(t/2))^(k+1).
 
 The two JSON digests (`hamiltonian --index 2 --genus 6 --format json` and
 `verify all --genus 4 --format json`) were re-pinned when the `seed` key
@@ -107,6 +110,21 @@ GOLDEN = {
         "698f2ba33c296ab038ee19a46443a60219fc3b7245937d6998fe51af95680e07",
     ("one-point", "--max-genus", "12", "--format", "latex"):
         "8ca0a738929ca091428d483bff18685e21c4137e48a597d1db41d226d118a409",
+    # the reverse scan, whole at genus 20 and with a shifted C_1, C_6 and C_12
+    # at genus 12, and the one-point table at genus 30
+    ("verify", "one-point-reverse", "--genus", "12", "--perturb-cg", "1:-37/123456",
+     "--format", "json"):
+        "dff6783afbd44e400dd1260c8dabe6a4a5b70e2436c497fa43bee57430840d9e",
+    ("verify", "one-point-reverse", "--genus", "12", "--perturb-cg", "6:-37/123456",
+     "--format", "json"):
+        "8a2829d26eb9188e8cd3446ea764c11e1a8c97b5ec2b69c8ea5856daf16f9e38",
+    ("verify", "one-point-reverse", "--genus", "12", "--perturb-cg", "12:-37/123456",
+     "--format", "json"):
+        "22eb371159ef1859232d2972435a8507385089da2249fa315f6d2ff4eea48ecc",
+    ("verify", "one-point-reverse", "--genus", "20", "--format", "json"):
+        "71d4a97dac17872ea279a5edd7343de5299f56c99f93a6b46ee29f423fdd43ac",
+    ("one-point", "--max-genus", "30", "--format", "csv"):
+        "294d87b9033a4ab579306b6f712756bc900e75e5992e02d014a1cc00bf78b5e9",
 }
 
 # Calls whose exit code is not 0: a perturbed run reports every mismatch
@@ -118,6 +136,11 @@ EXIT_CODE = {
      "--format", "json"): 1,
     **{
         ("verify", "linear-term", "--genus", "12", "--perturb-cg", f"{g0}:-37/123456",
+         "--format", "json"): 1
+        for g0 in (1, 6, 12)
+    },
+    **{
+        ("verify", "one-point-reverse", "--genus", "12", "--perturb-cg", f"{g0}:-37/123456",
          "--format", "json"): 1
         for g0 in (1, 6, 12)
     },
