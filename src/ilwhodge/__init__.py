@@ -14,12 +14,10 @@ from .mpseries import (
     MultiSeries,
     SeriesError,
     VarSpec,
-    divide_by_var,
     divide_series,
     exp_series,
     inverse_series,
     log_series,
-    log_sinc_half,
     sinc_half_series,
     substitute_square,
 )
@@ -43,7 +41,6 @@ from .diffalg import (
 from .hodge import (
     BracketTable,
     HodgeConsistencyError,
-    dimension_check,
     extract_cg,
     one_point_table,
     s_series,

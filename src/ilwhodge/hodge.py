@@ -5,25 +5,27 @@ The generating identity
     1 + sum_{g>=1} sum_{i=0}^g t^{2g} k^i <lambda_{g-i} tau_{2g-2+i}>_g
         = ((t/2) / sin(t/2))^{k+1}
 
-is expanded exactly to read off the one-point table.  Two string-equation
-steps turn it into S(h, e) = exp((1 + 1/e) L(h e)) with
-L(z) = log((z/2)/sin(z/2)), the sine factor produces the tilde variant
-S~(h, e) = exp(sum_g h^g e^{g-1} |B_{2g}|/(2g (2g)!)), and the logarithmic
+is the one route to every series here.  Read at t^2 = h e and k = 1/e it is
+S(h, e) = exp((1 + 1/e) L) with L = log((t/2)/sin(t/2)); two string-equation
+steps make the coefficient of h^g e^j the one-point value
+<lambda_j tau_{3g-j-2}>_g, so the one-point table is S re-keyed.  The sine
+factor sin(t/2)/(t/2) turns S into the tilde variant S~, and the logarithmic
 h-derivative of S~ is a function of the product h*e alone whose
 coefficients are the constants
 
     C_g = |B_{2g}| / (2 (2g)!).
 
-Everything is verified coefficient-by-coefficient over the rationals.  The
-linear-term check is the step that equates the dilaton expansion of the t_1
-flow with its right-hand side, written as the series identity
+No Bernoulli number enters S or S~: each check compares what they give with
+the closed form `exactnum.c_g`, coefficient-by-coefficient over the
+rationals.  The linear-term check is the step that equates the dilaton
+expansion of the t_1 flow with its right-hand side, written as the series
+identity
 
     (1 + 2h d/dh) S~ = (1 + Q) S~,  Q = sum_g 2 C_g h^g e^{g-1}.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -33,13 +35,9 @@ from .diffalg import coeff_ring
 from .exactnum import rational_to_str
 from .mpseries import (
     MultiSeries,
-    VarSpec,
-    divide_by_var,
     divide_series,
     exp_series,
-    inverse_series,
     log_series,
-    log_sinc_half,
     sinc_half_series,
     substitute_square,
 )
@@ -48,7 +46,6 @@ from .reports import VerificationReport, first_mismatch
 __all__ = [
     "HodgeConsistencyError",
     "BracketTable",
-    "dimension_check",
     "one_point_table",
     "sinc_factor_series",
     "s_series",
@@ -66,12 +63,7 @@ TableKey = tuple[int, int, tuple[int, ...]]
 
 
 class HodgeConsistencyError(RuntimeError):
-    """Two mathematically identical computation paths disagreed."""
-
-
-def dimension_check(g: int, n: int, j: int, d: tuple[int, ...]) -> bool:
-    """True iff 3g - 3 + n = j + sum(d) and the case is stable."""
-    return 3 * g - 3 + n == j + sum(d) and 2 * g - 2 + n > 0
+    """The logarithmic h-derivative of S~ is not a function of h*e alone."""
 
 
 @dataclass
@@ -111,24 +103,13 @@ class BracketTable:
 
 
 def one_point_table(g_max: int) -> BracketTable:
-    """One-point values <lambda_{g-i} tau_{2g-2+i}>_g for g <= g_max, read off
-    the exact expansion of ((t/2)/sin(t/2))^{k+1} = exp((1 + k) L(t)) with
-    L = log((t/2)/sin(t/2))."""
+    """One-point values <lambda_j tau_{3g-j-2}>_g for g <= g_max: the
+    coefficient of h^g e^j in S."""
     if g_max < 1:
         raise ValueError(f"genus bound must be >= 1, got {g_max}")
-    L = log_series(inverse_series(sinc_half_series(2 * g_max + 1, "t")))
-    exponent = {(e, m): c for (e,), c in L.terms.items() for m in (0, 1)}
-    expansion = exp_series(MultiSeries(L.vars + (VarSpec("k", g_max + 1),), exponent))
-    table = BracketTable()
-    for g in range(1, g_max + 1):
-        for i in range(0, g + 1):
-            val = expansion.coefficient((2 * g, i))
-            entry = (g, g - i, (2 * g - 2 + i,))
-            if not dimension_check(g, 1, entry[1], entry[2]):
-                raise HodgeConsistencyError(f"entry {entry} violates the dimension constraint")
-            if val != 0:
-                table.entries[entry] = val
-    return table
+    return BracketTable(
+        {(g, j, (3 * g - j - 2,)): c for (g, j), c in s_series(g_max).terms.items() if g}
+    )
 
 
 def _check_order(G: int) -> None:
@@ -143,31 +124,22 @@ def sinc_factor_series(G: int) -> MultiSeries:
 
 
 def s_series(G: int) -> MultiSeries:
-    """S(h, e) = exp((1 + 1/e) L(h e)) with L = log((z/2)/sin(z/2)).
+    """S(h, e) = ((t/2)/sin(t/2))^{k+1} at t^2 = h e, k = 1/e, that is
+    exp((1 + 1/e) L) with L = log((t/2)/sin(t/2)).
 
     The coefficient of h^g e^j is the tau_0^2-padded one-point value
-    <lambda_j tau_0^2 tau_{3g-j}>_g; the 1/e prefactor is a checked exponent
-    shift, so no Laurent term ever exists.
+    <lambda_j tau_0^2 tau_{3g-j}>_g.  Every term of L is a power of h e, so
+    L/e lowers the e-exponent by one and no Laurent term ever exists.
     """
     _check_order(G)
-    L = substitute_square(log_sinc_half(2 * G + 1), coeff_ring(G))
-    return exp_series(L + divide_by_var(L, "e", 1))
+    L = substitute_square(-log_series(sinc_half_series(2 * G + 1)), coeff_ring(G))
+    exponent = {(a, b - s): c for (a, b), c in L.terms.items() for s in (0, 1)}
+    return exp_series(MultiSeries(L.vars, exponent))
 
 
 def s_tilde_series(G: int) -> MultiSeries:
-    """S~(h, e), computed two independent ways and cross-checked exactly.
-
-    (a) multiply S by the sine factor sin(sqrt(he)/2)/(sqrt(he)/2);
-    (b) directly exp(sum_g h^g e^{g-1} |B_{2g}|/(2g (2g)!)).
-    """
-    path_a = s_series(G) * sinc_factor_series(G)
-    L = substitute_square(log_sinc_half(2 * G + 1), coeff_ring(G))
-    path_b = exp_series(divide_by_var(L, "e", 1))
-    if path_a != path_b:
-        raise HodgeConsistencyError(
-            "sine-factor and direct-exponential routes to S~ disagree"
-        )
-    return path_a
+    """S~(h, e): S times the sine factor sin(sqrt(he)/2)/(sqrt(he)/2)."""
+    return s_series(G) * sinc_factor_series(G)
 
 
 def s_tilde_from_constants(G: int, cg_values: CgValues | None = None) -> MultiSeries:
@@ -234,17 +206,13 @@ def verify_one_point_reverse(
 ) -> VerificationReport:
     """Run the argument backwards: from the constants C_g, integrate the
     differential equation for S~, undo the sine factor, and compare the
-    resulting S against the one-point table."""
+    resulting S against S from the one-point formula, whose h^g e^j
+    coefficient is the one-point table entry."""
     s_ode = divide_series(s_tilde_from_constants(G, cg_values), sinc_factor_series(G))
-    table = one_point_table(G)
-    scan = itertools.chain(
-        [({"g": 0, "j": 0}, s_ode.coefficient((0, 0)), Fraction(1))],
-        (
-            ({"g": a, "j": b}, s_ode.terms.get((a, b), Fraction(0)),
-             table.value(a, b, (3 * a - b - 2,)) if b <= a else Fraction(0))
-            for a in range(1, G + 1)
-            for b in range(0, G + 1)
-        ),
+    s = s_series(G)
+    scan = (
+        ({"g": a, "j": b}, s_ode.terms.get((a, b), Fraction(0)), s.terms.get((a, b), Fraction(0)))
+        for a, b in sorted(s_ode.terms.keys() | s.terms.keys())
     )
     return VerificationReport.of(
         "one-point-reverse", G, first_mismatch(scan, "from_ode", "from_table")

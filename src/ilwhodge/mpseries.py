@@ -6,10 +6,8 @@ variable carries its own truncation order: an exclusive bound on the
 exponents retained.  Every operation enforces the bounds, so equality of
 series is decidable and exact.
 
-Negative exponents are never allowed.  The two constructs that would call
-for them, a 1/eps prefactor and a sqrt(h*eps) argument, are realized by
-`divide_by_var` (a checked exponent shift) and `substitute_square`
-(z^(2m) -> h^m e^m), keeping the ring total.
+Negative exponents are never allowed.  An argument of sqrt(h*eps) is
+realized by `substitute_square` (z^(2m) -> h^m e^m), keeping the ring total.
 
 `exp_series`, `log_series` and `divide_series` (with `inverse_series` as
 1 / a) share one graded recurrence (Brent & Kung, J. ACM 25, 1978).  A series
@@ -33,7 +31,7 @@ from math import factorial, gcd, lcm
 from operator import add, lt
 from typing import Iterable, Mapping
 
-from .exactnum import bernoulli, rational_to_str
+from .exactnum import rational_to_str
 
 __all__ = [
     "SeriesError",
@@ -43,10 +41,8 @@ __all__ = [
     "log_series",
     "inverse_series",
     "divide_series",
-    "log_sinc_half",
     "sinc_half_series",
     "substitute_square",
-    "divide_by_var",
     "series_text",
     "term_text",
     "join_signed",
@@ -437,23 +433,6 @@ def _divide(num, den: MultiSeries, caller: str) -> MultiSeries:
     return _solve_graded(_components(num), [-p for p in _components(den)], lambda d: c)
 
 
-def log_sinc_half(order: int, name: str = "z") -> MultiSeries:
-    """The even series log((z/2) / sin(z/2)) = sum_{g>=1} |B_{2g}|/(2g (2g)!) z^{2g}.
-
-    Coefficients come straight from the Bernoulli numbers; the composition
-    -log(sin(z/2)/(z/2)) provides an independent route for testing.
-    """
-    if order < 2:
-        raise SeriesError(f"order must be >= 2, got {order}")
-    v = VarSpec(name, order)
-    terms: dict[Exponents, Fraction] = {}
-    g = 1
-    while 2 * g < order:
-        terms[(2 * g,)] = abs(bernoulli(2 * g)) / Fraction(2 * g * factorial(2 * g))
-        g += 1
-    return MultiSeries((v,), terms)
-
-
 def sinc_half_series(order: int, name: str = "z") -> MultiSeries:
     """Taylor series of sin(z/2)/(z/2) = sum_m (-1)^m z^{2m} / (4^m (2m+1)!)."""
     if order < 1:
@@ -486,21 +465,3 @@ def substitute_square(a: MultiSeries, target: tuple[VarSpec, VarSpec]) -> MultiS
         terms[(m, m)] = c
     return MultiSeries((hbar, eps), terms)
 
-
-def divide_by_var(a: MultiSeries, name: str, m: int = 1) -> MultiSeries:
-    """Shift all exponents of one variable down by m; every term must allow it.
-
-    The divisibility precondition failing signals a logic error upstream,
-    never a representable Laurent tail.
-    """
-    if m < 1:
-        raise SeriesError(f"divisor power must be positive, got {m}")
-    idx = _var_index(a.vars, name)
-    terms: dict[Exponents, Fraction] = {}
-    for e, c in a.terms.items():
-        if e[idx] < m:
-            raise SeriesError(
-                f"term with {name}^{e[idx]} is not divisible by {name}^{m}"
-            )
-        terms[e[:idx] + (e[idx] - m,) + e[idx + 1 :]] = c
-    return MultiSeries._make(a.vars, terms)

@@ -2,9 +2,14 @@
 
 `bernoulli_at` re-derives Bernoulli numbers with the Akiyama-Tanigawa
 triangle (a different algorithm from the engine's binomial recurrence).
+`log_sinc_half_coeffs` is the closed form |B_2g|/(2g (2g)!) of the
+coefficients of log((z/2)/sin(z/2)) from those Bernoulli numbers, the second
+route to the engine's log of the sine series.
 `one_point_oracle` expands ((t/2)/sin(t/2))^(k+1) by brute force: a
 hand-coded power-series reciprocal (long division), integer powers by
 convolution, and Vandermonde interpolation in k -- no exp/log anywhere.
+`dimension_check` is the dimension constraint an intersection number must
+meet to be nonzero.
 `linear_term_reference` builds both sides of the linear-term identity label
 by label from the S~ coefficients and the constants C_g, by explicit loops
 over genus shifts where the engine multiplies series.
@@ -47,6 +52,17 @@ def bernoulli_at(n: int) -> Fraction:
             a[j - 1] = j * (a[j - 1] - a[j])
         b = a[0]
     return -b if n == 1 else b
+
+
+def log_sinc_half_coeffs(g_max: int) -> dict[int, Fraction]:
+    """{g: |B_2g| / (2g (2g)!)} for 1 <= g <= g_max: the coefficient of z^{2g}
+    in log((z/2)/sin(z/2))."""
+    return {g: abs(bernoulli_at(2 * g)) / (2 * g * factorial(2 * g)) for g in range(1, g_max + 1)}
+
+
+def dimension_check(g: int, n: int, j: int, d: tuple[int, ...]) -> bool:
+    """True iff 3g - 3 + n = j + sum(d) and the case is stable."""
+    return 3 * g - 3 + n == j + sum(d) and 2 * g - 2 + n > 0
 
 
 def sinc_half_coeffs(n: int) -> list[Fraction]:

@@ -40,13 +40,8 @@ from ilwhodge.ilw import (
     t2_flow_rhs,
     verify_commutation,
 )
-from ilwhodge.mpseries import (
-    divide_by_var,
-    exp_series,
-    log_sinc_half,
-    substitute_square,
-)
-from oracles import one_point_oracle
+from ilwhodge.mpseries import MultiSeries, exp_series
+from oracles import log_sinc_half_coeffs, one_point_oracle
 from properties import ALL_SUITES, he_group
 
 
@@ -154,8 +149,8 @@ def test_criterion_6_s_tilde_consistency():
     G = 8
     hv = coeff_ring(G)
     path_a = s_series(G) * sinc_factor_series(G)
-    L = substitute_square(log_sinc_half(2 * G + 1), hv)
-    path_b = exp_series(divide_by_var(L, "e", 1))
+    exponent = {(g, g - 1): c for g, c in log_sinc_half_coeffs(G).items()}
+    path_b = exp_series(MultiSeries(hv, exponent))
     internal = s_tilde_series(G)
     _report(
         6,

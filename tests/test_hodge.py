@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -9,7 +11,6 @@ from ilwhodge import exactnum
 from ilwhodge.diffalg import coeff_ring
 from ilwhodge.hodge import (
     HodgeConsistencyError,
-    dimension_check,
     extract_cg,
     one_point_table,
     s_series,
@@ -20,16 +21,15 @@ from ilwhodge.hodge import (
     verify_linear_term_identity,
     verify_one_point_reverse,
 )
-from ilwhodge.mpseries import (
-    MultiSeries,
-    divide_by_var,
-    exp_series,
-    inverse_series,
-    log_sinc_half,
-    substitute_square,
-)
+from ilwhodge.mpseries import MultiSeries, exp_series, inverse_series
 from ilwhodge.reports import first_mismatch
-from oracles import linear_term_reference, one_point_oracle
+from oracles import (
+    bernoulli_at,
+    dimension_check,
+    linear_term_reference,
+    log_sinc_half_coeffs,
+    one_point_oracle,
+)
 
 
 def perturbed(g0, delta=Fraction(1, 1000000)):
@@ -60,8 +60,8 @@ class TestOnePointTable:
         assert table.value(2, 0, (4,)) == Fraction(1, 1152)
         assert table.value(2, 1, (3,)) == Fraction(1, 480)
 
-    def test_against_brute_force_oracle(self):
-        g_max = 5
+    @pytest.mark.parametrize("g_max", [5, 12])
+    def test_against_brute_force_oracle(self, g_max):
         table = one_point_table(g_max)
         oracle = one_point_oracle(g_max)
         for (g, i), want in oracle.items():
@@ -112,13 +112,12 @@ class TestSTilde:
                 assert b <= a - 1, (a, b)
 
     def test_two_paths_agree_to_order_eight(self):
+        # the sine-factor product against exp(sum_g h^g e^{g-1} |B_2g|/(2g (2g)!))
         G = 8
-        hv = coeff_ring(G)
-        path_a = s_series(G) * sinc_factor_series(G)
-        L = substitute_square(log_sinc_half(2 * G + 1), hv)
-        path_b = exp_series(divide_by_var(L, "e", 1))
-        assert path_a == path_b
-        assert s_tilde_series(G) == path_a
+        exponent = {(g, g - 1): c for g, c in log_sinc_half_coeffs(G).items()}
+        direct = exp_series(MultiSeries(coeff_ring(G), exponent))
+        assert s_series(G) * sinc_factor_series(G) == direct
+        assert s_tilde_series(G) == direct
 
     def test_tilde_table_keys(self):
         # h^a e^b of S~ is the tilde value <lambda_b tau_0^2 tau_{3a-b}>~_a
@@ -225,10 +224,30 @@ def test_series_routes_reject_orders_below_one(entry, G):
         entry(G)
 
 
+def test_hodge_series_read_no_bernoulli_number(monkeypatch):
+    # S, S~ and the table come from the sine series alone, so the constants
+    # read off S~ are a second route to the Bernoulli closed form
+    original = exactnum.bernoulli
+
+    def refuse(n):
+        raise AssertionError(f"B_{n} was read")
+
+    bound = [
+        module for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "ilwhodge" and getattr(module, "bernoulli", None) is original
+    ]
+    assert exactnum in bound
+    for module in bound:
+        monkeypatch.setattr(module, "bernoulli", refuse)
+    s_tilde_series(8)
+    one_point_table(8)
+    assert extract_cg(8) == [abs(bernoulli_at(2 * g)) / (2 * factorial(2 * g)) for g in range(1, 9)]
+
+
 class TestConsistencyGuards:
     def test_path_disagreement_is_detected(self, monkeypatch):
-        # corrupt the S route; the sine-factor product then disagrees with
-        # the direct exponential
+        # corrupt the S route by h/7; every check that compares it with the
+        # closed form C_g then fails at h^1
         original = ilwhodge.hodge.s_series
 
         def corrupted(G):
@@ -237,7 +256,13 @@ class TestConsistencyGuards:
 
         monkeypatch.setattr(ilwhodge.hodge, "s_series", corrupted)
         with pytest.raises(HodgeConsistencyError):
-            s_tilde_series(3)
+            extract_cg(3)
+        reverse = verify_one_point_reverse(3)
+        assert reverse.status == "mismatch"
+        assert (reverse.first_mismatch["g"], reverse.first_mismatch["j"]) == (1, 0)
+        linear = verify_linear_term_identity(3)
+        assert linear.status == "mismatch"
+        assert linear.first_mismatch["h_exp"] == 1
 
     def test_off_diagonal_quotient_is_detected(self, monkeypatch):
         def not_a_function_of_he(G):
