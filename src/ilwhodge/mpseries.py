@@ -433,11 +433,11 @@ def _divide(num, den: MultiSeries, caller: str) -> MultiSeries:
     return _solve_graded(_components(num), [-p for p in _components(den)], lambda d: c)
 
 
-def sinc_half_series(order: int, name: str = "z") -> MultiSeries:
+def sinc_half_series(order: int) -> MultiSeries:
     """Taylor series of sin(z/2)/(z/2) = sum_m (-1)^m z^{2m} / (4^m (2m+1)!)."""
     if order < 1:
         raise SeriesError(f"order must be >= 1, got {order}")
-    v = VarSpec(name, order)
+    v = VarSpec("z", order)
     terms: dict[Exponents, Fraction] = {}
     m = 0
     while 2 * m < order:
