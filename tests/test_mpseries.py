@@ -106,11 +106,20 @@ def test_exp_log_preconditions():
 
 
 def test_log_sinc_half_coefficients():
-    # -log(sin(z/2)/(z/2)) against |B_2g|/(2g (2g)!) from the Akiyama-Tanigawa
-    # Bernoulli numbers, through z^40
-    coeffs = log_sinc_half_coeffs(20)
+    ls = -log_series(sinc_half_series(6))
+    assert ls.coefficient((2,)) == Fraction(1, 24)
+    assert ls.coefficient((4,)) == Fraction(1, 2880)
+    assert all(e[0] % 2 == 0 for e in ls.terms)
+    coeffs = log_sinc_half_coeffs(2)
     assert coeffs[1] == Fraction(1, 24) and coeffs[2] == Fraction(1, 2880)
-    want = MultiSeries((VarSpec("z", 41),), {(2 * g,): c for g, c in coeffs.items()})
+    with pytest.raises(SeriesError):
+        sinc_half_series(0)
+
+
+def test_log_sinc_half_against_sine_composition():
+    # independent routes: -log(sin(z/2)/(z/2)) against |B_2g|/(2g (2g)!) from
+    # the Akiyama-Tanigawa Bernoulli numbers, through z^40
+    want = MultiSeries((VarSpec("z", 41),), {(2 * g,): c for g, c in log_sinc_half_coeffs(20).items()})
     assert -log_series(sinc_half_series(41)) == want
 
 
