@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ilwhodge.diffalg import DiffAlgError, DiffPoly, coeff_ring
 from ilwhodge.mpseries import (
     MultiSeries,
     SeriesError,
@@ -225,3 +226,39 @@ def test_str_rendering():
     he = (VarSpec("h", 4), VarSpec("e", 4))
     a = series(he, {(0, 0): 1, (1, 0): (-1, 24), (2, 1): (7, 5760)})
     assert str(a) == "1 - 1/24*h + 7/5760*h^2*e"
+
+
+# Hand-computed ring arithmetic, the same for both exact term maps: keys
+# k0..k3 are listed in each class's render order, which differs from the
+# plain tuple order (graded-lex (2, 0) before (1, 2); u_2 before u_1^2 and
+# h before e^2).
+TERM_MAPS = {
+    "MultiSeries": (MultiSeries, SeriesError, [(0, 0), (2, 0), (1, 2), (2, 1)]),
+    "DiffPoly": (DiffPoly, DiffAlgError, [
+        ((), 0, 0), (((2, 1),), 1, 0), (((2, 1),), 0, 2), (((1, 2),), 0, 0),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TERM_MAPS))
+def test_term_map_ring_arithmetic(name):
+    cls, error, (k0, k1, k2, k3) = TERM_MAPS[name]
+    ring = coeff_ring(3)
+    half = Fraction(1, 2)
+    p = cls(ring, {k2: half, k0: 1})
+    q = cls(ring, {k2: -half, k3: 3, k1: Fraction(-2, 3)})
+    assert (p + q).terms == {k0: 1, k1: Fraction(-2, 3), k3: 3}
+    assert (p - q).terms == {k0: 1, k1: Fraction(2, 3), k2: 1, k3: -3}
+    assert (-q).terms == {k1: Fraction(2, 3), k2: half, k3: -3}
+    assert (p * 3).terms == (3 * p).terms == {k0: 3, k2: Fraction(3, 2)}
+    assert (q * Fraction(3, 2)).terms == {k1: -1, k2: Fraction(-3, 4), k3: Fraction(9, 2)}
+    assert (p * 0).terms == (Fraction(0) * p).terms == {}
+    assert p + q == cls(ring, {k3: 3, k1: Fraction(-2, 3), k0: 1})
+    assert p != q and p - p == cls.zero(ring) and not cls.zero(ring)
+    assert cls.zero(ring).terms == {} and cls.zero(ring).is_zero()
+    assert q.sorted_terms() == [(k1, Fraction(-2, 3)), (k2, -half), (k3, Fraction(3))]
+    assert (p - q).sorted_terms() == [(k0, 1), (k1, Fraction(2, 3)), (k2, 1), (k3, -3)]
+    other = cls(coeff_ring(2), {k0: 1})
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(error):
+            op(p, other)
