@@ -3,9 +3,11 @@
 A `DiffPoly` is a finite sum of monomials in u = u_0, u_1, u_2, ... (u_k is
 the k-th x-derivative of u) whose coefficients are polynomials in the two
 deformation parameters h and e, truncated at each parameter's order.  It is
-stored as one flat map (u-monomial, h-exponent, e-exponent) -> Fraction,
-and that map is the only coefficient shape it is built from, computed on
-and rendered from.  On top of the ring this module provides the total
+the `mpseries.TermMap` keyed flat by (u-monomial, h-exponent, e-exponent),
+so it shares the ring code of `MultiSeries` and adds its own key check,
+render order and product; that map is the only coefficient shape it is
+built from, computed on and rendered from.  On top of the ring this module
+provides the total
 x-derivative, the variational (Euler) derivative, the Poisson bracket
 {f, g} = int (delta f/delta u) d/dx (delta g/delta u) dx, one
 integration-by-parts reduction whose remainder is the normal form of a
@@ -33,9 +35,8 @@ from typing import Iterable, Iterator, Mapping
 from .exactnum import rational_to_str
 from .mpseries import (
     MultiSeries,
+    TermMap,
     VarSpec,
-    _accumulate,
-    _as_fraction,
     _scaled,
     _unscale,
     inverse_series,
@@ -137,41 +138,34 @@ def _heap_key(ue: UExps) -> tuple:
 FlatKey = tuple[UExps, int, int]
 
 
-class DiffPoly:
+class DiffPoly(TermMap):
     """Finite sum of terms c * h^a * e^b * (u-monomial) over a fixed (h, e)
-    coefficient ring, stored flat as {(u-monomial, a, b): c}.
+    coefficient ring: a `TermMap` keyed flat by (u-monomial, a, b).
 
-    `terms` never holds a zero coefficient or an exponent at or past its
-    variable's truncation order.  The constructor canonicalizes each
-    u-monomial with `u_key`, so a repeated factor adds up; the renderers
-    read `sorted_terms`.
+    The constructor canonicalizes each u-monomial with `u_key`, so a repeated
+    factor adds up, and rejects an (a, b) outside the ring; the renderers read
+    `sorted_terms`.
     """
 
-    __slots__ = ("coeff_vars", "terms")
+    __slots__ = ()
+    error = DiffAlgError
 
-    def __init__(self, coeff_vars: Iterable[VarSpec], terms: Mapping[FlatKey, int | Fraction]):
-        cvars = tuple(coeff_vars)
-        h_order, e_order = (v.order for v in cvars)
-        clean: dict[FlatKey, Fraction] = {}
-        for (ue, a, b), coef in terms.items():
-            if not (0 <= a < h_order and 0 <= b < e_order):
-                raise DiffAlgError(f"h^{a} e^{b} is outside the coefficient ring")
-            _accumulate(clean, (u_key(ue), a, b), _as_fraction(coef))
-        self.coeff_vars = cvars
-        self.terms = clean
+    @staticmethod
+    def _key(vs: tuple[VarSpec, ...], key: FlatKey) -> FlatKey:
+        ue, a, b = key
+        h_order, e_order = (v.order for v in vs)
+        if not (0 <= a < h_order and 0 <= b < e_order):
+            raise DiffAlgError(f"h^{a} e^{b} is outside the coefficient ring")
+        return (u_key(ue), a, b)
 
-    @classmethod
-    def _make(cls, cvars: tuple[VarSpec, ...], terms: dict[FlatKey, Fraction]) -> "DiffPoly":
-        out = cls.__new__(cls)
-        out.coeff_vars = cvars
-        out.terms = terms
-        return out
+    @staticmethod
+    def _order(key: FlatKey) -> tuple:
+        # u-monomials by `monomial_sort_key`, then each one's (h, e) exponents
+        # graded-lex
+        ue, a, b = key
+        return (monomial_sort_key(ue), a + b, a, b)
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, cvars: Iterable[VarSpec]) -> "DiffPoly":
-        return cls._make(tuple(cvars), {})
 
     @classmethod
     def constant(cls, cvars: Iterable[VarSpec], coef: int | Fraction) -> "DiffPoly":
@@ -184,71 +178,21 @@ class DiffPoly:
 
     # -- queries ---------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def max_index(self) -> int:
         """Highest derivative index present (-1 for u-free polynomials)."""
         return max((ue[-1][0] for ue, _, _ in self.terms if ue), default=-1)
 
-    def sorted_terms(self) -> list[tuple[FlatKey, Fraction]]:
-        """Terms in render order: u-monomials by `monomial_sort_key`, then
-        each one's (h, e) exponents graded-lex."""
-        return sorted(self.terms.items(), key=_render_key)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffPoly):
-            return NotImplemented
-        return self.coeff_vars == other.coeff_vars and self.terms == other.terms
-
-    __hash__ = None  # mutable dict inside; compare by value only
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     # -- arithmetic --------------------------------------------------------------
 
-    def _check_ring(self, other: "DiffPoly") -> None:
-        if self.coeff_vars != other.coeff_vars:
-            raise DiffAlgError("operands live over different coefficient rings")
-
-    def __add__(self, other) -> "DiffPoly":
-        if not isinstance(other, DiffPoly):
-            return NotImplemented
-        self._check_ring(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            _accumulate(terms, key, c)
-        return DiffPoly._make(self.coeff_vars, terms)
-
-    def __neg__(self) -> "DiffPoly":
-        return DiffPoly._make(self.coeff_vars, {key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other) -> "DiffPoly":
-        if not isinstance(other, DiffPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> "DiffPoly":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return DiffPoly.zero(self.coeff_vars)
-            return DiffPoly._make(
-                self.coeff_vars, {key: c * other for key, c in self.terms.items()}
-            )
-        if not isinstance(other, DiffPoly):
-            return NotImplemented
-        self._check_ring(other)
-        (da, na), (db, nb) = _scaled(self.terms), _scaled(other.terms)
-        product = _int_product(na, nb, self.coeff_vars, {})
-        return DiffPoly._make(self.coeff_vars, _unscale(product, da * db))
+        return self._times(other, lambda na, nb: _int_product(na, nb, self.vars, {}))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "DiffPoly":
         if not isinstance(n, int) or n < 0:
             raise DiffAlgError(f"power must be a non-negative integer, got {n}")
-        out = DiffPoly.constant(self.coeff_vars, 1)
+        out = DiffPoly.constant(self.vars, 1)
         for _ in range(n):
             out = out * self
         return out
@@ -256,7 +200,7 @@ class DiffPoly:
     # -- serialization --------------------------------------------------------------
 
     def to_json_dict(self) -> list:
-        ring = [{"name": v.name, "order": v.order} for v in self.coeff_vars]
+        ring = [{"name": v.name, "order": v.order} for v in self.vars]
         out = []
         for ue, items in _by_monomial(self):
             terms = [{"exp": list(e), "coef": rational_to_str(c)} for e, c in items]
@@ -265,7 +209,7 @@ class DiffPoly:
 
     def pretty(self) -> str:
         """Plain-text rendering, e.g. "u*u_1 + 1/12*h*u_3"."""
-        return join_signed([_pretty_term(self.coeff_vars, ue, items)
+        return join_signed([_pretty_term(self.vars, ue, items)
                             for ue, items in _by_monomial(self)])
 
     def latex(self) -> str:
@@ -301,11 +245,6 @@ def u_monomial_pretty(ue: Iterable[Iterable[int]]) -> str:
 
 # one u-monomial's (h, e) coefficient: ((h-exponent, e-exponent), value) pairs
 CoefItems = list[tuple[tuple[int, int], Fraction]]
-
-
-def _render_key(item: tuple[FlatKey, Fraction]) -> tuple:
-    (ue, a, b), _ = item
-    return (monomial_sort_key(ue), a + b, a, b)
 
 
 def _by_monomial(p: DiffPoly) -> Iterator[tuple[UExps, CoefItems]]:
@@ -414,7 +353,7 @@ def _int_product(na: IntTerms, nb: IntTerms, cvars: tuple[VarSpec, ...],
 def total_x_derivative(p: DiffPoly) -> DiffPoly:
     """d/dx p = sum_k (dp/du_k) u_{k+1}; a derivation, kills constants."""
     den, nums = _scaled(p.terms)
-    return DiffPoly._make(p.coeff_vars, _unscale(_int_dx(nums), den))
+    return DiffPoly._make(p.vars, _unscale(_int_dx(nums), den))
 
 
 def substitute_u(p: DiffPoly, image: DiffPoly) -> DiffPoly:
@@ -423,9 +362,9 @@ def substitute_u(p: DiffPoly, image: DiffPoly) -> DiffPoly:
     images = [image]
     for _ in range(max(p.max_index(), 0)):
         images.append(total_x_derivative(images[-1]))
-    out = DiffPoly.zero(p.coeff_vars)
+    out = DiffPoly.zero(p.vars)
     for (ue, a, b), coef in p.terms.items():
-        term = DiffPoly._make(p.coeff_vars, {((), a, b): coef})
+        term = DiffPoly._make(p.vars, {((), a, b): coef})
         for k, m in ue:
             term = term * images[k] ** m
         out = out + term
@@ -444,7 +383,7 @@ def variational_derivative(h: "LocalFunctional | DiffPoly") -> DiffPoly:
     acc: IntTerms = {}
     for k in range(max(parts, default=-1), -1, -1):
         acc = _int_dx(acc, parts.get(k, {}), -1)
-    return DiffPoly._make(f.coeff_vars, _unscale(acc, den))
+    return DiffPoly._make(f.vars, _unscale(acc, den))
 
 
 # -- normal form -------------------------------------------------------------------
@@ -462,8 +401,8 @@ class LocalFunctional:
         self.density = density
 
     @property
-    def coeff_vars(self) -> tuple[VarSpec, ...]:
-        return self.density.coeff_vars
+    def vars(self) -> tuple[VarSpec, ...]:
+        return self.density.vars
 
     def is_zero(self) -> bool:
         return self.density.is_zero()
@@ -512,7 +451,7 @@ def normalize(p: DiffPoly) -> LocalFunctional:
     im(d/dx), hence idempotent and independent of reduction order.
     """
     den, rest = _reduce(p)
-    return LocalFunctional(DiffPoly._make(p.coeff_vars, _unscale(rest, den)))
+    return LocalFunctional(DiffPoly._make(p.vars, _unscale(rest, den)))
 
 
 def _reduce(p: DiffPoly, antiderivative: IntTerms | None = None) -> tuple[int, IntTerms]:
@@ -615,13 +554,13 @@ def miura_inverse_series(cvars: Iterable[VarSpec], G: int) -> DiffPoly:
 def miura_forward(p: DiffPoly, G: int) -> DiffPoly:
     """Substitute the displayed triangular series for the dependent variable
     (rewrites an expression against the transformed variable)."""
-    return substitute_u(p, miura_series(p.coeff_vars, G))
+    return substitute_u(p, miura_series(p.vars, G))
 
 
 def miura_inverse(p: DiffPoly, G: int) -> DiffPoly:
     """Substitute the compositional inverse series; round-trips with
     `miura_forward` up to h^G."""
-    return substitute_u(p, miura_inverse_series(p.coeff_vars, G))
+    return substitute_u(p, miura_inverse_series(p.vars, G))
 
 
 # -- integration and reconstruction -----------------------------------------------
@@ -645,7 +584,7 @@ def integrate_x(q: DiffPoly) -> DiffPoly:
         raise NotTotalDerivativeError(
             f"leading monomial {name} has u_{top}^{mult}; input is not a total derivative"
         )
-    return DiffPoly._make(q.coeff_vars, _unscale(phi, den))
+    return DiffPoly._make(q.vars, _unscale(phi, den))
 
 
 def frechet_apply(phi: DiffPoly, b: DiffPoly) -> DiffPoly:
@@ -657,5 +596,5 @@ def frechet_apply(phi: DiffPoly, b: DiffPoly) -> DiffPoly:
     for k in range(max(parts, default=-1) + 1):
         if k > 0:
             bk = _int_dx(bk)
-        _int_product(parts.get(k, {}), bk, phi.coeff_vars, out)
-    return DiffPoly._make(phi.coeff_vars, _unscale(out, dphi * db))
+        _int_product(parts.get(k, {}), bk, phi.vars, out)
+    return DiffPoly._make(phi.vars, _unscale(out, dphi * db))

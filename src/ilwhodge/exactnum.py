@@ -63,9 +63,7 @@ def c_g(g: int) -> Fraction:
 
 def dispersion_coeff(g: int) -> Fraction:
     """The first-flow dispersion coefficient |B_{2g}| / (2g)! = 2 c_g(g)."""
-    if g < 1:
-        raise ValueError(f"genus must be positive, got {g}")
-    return abs(bernoulli(2 * g)) / factorial(2 * g)
+    return 2 * c_g(g)
 
 
 def rational_to_str(x: Fraction) -> str:

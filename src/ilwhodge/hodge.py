@@ -41,7 +41,7 @@ from .mpseries import (
     sinc_half_series,
     substitute_square,
 )
-from .reports import VerificationReport, first_mismatch
+from .reports import VerificationReport, first_mismatch, first_term_mismatch
 
 __all__ = [
     "HodgeConsistencyError",
@@ -189,16 +189,13 @@ def verify_linear_term_identity(
     """
     cg = cg_values or exactnum.c_g
     st = s_tilde_series(G)
-    h = MultiSeries.variable(st.vars, "h")
     q = MultiSeries(st.vars, {(g, g - 1): 2 * cg(g) for g in range(1, G + 1)})
-    left = st + 2 * h * st.partial_derivative("h")
-    right = st + q * st
-    scan = (
-        ({"h_exp": a, "e_exp": b, "t_label": 3 * a - b},
-         left.terms.get((a, b), Fraction(0)), right.terms.get((a, b), Fraction(0)))
-        for a, b in sorted(left.terms.keys() | right.terms.keys())
+    left = {(a, b): (1 + 2 * a) * c for (a, b), c in st.terms.items()}  # h d/dh scales by a
+    mism = first_term_mismatch(
+        left, (st + q * st).terms,
+        lambda k: {"h_exp": k[0], "e_exp": k[1], "t_label": 3 * k[0] - k[1]}, "left", "right",
     )
-    return VerificationReport.of("linear-term", G, first_mismatch(scan, "left", "right"))
+    return VerificationReport.of("linear-term", G, mism)
 
 
 def verify_one_point_reverse(
@@ -209,11 +206,7 @@ def verify_one_point_reverse(
     resulting S against S from the one-point formula, whose h^g e^j
     coefficient is the one-point table entry."""
     s_ode = divide_series(s_tilde_from_constants(G, cg_values), sinc_factor_series(G))
-    s = s_series(G)
-    scan = (
-        ({"g": a, "j": b}, s_ode.terms.get((a, b), Fraction(0)), s.terms.get((a, b), Fraction(0)))
-        for a, b in sorted(s_ode.terms.keys() | s.terms.keys())
+    mism = first_term_mismatch(
+        s_ode.terms, s_series(G).terms, lambda k: {"g": k[0], "j": k[1]}, "from_ode", "from_table"
     )
-    return VerificationReport.of(
-        "one-point-reverse", G, first_mismatch(scan, "from_ode", "from_table")
-    )
+    return VerificationReport.of("one-point-reverse", G, mism)

@@ -42,7 +42,7 @@ from .diffalg import (
     u_monomial_pretty,
     variational_derivative,
 )
-from .reports import VerificationReport, first_mismatch
+from .reports import VerificationReport, first_term_mismatch
 
 __all__ = [
     "Hamiltonian",
@@ -177,14 +177,11 @@ def check_grading(h: Hamiltonian) -> None:
 
 def first_diffpoly_mismatch(computed: DiffPoly, expected: DiffPoly) -> dict | None:
     """First differing coefficient in scan order (h-exp, e-exp, monomial)."""
-    got, want = computed.terms, expected.terms
-    keys = sorted(got.keys() | want.keys(), key=lambda k: (k[1], k[2], monomial_sort_key(k[0])))
-    scan = (
-        ({"monomial": u_monomial_pretty(ue), "h_exp": a, "e_exp": b},
-         want.get((ue, a, b), Fraction(0)), got.get((ue, a, b), Fraction(0)))
-        for ue, a, b in keys
+    return first_term_mismatch(
+        expected.terms, computed.terms,
+        lambda k: {"monomial": u_monomial_pretty(k[0]), "h_exp": k[1], "e_exp": k[2]},
+        "expected", "computed", key=lambda k: (k[1], k[2], monomial_sort_key(k[0])),
     )
-    return first_mismatch(scan, "expected", "computed")
 
 
 def t1_flow_rhs(G: int) -> DiffPoly:
@@ -232,7 +229,7 @@ def verify_commutation(
     hi = hamiltonian(i, G, cg_values)
     hj = hamiltonian(j, G, cg_values)
     bracket = poisson_bracket(hi.functional, hj.functional)
-    mism = first_diffpoly_mismatch(bracket.density, DiffPoly.zero(bracket.coeff_vars))
+    mism = first_diffpoly_mismatch(bracket.density, DiffPoly.zero(bracket.vars))
     if mism is not None:
         mism["bracket"] = f"{{h_{i}, h_{j}}}"
     return VerificationReport.of(f"commute({i},{j})", G, mism)

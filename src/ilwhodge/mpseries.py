@@ -1,10 +1,13 @@
 """Truncated multivariate formal power series over exact rationals.
 
-A `MultiSeries` is a finite association from exponent vectors to nonzero
-`Fraction` coefficients, over an ordered tuple of `VarSpec` variables.  Each
-variable carries its own truncation order: an exclusive bound on the
-exponents retained.  Every operation enforces the bounds, so equality of
-series is decidable and exact.
+A `TermMap` is a finite association from keys to nonzero `Fraction`
+coefficients over an ordered tuple of `VarSpec` variables; it owns the ring
+code (construction, equality, sum, difference, scaling, render order) shared
+by the two exact term maps of the package.  A `MultiSeries` is the one keyed
+by exponent vectors; `diffalg.DiffPoly` is the other.  Each variable carries
+its own truncation order: an exclusive bound on the exponents retained.
+Every operation enforces the bounds, so equality of series is decidable and
+exact.
 
 Negative exponents are never allowed.  An argument of sqrt(h*eps) is
 realized by `substitute_square` (z^(2m) -> h^m e^m), keeping the ring total.
@@ -36,6 +39,7 @@ from .exactnum import rational_to_str
 __all__ = [
     "SeriesError",
     "VarSpec",
+    "TermMap",
     "MultiSeries",
     "exp_series",
     "log_series",
@@ -77,44 +81,34 @@ def _as_fraction(value) -> Fraction:
     raise SeriesError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
-class MultiSeries:
-    """A truncated formal power series; immutable by discipline.
+class TermMap:
+    """An exact sparse map from keys to nonzero `Fraction` coefficients over an
+    ordered tuple of `VarSpec` variables; immutable by discipline.
 
-    `terms` never stores a zero coefficient or an exponent at or beyond its
-    variable's truncation order.  Two series over the same variables are
-    equal iff their term maps are equal.
+    The ring code shared by `MultiSeries` and `diffalg.DiffPoly`.  A subclass
+    supplies its error class `error`, its key check and canonical form
+    `_key(vars, key)`, its render order `_order(key)`, `constant` and its own
+    `__mul__` (through `_times` with its integer product kernel).  `terms`
+    never stores a zero coefficient or a key that `_key` rejects; two maps of
+    one class are equal iff their variables and term maps are equal.
     """
 
     __slots__ = ("vars", "terms")
+    error: type[Exception]
 
-    def __init__(self, vars: Iterable[VarSpec], terms: Mapping[Exponents, Fraction]):
+    def __init__(self, vars: Iterable[VarSpec], terms: Mapping):
         vs = tuple(vars)
         names = [v.name for v in vs]
         if len(set(names)) != len(names):
-            raise SeriesError(f"duplicate variable names in {names}")
-        clean: dict[Exponents, Fraction] = {}
-        for exps, coef in terms.items():
-            e = _exponents(exps)
-            if len(e) != len(vs):
-                raise SeriesError(f"exponent vector {e} has wrong arity for {names}")
-            c = _as_fraction(coef)
-            if c == 0:
-                continue
-            for x, v in zip(e, vs):
-                if x < 0:
-                    raise SeriesError(f"negative exponent {x} for {v.name}")
-                if x >= v.order:
-                    raise SeriesError(
-                        f"exponent {x} of {v.name} exceeds truncation order {v.order}"
-                    )
-            _accumulate(clean, e, c)
+            raise self.error(f"duplicate variable names in {names}")
+        clean: dict = {}
+        for key, coef in terms.items():
+            _accumulate(clean, self._key(vs, key), _as_fraction(coef))
         self.vars = vs
         self.terms = clean
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
-    def _make(cls, vs: tuple[VarSpec, ...], terms: dict[Exponents, Fraction]) -> "MultiSeries":
+    def _make(cls, vs: tuple[VarSpec, ...], terms: dict):
         # trusted fast path: caller guarantees invariants
         out = cls.__new__(cls)
         out.vars = vs
@@ -122,8 +116,103 @@ class MultiSeries:
         return out
 
     @classmethod
-    def zero(cls, vars: Iterable[VarSpec]) -> "MultiSeries":
+    def zero(cls, vars: Iterable[VarSpec]):
         return cls._make(tuple(vars), {})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.vars == other.vars and self.terms == other.terms
+
+    def sorted_terms(self) -> list:
+        """Terms in the class's render order."""
+        return sorted(self.terms.items(), key=lambda kv: self._order(kv[0]))
+
+    # -- ring operations ----------------------------------------------------
+
+    def _check_ring(self, other: "TermMap") -> None:
+        if self.vars != other.vars:
+            raise self.error(
+                f"variable mismatch: {[v.name for v in self.vars]} vs "
+                f"{[v.name for v in other.vars]}"
+            )
+
+    def _operand(self, other):
+        """other as a map over this ring (a rational becomes a constant), or
+        None when it is neither."""
+        if isinstance(other, (int, Fraction)):
+            return self.constant(self.vars, other)
+        if type(other) is not type(self):
+            return None
+        self._check_ring(other)
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            _accumulate(terms, key, c)
+        return self._make(self.vars, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make(self.vars, {key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _times(self, other, product):
+        """self * other: a rational scales every coefficient; a map over the
+        same ring multiplies through `product(nums_a, nums_b)`, an integer
+        kernel on the numerators of `_scaled`."""
+        if isinstance(other, (int, Fraction)):
+            return self._make(self.vars, {key: c * other for key, c in self.terms.items()}
+                              if other else {})
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_ring(other)
+        (da, na), (db, nb) = _scaled(self.terms), _scaled(other.terms)
+        return self._make(self.vars, _unscale(product(na, nb), da * db))
+
+
+class MultiSeries(TermMap):
+    """A truncated formal power series: a `TermMap` keyed by exponent vectors,
+    each exponent below its variable's truncation order."""
+
+    __slots__ = ()
+    error = SeriesError
+
+    @staticmethod
+    def _key(vs: tuple[VarSpec, ...], exps) -> Exponents:
+        e = _exponents(exps)
+        if len(e) != len(vs):
+            raise SeriesError(f"exponent vector {e} has wrong arity for {[v.name for v in vs]}")
+        for x, v in zip(e, vs):
+            if x < 0:
+                raise SeriesError(f"negative exponent {x} for {v.name}")
+            if x >= v.order:
+                raise SeriesError(f"exponent {x} of {v.name} exceeds truncation order {v.order}")
+        return e
+
+    @staticmethod
+    def _order(e: Exponents) -> tuple:
+        # graded-lexicographic: total degree, then exponents
+        return (sum(e), e)
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, vars: Iterable[VarSpec], value) -> "MultiSeries":
@@ -131,11 +220,10 @@ class MultiSeries:
         c = _as_fraction(value)
         if c == 0:
             return cls._make(vs, {})
-        zero_exp = (0,) * len(vs)
         for v in vs:
             if v.order == 0:
                 raise SeriesError(f"variable {v.name} truncates even the constant term")
-        return cls._make(vs, {zero_exp: c})
+        return cls._make(vs, {(0,) * len(vs): c})
 
     @classmethod
     def variable(cls, vars: Iterable[VarSpec], name: str) -> "MultiSeries":
@@ -146,12 +234,9 @@ class MultiSeries:
 
     @classmethod
     def monomial(cls, vars: Iterable[VarSpec], exps: Exponents, coef) -> "MultiSeries":
-        return cls(tuple(vars), {tuple(exps): _as_fraction(coef)})
+        return cls(vars, {tuple(exps): coef})
 
     # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def constant_term(self) -> Fraction:
@@ -159,78 +244,11 @@ class MultiSeries:
 
     def coefficient(self, exps: Exponents) -> Fraction:
         """Coefficient at an exponent vector; 0 if absent, error if out of range."""
-        e = _exponents(exps)
-        if len(e) != len(self.vars):
-            raise SeriesError(f"exponent vector {e} has wrong arity")
-        for x, v in zip(e, self.vars):
-            if x < 0 or x >= v.order:
-                raise SeriesError(
-                    f"coefficient request {v.name}^{x} is outside truncation order {v.order}"
-                )
-        return self.terms.get(e, Fraction(0))
-
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        """Terms in graded-lexicographic order (total degree, then exponents)."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiSeries):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self.terms.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    # -- ring operations ----------------------------------------------------
-
-    def _check_same_vars(self, other: "MultiSeries") -> None:
-        if self.vars != other.vars:
-            raise SeriesError(
-                f"variable mismatch: {[v.name for v in self.vars]} vs "
-                f"{[v.name for v in other.vars]}"
-            )
-
-    def __add__(self, other) -> "MultiSeries":
-        if isinstance(other, (int, Fraction)):
-            other = MultiSeries.constant(self.vars, other)
-        if not isinstance(other, MultiSeries):
-            return NotImplemented
-        self._check_same_vars(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            _accumulate(terms, e, c)
-        return MultiSeries._make(self.vars, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "MultiSeries":
-        return MultiSeries._make(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "MultiSeries":
-        if isinstance(other, (int, Fraction)):
-            other = MultiSeries.constant(self.vars, other)
-        if not isinstance(other, MultiSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "MultiSeries":
-        return (-self) + other
+        return self.terms.get(self._key(self.vars, exps), Fraction(0))
 
     def __mul__(self, other) -> "MultiSeries":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
-                return MultiSeries._make(self.vars, {})
-            return MultiSeries._make(self.vars, {e: k * c for e, k in self.terms.items()})
-        if not isinstance(other, MultiSeries):
-            return NotImplemented
-        self._check_same_vars(other)
-        (da, na), (db, nb) = _scaled(self.terms), _scaled(other.terms)
-        product = _int_product(na, nb, tuple(v.order for v in self.vars))
-        return MultiSeries._make(self.vars, _unscale(product, da * db))
+        bounds = tuple(v.order for v in self.vars)
+        return self._times(other, lambda na, nb: _int_product(na, nb, bounds))
 
     __rmul__ = __mul__
 

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
 from .exactnum import rational_to_str
 
-__all__ = ["VerificationReport", "first_mismatch"]
+__all__ = ["VerificationReport", "first_mismatch", "first_term_mismatch"]
 
 
 @dataclass
@@ -55,3 +55,15 @@ def first_mismatch(
         if x != y:
             return {**locus, x_label: rational_to_str(x), y_label: rational_to_str(y)}
     return None
+
+
+def first_term_mismatch(
+    x: Mapping, y: Mapping, locus: Callable[..., dict], x_label: str, y_label: str,
+    key: Callable | None = None,
+) -> dict | None:
+    """`first_mismatch` over the keys of the term maps x and y, scanned in
+    `sorted(..., key=key)` order with an absent key read as 0; `locus(k)` is
+    the locus of key k."""
+    zero = Fraction(0)
+    scan = ((locus(k), x.get(k, zero), y.get(k, zero)) for k in sorted(x.keys() | y.keys(), key=key))
+    return first_mismatch(scan, x_label, y_label)

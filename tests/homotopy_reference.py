@@ -44,7 +44,7 @@ def reconstruct_functional_from_flow(q: DiffPoly) -> LocalFunctional:
         raise NotTotalDerivativeError("flow has a u-independent part")
     phi = integrate_x(q)
     # u * monomial is injective in the monomial, so no two keys collide
-    h = normalize(DiffPoly(q.coeff_vars, {
+    h = normalize(DiffPoly(q.vars, {
         (ue + ((0, 1),), a, b): coef * Fraction(1, u_degree(ue) + 1)
         for (ue, a, b), coef in phi.terms.items()
     }))

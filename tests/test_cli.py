@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -307,18 +308,42 @@ class TestPlumbing:
 
     def test_tracer_finds_every_span(self):
         # perfbench/tracing.py wraps engine functions by name, linalg.solve_exact
-        # included, and fails every traced call if one is bound nowhere
+        # included, and fails every traced call if one is bound nowhere; it
+        # wraps MultiSeries.__mul__ wherever that function is bound, so a
+        # DiffPoly product must not be counted as a series product
         root = Path(__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, str(root / "perfbench" / "tracing.py"),
-             "hamiltonian", "--index", "2", "--genus", "2", "--format", "json"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(root / "src")},
-        )
-        assert proc.returncode == 0, proc.stderr
-        summary = json.loads(proc.stderr.splitlines()[-1])
-        assert "ilw.higher_hamiltonian" in summary["spans"]
+
+        def spans(*args):
+            proc = subprocess.run(
+                [sys.executable, str(root / "perfbench" / "tracing.py"), *args],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(root / "src")},
+            )
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stderr.splitlines()[-1])["spans"]
+
+        hierarchy = spans("hamiltonian", "--index", "2", "--genus", "2", "--format", "json")
+        assert "ilw.higher_hamiltonian" in hierarchy
+        assert "mpseries.mul" not in hierarchy
+        assert "mpseries.mul" in spans("one-point", "--max-genus", "3")
+
+    def test_runtime_imports_only_the_stdlib(self):
+        # the engine runs on the standard library alone (no sympy, no numpy)
+        src = Path(__file__).resolve().parents[1] / "src" / "ilwhodge"
+        allowed = set(sys.stdlib_module_names) | {"ilwhodge", "__future__"}
+        outside = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                outside += [(path.name, n) for n in names if n.split(".")[0] not in allowed]
+        assert len(list(src.glob("*.py"))) >= 9
+        assert outside == []
 
     def test_module_entry_point(self):
         root = Path(__file__).resolve().parents[1]

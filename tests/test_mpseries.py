@@ -64,6 +64,13 @@ def test_constructor_rejects_out_of_range():
         MultiSeries(T3, {(-1,): Fraction(1)})
 
 
+def test_constructor_checks_the_key_of_a_zero_coefficient():
+    # a zero coefficient is dropped only after its exponent is checked
+    for exps in ((5,), (-1,)):
+        with pytest.raises(SeriesError):
+            MultiSeries((VarSpec("x", 2),), {exps: 0})
+
+
 def test_non_integer_exponents_are_rejected():
     # int() would truncate 1.5 to 1 and silently read the coefficient of t
     with pytest.raises(SeriesError, match="exponents must be integers"):
