@@ -65,6 +65,10 @@ from .reports import VerificationReport
 # No engine path solves a linear system; `linalg` is still loaded with the
 # package because perfbench/tracing.py wraps its solver in the loaded ilwhodge
 # modules and refuses to trace a call when it finds the solver bound nowhere.
+# So every traced module must be loaded by `import ilwhodge.cli`: the tracer
+# lists the loaded modules before it wraps anything, so a span whose module
+# is imported later (lazily, inside a function) is bound nowhere and a
+# `--trace 1` benchmark pass fails.
 from . import linalg  # noqa: F401
 
 __version__ = "0.1.0"

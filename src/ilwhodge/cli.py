@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, NoReturn
 
@@ -31,7 +30,7 @@ from .diffalg import DiffPoly, u_monomial_pretty
 from .exactnum import rational_from_str, rational_to_str
 from .reports import VerificationReport
 
-__all__ = ["main", "RunConfig", "perturbed_cg"]
+__all__ = ["main", "perturbed_cg"]
 
 FORMATS = ("json", "csv", "latex", "pretty")
 
@@ -58,14 +57,6 @@ VERIFY = {
 VERIFY["all"] = [check for checks in VERIFY.values() for check in checks]
 
 
-@dataclass
-class RunConfig:
-    genus_order: int = 5
-    hierarchy_index: int = 2
-    output_format: str = "pretty"
-    output_path: str | None = None
-
-
 def perturbed_cg(g0: int, delta: Fraction):
     """Constant provider with c_g(g0) shifted by delta (fault injection)."""
 
@@ -81,14 +72,14 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
-@dataclass(frozen=True)
 class _FromEnv:
     """Default of an option that ILWHODGE_<name> may set; see `_env_option`."""
 
-    name: str
-    fallback: object
-    type: Callable | None
-    choices: tuple | None
+    def __init__(self, name: str, fallback, type: Callable | None, choices: tuple | None):
+        self.name = name
+        self.fallback = fallback
+        self.type = type
+        self.choices = choices
 
     def resolve(self):
         text = os.environ.get(f"ILWHODGE_{self.name}")
@@ -196,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json(command: str, cfg: RunConfig, status: str, details: list) -> str:
-    envelope = {"command": command, "config": asdict(cfg), "status": status, "details": details}
+def _json(command: str, cfg: dict, status: str, details: list) -> str:
+    envelope = {"command": command, "config": cfg, "status": status, "details": details}
     return json.dumps(envelope, indent=2) + "\n"
 
 
@@ -205,9 +196,9 @@ def _cell(value) -> str:
     return " ".join(str(x) for x in value) if isinstance(value, list) else str(value)
 
 
-def _render_rows(command: str, cfg: RunConfig, rows: list[dict], columns: list[str]) -> str:
+def _render_rows(command: str, cfg: dict, rows: list[dict], columns: list[str]) -> str:
     """`rows` as a table in the requested format; JSON wraps them in the envelope."""
-    fmt = cfg.output_format
+    fmt = cfg["output_format"]
     if fmt == "json":
         return _json(command, cfg, "ok", rows)
     cells = [[_cell(r[c]) for c in columns] for r in rows]
@@ -224,13 +215,13 @@ def _render_rows(command: str, cfg: RunConfig, rows: list[dict], columns: list[s
     return "".join("  ".join(c.ljust(w) for c, w in zip(line, widths)) + "\n" for line in lines)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output_path:
+def _emit(cfg: dict, text: str) -> None:
+    if cfg["output_path"]:
         try:
-            with open(cfg.output_path, "w") as fh:
+            with open(cfg["output_path"], "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            _usage_error(f"cannot write --output {cfg.output_path}: {exc.strerror}")
+            _usage_error(f"cannot write --output {cfg['output_path']}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -238,7 +229,7 @@ def _emit(cfg: RunConfig, text: str) -> None:
 # -- command implementations --------------------------------------------------
 
 
-def cmd_bernoulli(cfg: RunConfig, max_n: int) -> int:
+def cmd_bernoulli(cfg: dict, max_n: int) -> int:
     rows = [
         {"kind": "B", "index": n, "value": rational_to_str(exactnum.bernoulli(n))}
         for n in range(max_n + 1)
@@ -251,7 +242,7 @@ def cmd_bernoulli(cfg: RunConfig, max_n: int) -> int:
     return 0
 
 
-def cmd_constants(cfg: RunConfig, g_max: int) -> int:
+def cmd_constants(cfg: dict, g_max: int) -> int:
     rows = [
         {
             "g": g,
@@ -264,9 +255,9 @@ def cmd_constants(cfg: RunConfig, g_max: int) -> int:
     return 0
 
 
-def cmd_one_point(cfg: RunConfig, g_max: int) -> int:
+def cmd_one_point(cfg: dict, g_max: int) -> int:
     table = hodge.one_point_table(g_max)
-    if cfg.output_format == "latex":
+    if cfg["output_format"] == "latex":
         text = table.to_latex()
     else:
         text = _render_rows("one-point", cfg, table.rows(), ["g", "j", "d", "value"])
@@ -274,7 +265,7 @@ def cmd_one_point(cfg: RunConfig, g_max: int) -> int:
     return 0
 
 
-def cmd_expression(cfg: RunConfig, command: str, index: int, genus: int) -> int:
+def cmd_expression(cfg: dict, command: str, index: int, genus: int) -> int:
     """`hamiltonian` (the functional h_I) or `flow` (its flow), to order h^genus."""
     ham = ilw.hamiltonian(index, genus)
     if command == "hamiltonian":
@@ -282,7 +273,7 @@ def cmd_expression(cfg: RunConfig, command: str, index: int, genus: int) -> int:
     else:
         expr = poly = ilw.flow(ham)
         key = "flow"
-    fmt = cfg.output_format
+    fmt = cfg["output_format"]
     if fmt == "pretty":
         text = expr.pretty() + "\n"
     elif fmt == "latex":
@@ -321,16 +312,16 @@ def _run_verifications(which: str, G: int, cg_values) -> list[VerificationReport
     return reports
 
 
-def cmd_verify(cfg: RunConfig, which: str, genus: int, perturb) -> int:
-    if cfg.output_format not in ("pretty", "json"):
-        _usage_error(f"verify renders only pretty and json, not {cfg.output_format}")
+def cmd_verify(cfg: dict, which: str, genus: int, perturb) -> int:
+    if cfg["output_format"] not in ("pretty", "json"):
+        _usage_error(f"verify renders only pretty and json, not {cfg['output_format']}")
     if perturb and not 1 <= perturb[0] <= genus:
         _usage_error(f"--perturb-cg locus {perturb[0]} is outside 1..{genus}")
     cg_values = perturbed_cg(*perturb) if perturb else None
     reports = _run_verifications(which, genus, cg_values)
     all_ok = all(r.ok for r in reports)
     status = "ok" if all_ok else "mismatch"
-    if cfg.output_format == "pretty":
+    if cfg["output_format"] == "pretty":
         lines = [
             f"PASS  {r.name} (order {r.order_checked})"
             if r.ok
@@ -350,12 +341,13 @@ def main(argv: list[str] | None = None) -> int:
     for dest, value in list(vars(args).items()):
         if isinstance(value, _FromEnv):
             setattr(args, dest, value.resolve())
-    cfg = RunConfig(
-        genus_order=getattr(args, "genus", getattr(args, "max_genus", 5)),
-        hierarchy_index=getattr(args, "index", 2),
-        output_format=args.format,
-        output_path=args.output,
-    )
+    # the JSON envelope's "config", printed in this key order
+    cfg = {
+        "genus_order": getattr(args, "genus", getattr(args, "max_genus", 5)),
+        "hierarchy_index": getattr(args, "index", 2),
+        "output_format": args.format,
+        "output_path": args.output,
+    }
     if args.command == "bernoulli":
         return cmd_bernoulli(cfg, args.max)
     if args.command == "constants":

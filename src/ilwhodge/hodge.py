@@ -26,7 +26,6 @@ identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -66,12 +65,12 @@ class HodgeConsistencyError(RuntimeError):
     """The logarithmic h-derivative of S~ is not a function of h*e alone."""
 
 
-@dataclass
 class BracketTable:
     """Finite table of one-point bracket values keyed (genus, lambda-index,
     tau-index tuple)."""
 
-    entries: dict[TableKey, Fraction] = field(default_factory=dict)
+    def __init__(self, entries: dict[TableKey, Fraction] | None = None):
+        self.entries = {} if entries is None else entries
 
     def value(self, g: int, j: int, d: tuple[int, ...]) -> Fraction:
         return self.entries.get((g, j, tuple(d)), Fraction(0))

@@ -19,7 +19,6 @@ and the result is re-checked against {h_i, h_1} = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Callable
@@ -75,13 +74,25 @@ class InconsistentSystemError(RuntimeError):
         super().__init__(f"commutation system for h_{index} at h^{genus} has no solution")
 
 
-@dataclass(frozen=True)
 class Hamiltonian:
-    """A hierarchy Hamiltonian: its index, truncation order, and functional."""
+    """A hierarchy Hamiltonian: its index, truncation order, and functional;
+    immutable by discipline, equal when all three are."""
 
-    index: int
-    genus_order: int
-    functional: LocalFunctional
+    __slots__ = ("index", "genus_order", "functional")
+
+    def __init__(self, index: int, genus_order: int, functional: LocalFunctional):
+        self.index = index
+        self.genus_order = genus_order
+        self.functional = functional
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Hamiltonian):
+            return NotImplemented
+        return (self.index, self.genus_order, self.functional) == (
+            other.index, other.genus_order, other.functional
+        )
+
+    __hash__ = None
 
 
 def h1(G: int, cg_values: CgValues | None = None) -> Hamiltonian:

@@ -7,20 +7,20 @@ identical solutions and free-direction bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = ["LinearSolution", "solve_exact"]
 
 
-@dataclass
 class LinearSolution:
     """Outcome of an exact solve: a particular solution (free variables set
     to zero) plus a basis of the homogeneous solution space."""
 
-    consistent: bool
-    solution: list[Fraction] | None
-    free_directions: list[list[Fraction]] = field(default_factory=list)
+    def __init__(self, consistent: bool, solution: list[Fraction] | None,
+                 free_directions: list[list[Fraction]] | None = None):
+        self.consistent = consistent
+        self.solution = solution
+        self.free_directions = [] if free_directions is None else free_directions
 
     @property
     def unique(self) -> bool:

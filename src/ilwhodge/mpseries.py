@@ -28,7 +28,6 @@ the lcm of their denominators, pairs multiply in integers, and a reduced
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add, lt
@@ -59,18 +58,27 @@ class SeriesError(ValueError):
     """An operation violated a series precondition (bounds, variables, ...)."""
 
 
-@dataclass(frozen=True)
 class VarSpec:
-    """A formal variable with its truncation order (exclusive exponent bound)."""
+    """A formal variable with its truncation order (exclusive exponent bound);
+    immutable by discipline, equal and hashed by (name, order)."""
 
-    name: str
-    order: int
+    __slots__ = ("name", "order")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, order: int):
+        if not name:
             raise SeriesError("variable name must be non-empty")
-        if self.order < 0:
-            raise SeriesError(f"truncation order must be >= 0, got {self.order}")
+        if order < 0:
+            raise SeriesError(f"truncation order must be >= 0, got {order}")
+        self.name = name
+        self.order = order
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VarSpec):
+            return NotImplemented
+        return self.name == other.name and self.order == other.order
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.order))
 
 
 def _as_fraction(value) -> Fraction:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -11,7 +10,6 @@ from .exactnum import rational_to_str
 __all__ = ["VerificationReport", "first_mismatch", "first_term_mismatch"]
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one identity check.
 
@@ -20,10 +18,12 @@ class VerificationReport:
     always localized.
     """
 
-    name: str
-    status: str
-    order_checked: int
-    first_mismatch: dict | None = None
+    def __init__(self, name: str, status: str, order_checked: int,
+                 first_mismatch: dict | None = None):
+        self.name = name
+        self.status = status
+        self.order_checked = order_checked
+        self.first_mismatch = first_mismatch
 
     @classmethod
     def of(cls, name: str, order: int, mismatch: dict | None) -> VerificationReport:

@@ -331,7 +331,9 @@ class TestPlumbing:
     def test_runtime_imports_only_the_stdlib(self):
         # the engine runs on the standard library alone (no sympy, no numpy)
         src = Path(__file__).resolve().parents[1] / "src" / "ilwhodge"
-        allowed = set(sys.stdlib_module_names) | {"ilwhodge", "__future__"}
+        # dataclasses would put inspect, ast and dis on the CLI's cold-start path
+        denied = {"dataclasses"}
+        allowed = (set(sys.stdlib_module_names) - denied) | {"ilwhodge", "__future__"}
         outside = []
         for path in sorted(src.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -344,6 +346,22 @@ class TestPlumbing:
                 outside += [(path.name, n) for n in names if n.split(".")[0] not in allowed]
         assert len(list(src.glob("*.py"))) >= 9
         assert outside == []
+
+    def test_cold_import_loads_no_dataclasses(self):
+        # every CLI call pays for the modules `import ilwhodge.cli` loads;
+        # -S keeps the imports of `site` out of the list
+        root = Path(__file__).resolve().parents[1]
+        code = "import ilwhodge.cli, sys; ilwhodge.cli.build_parser(); print(sorted(sys.modules))"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(ast.literal_eval(proc.stdout))
+        assert {"argparse", "ilwhodge.cli", "ilwhodge.linalg"} <= loaded
+        assert loaded & {"dataclasses", "inspect"} == set()
 
     def test_module_entry_point(self):
         root = Path(__file__).resolve().parents[1]

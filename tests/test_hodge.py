@@ -10,6 +10,7 @@ import ilwhodge.hodge
 from ilwhodge import exactnum
 from ilwhodge.diffalg import coeff_ring
 from ilwhodge.hodge import (
+    BracketTable,
     HodgeConsistencyError,
     extract_cg,
     one_point_table,
@@ -22,7 +23,7 @@ from ilwhodge.hodge import (
     verify_one_point_reverse,
 )
 from ilwhodge.mpseries import MultiSeries, exp_series, inverse_series
-from ilwhodge.reports import first_mismatch
+from ilwhodge.reports import VerificationReport, first_mismatch
 from oracles import (
     bernoulli_at,
     dimension_check,
@@ -290,6 +291,21 @@ class TestBracketTableRendering:
 
     def test_json(self):
         assert len(one_point_table(1).rows()) == 2
+
+    def test_empty_tables_do_not_share_entries(self):
+        a, b = BracketTable(), BracketTable()
+        a.entries[(1, 0, (1,))] = Fraction(1, 24)
+        assert b.entries == {} and b.rows() == []
+
+
+def test_report_of_no_mismatch_is_ok_and_omits_the_key():
+    report = VerificationReport.of("cg", 4, None)
+    assert (report.name, report.status, report.order_checked) == ("cg", "ok", 4)
+    assert report.ok and report.first_mismatch is None
+    assert report.to_json_dict() == {"name": "cg", "status": "ok", "order_checked": 4}
+    bad = VerificationReport.of("cg", 4, {"g": 2})
+    assert not bad.ok and bad.status == "mismatch"
+    assert list(bad.to_json_dict()) == ["name", "status", "order_checked", "first_mismatch"]
 
 
 def test_sympy_oracle_one_point_and_bernoulli():

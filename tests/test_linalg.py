@@ -31,6 +31,13 @@ def test_inconsistent():
     assert res.solution is None
 
 
+def test_inconsistent_solutions_do_not_share_directions():
+    a, b = (solve_exact([[F(1)], [F(1)]], [F(1), F(2)]) for _ in range(2))
+    assert not a.consistent and a.free_directions == [] == b.free_directions
+    a.free_directions.append([F(1)])
+    assert b.free_directions == []
+
+
 def test_zero_columns_are_free():
     res = solve_exact([[F(0), F(1)]], [F(4)])
     assert res.consistent

@@ -57,6 +57,24 @@ def test_mul_requires_matching_vars():
         a * b
 
 
+def test_varspec_rejects_an_empty_name_and_a_negative_order():
+    with pytest.raises(SeriesError, match="^variable name must be non-empty$"):
+        VarSpec("", 1)
+    with pytest.raises(SeriesError, match="^truncation order must be >= 0, got -1$"):
+        VarSpec("x", -1)
+
+
+def test_rings_built_apart_are_equal_and_hash_equal():
+    # ring checks compare tuples of VarSpec, so two separate coeff_ring(G)
+    # calls must give the same ring
+    a, b = coeff_ring(3), coeff_ring(3)
+    assert a[0] is not b[0]
+    assert a == b and hash(a) == hash(b)
+    assert a != coeff_ring(2) and VarSpec("h", 4) != VarSpec("e", 4)
+    assert len({a, b, coeff_ring(2)}) == 2
+    assert DiffPoly.constant(a, 1) + DiffPoly.constant(b, 2) == DiffPoly.constant(a, 3)
+
+
 def test_constructor_rejects_out_of_range():
     with pytest.raises(SeriesError):
         MultiSeries(T3, {(3,): Fraction(1)})
