@@ -193,6 +193,14 @@ class TestIntegrateX:
                            match=r"monomial u\*u_3\^2 at h\^1 e\^0 has u_3\^2;"):
             integrate_x(q)
 
+    def test_names_the_smallest_he_exponents_of_the_greatest_monomial(self):
+        # u*u_3^2 carries three (h, e) terms; the smallest pair is named
+        q = DiffPoly._make(CV, {(((0, 1), (3, 2)), a, b): Fraction(1, 3)
+                                for a, b in ((1, 0), (0, 1), (1, 1))})
+        with pytest.raises(NotTotalDerivativeError,
+                           match=r"monomial u\*u_3\^2 at h\^0 e\^1 has u_3\^2;"):
+            integrate_x(q)
+
     def test_randomized_right_inverse(self):
         rng = random.Random(31)
         for _ in range(100):

@@ -17,6 +17,9 @@ were written as series identities.
 The four at `verify one-point-reverse --genus 12|20` and the one at
 `one-point --max-genus 30 --format csv` were taken before the one-point table
 and S were both read off the one expansion of ((t/2)/sin(t/2))^(k+1).
+The three at `hamiltonian --index 130 --genus 2`, `--index 300 --genus 1`
+and `one-point --max-genus 64 --format csv` were taken before the kernels
+moved to packed integer keys; their exponents need wide fields.
 
 The two JSON digests (`hamiltonian --index 2 --genus 6 --format json` and
 `verify all --genus 4 --format json`) were re-pinned when the `seed` key
@@ -125,6 +128,14 @@ GOLDEN = {
         "71d4a97dac17872ea279a5edd7343de5299f56c99f93a6b46ee29f423fdd43ac",
     ("one-point", "--max-genus", "30", "--format", "csv"):
         "294d87b9033a4ab579306b6f712756bc900e75e5992e02d014a1cc00bf78b5e9",
+    # wide exponents: u^132 and u^302 lead h_130 and h_300, and the series
+    # ring of the one-point table at genus 64 has order 129
+    ("hamiltonian", "--index", "130", "--genus", "2", "--format", "json"):
+        "7efe6c921dd2b8674baf6c62f60ae904d1ba2c150d150cfb8c5f670f93dd623b",
+    ("hamiltonian", "--index", "300", "--genus", "1", "--format", "json"):
+        "2e72856d395802ee412c2fe152b2678361125779f2a785b62d6fc7e9242c0370",
+    ("one-point", "--max-genus", "64", "--format", "csv"):
+        "2605804647b7f9131a6dc897aa74c62563737869a5ac4300e654331bbb8358fc",
 }
 
 # Calls whose exit code is not 0: a perturbed run reports every mismatch
