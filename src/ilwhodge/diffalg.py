@@ -25,47 +25,23 @@ per class, so equality of functionals is a dictionary comparison.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import groupby
 from math import lcm
-from operator import neg
 from typing import Iterable, Iterator, Mapping
 
 from .exactnum import rational_to_str
 from .mpseries import (
-    MultiSeries,
-    TermMap,
-    VarSpec,
-    _scaled,
-    _unscale,
-    inverse_series,
-    join_signed,
-    series_text,
-    sinc_half_series,
-    substitute_square,
-    term_text,
+    IntTerms, MultiSeries, Packing, TermMap, VarSpec, _int_product, _scaled, _unscale,
+    inverse_series, join_signed, series_text, sinc_half_series, substitute_square, term_text,
 )
 
 __all__ = [
-    "DiffAlgError",
-    "NotTotalDerivativeError",
-    "UExps",
-    "u_key",
-    "u_monomial_pretty",
-    "coeff_ring",
-    "DiffPoly",
-    "LocalFunctional",
-    "total_x_derivative",
-    "variational_derivative",
-    "normalize",
-    "poisson_bracket",
-    "miura_series",
-    "miura_inverse_series",
-    "miura_forward",
-    "miura_inverse",
-    "integrate_x",
-    "frechet_apply",
+    "DiffAlgError", "NotTotalDerivativeError", "UExps", "u_key", "u_monomial_pretty", "coeff_ring",
+    "DiffPoly", "LocalFunctional", "total_x_derivative", "variational_derivative", "normalize",
+    "poisson_bracket", "miura_series", "miura_inverse_series", "miura_forward", "miura_inverse",
+    "integrate_x", "frechet_apply",
 ]
 
 # ((derivative index, multiplicity), ...) sorted by index, multiplicities > 0
@@ -111,27 +87,13 @@ def u_degree(ue: UExps) -> int:
     return sum(m for _, m in ue)
 
 
-def _dense(ue: UExps, width: int) -> tuple[int, ...]:
-    out = [0] * width
-    for k, m in ue:
-        out[k] = m
-    return tuple(out)
-
-
 def monomial_sort_key(ue: UExps) -> tuple:
     """Graded-lex canonical order: differential degree, then the dense
     exponent vector (u_0 multiplicity first)."""
-    top = ue[-1][0] if ue else 0
-    return (differential_degree(ue), _dense(ue, top + 1))
-
-
-def _heap_key(ue: UExps) -> tuple:
-    # integration-by-parts order, negated for heapq's min-heap: top derivative
-    # index first, then multiplicities read from the top index downward
-    if not ue:
-        return (1,)
-    top = ue[-1][0]
-    return (-top, *map(neg, reversed(_dense(ue, top + 1))))
+    dense = [0] * (ue[-1][0] + 1 if ue else 1)
+    for k, m in ue:
+        dense[k] = m
+    return (differential_degree(ue), tuple(dense))
 
 
 # (u-monomial, h-exponent, e-exponent)
@@ -165,6 +127,12 @@ class DiffPoly(TermMap):
         ue, a, b = key
         return (monomial_sort_key(ue), a + b, a, b)
 
+    @staticmethod
+    def _packing(*factors: "DiffPoly") -> "_Packing":
+        # wide enough for the u-degree of every factor and of their product
+        return _Packing(factors[0].vars, sum(
+            max((u_degree(ue) for ue, _, _ in p.terms), default=0) for p in factors))
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -176,16 +144,10 @@ class DiffPoly(TermMap):
                 coef: int | Fraction = 1) -> "DiffPoly":
         return cls(cvars, {(u_key({index: mult}), 0, 0): coef})
 
-    # -- queries ---------------------------------------------------------------
-
-    def max_index(self) -> int:
-        """Highest derivative index present (-1 for u-free polynomials)."""
-        return max((ue[-1][0] for ue, _, _ in self.terms if ue), default=-1)
-
     # -- arithmetic --------------------------------------------------------------
 
     def __mul__(self, other) -> "DiffPoly":
-        return self._times(other, lambda na, nb: _int_product(na, nb, self.vars, {}))
+        return self._times(other)
 
     __rmul__ = __mul__
 
@@ -220,20 +182,6 @@ class DiffPoly(TermMap):
 
     def __repr__(self) -> str:
         return f"DiffPoly({self.pretty()})"
-
-
-def _merge_keys(a: UExps, b: UExps) -> UExps:
-    acc = dict(a)
-    for k, m in b:
-        acc[k] = acc.get(k, 0) + m
-    return tuple(sorted(acc.items()))
-
-
-def _times_top(ue: UExps, k: int, m: int) -> UExps:
-    """ue * u_k^m for k at or above every index of ue."""
-    if ue and ue[-1][0] == k:
-        return ue[:-1] + ((k, ue[-1][1] + m),)
-    return ue + ((k, m),)
 
 
 def u_monomial_pretty(ue: Iterable[Iterable[int]]) -> str:
@@ -292,75 +240,124 @@ def _latex_term(ue: UExps, items: CoefItems) -> str:
 
 
 # The calculus runs on integer numerators over one common denominator
-# (`mpseries._scaled`); a sum that cancels may stay as 0 until `_unscale`.
-IntTerms = dict[FlatKey, int]
+# (`mpseries._scaled`), keyed by packed keys; a sum that cancels may stay as
+# 0 until `_unscale`.
 
 
-def _dx_monomial(ue: UExps) -> list[tuple[UExps, int]]:
-    """d/dx of a bare u-monomial as (monomial, integer multiplicity) pairs.
+class _Packing(Packing):
+    """Packed `DiffPoly` keys: e, h and the u-degree in fields 0, 1 and 2, then
+    u_k in field k + 3.  The u-degree bounds every multiplicity, so no u
+    field can carry.  Compared as integers, keys order by top derivative
+    index, then multiplicities from the top down, then h and e: the
+    integration-by-parts order of `_reduce`."""
 
-    Raising a different u_k gives a different monomial, so the pairs never
-    repeat a monomial.
-    """
-    out = []
-    for pos, (k, m) in enumerate(ue):
-        lowered = ((k, m - 1),) if m > 1 else ()
-        after = ue[pos + 1:]
-        if after and after[0][0] == k + 1:
-            raised = ((k + 1, after[0][1] + 1),) + after[1:]
-        else:
-            raised = ((k + 1, 1),) + after
-        out.append((ue[:pos] + lowered + raised, m))
-    return out
+    __slots__ = ("base", "seen")
+    error = DiffAlgError
+
+    def __init__(self, cvars: tuple[VarSpec, ...], degree: int):
+        super().__init__(tuple(v.order for v in reversed(cvars)), degree)
+        self.base, self.seen = 3 * self.width, {}
+
+    def encode(self, key: FlatKey) -> int:
+        (ue, a, b), w = key, self.width
+        u = sum(m << (k * w + self.base) for k, m in ue)
+        return u | u_degree(ue) << 2 * w | a << w | b
+
+    def decode(self, key: int) -> FlatKey:
+        w, mask = self.width, self.mask
+        ue = tuple((s // w - 3, m) for s, m in self.factors(key))
+        return (ue, key >> w & mask, key & mask)
+
+    def factors(self, key: int) -> list[tuple[int, int]]:
+        """(field shift, multiplicity) of every u_k in a key, lowest first,
+        remembered per u-monomial."""
+        out = self.seen.get(key >> self.base)
+        if out is None:
+            w, mask, out, rest = self.width, self.mask, [], key >> self.base << self.base
+            while rest:  # jump to the lowest nonzero field
+                s = (rest & -rest).bit_length() - 1
+                s -= s % w
+                out.append((s, rest >> s & mask))
+                rest &= ~(mask << s)
+            self.seen[key >> self.base] = out
+        return out
 
 
-def _int_dx(nums: IntTerms, out: IntTerms | None = None, sign: int = 1) -> IntTerms:
-    """sign * d/dx of nums, added into `out` (a new map when None)."""
+def _encoded(p: DiffPoly) -> tuple[_Packing, int, IntTerms]:
+    """(pack, den, nums): p on the narrowest packed keys that hold it."""
+    pack = DiffPoly._packing(p)
+    return (pack, *_scaled(p.terms, pack))
+
+
+def _decoded(cvars: tuple[VarSpec, ...], den: int, nums: IntTerms, pack: _Packing) -> DiffPoly:
+    return DiffPoly._make(cvars, _unscale(nums, den, pack))
+
+
+def _int_dx(nums: IntTerms, pack: _Packing, out: IntTerms | None = None,
+            sign: int = 1) -> IntTerms:
+    """sign * d/dx of nums, added into `out` (a new map when None): each u_k
+    of multiplicity m gives m times the key with one u_k raised to u_{k+1};
+    raising a different u_k gives a different key."""
     out = {} if out is None else out
-    for (ue, a, b), c in nums.items():
+    w, factors = pack.width, pack.factors
+    for key, c in nums.items():
         c *= sign
-        for dx_ue, m in _dx_monomial(ue):
-            key = (dx_ue, a, b)
-            out[key] = out.get(key, 0) + m * c
+        for s, m in factors(key):
+            k = key + (1 << (s + w)) - (1 << s)
+            out[k] = out.get(k, 0) + m * c
     return out
 
 
-def _int_partials(nums: IntTerms) -> dict[int, IntTerms]:
-    """{k: dp/du_k} for every u_k present, in one pass; taking one u_k off
-    is injective on monomials, so no two terms collide."""
+def _int_partials(nums: IntTerms, pack: _Packing) -> dict[int, IntTerms]:
+    """{field shift of u_k: dp/du_k} for every u_k present, in one pass;
+    taking one u_k off is injective on monomials, so no two terms collide."""
     parts: dict[int, IntTerms] = {}
-    for (ue, a, b), c in nums.items():
-        for pos, (k, m) in enumerate(ue):
-            lowered = ((k, m - 1),) if m > 1 else ()
-            parts.setdefault(k, {})[(ue[:pos] + lowered + ue[pos + 1:], a, b)] = m * c
+    degree, factors = 1 << 2 * pack.width, pack.factors
+    for key, c in nums.items():
+        for s, m in factors(key):
+            parts.setdefault(s, {})[key - (1 << s) - degree] = m * c
     return parts
 
 
-def _int_product(na: IntTerms, nb: IntTerms, cvars: tuple[VarSpec, ...],
-                 out: IntTerms) -> IntTerms:
-    """na * nb added into `out`, dropping every term at or past the h or e
-    order of `cvars`."""
-    h_order, e_order = (v.order for v in cvars)
-    for (ua, a1, b1), ca in na.items():
-        for (ub, a2, b2), cb in nb.items():
-            a, b = a1 + a2, b1 + b2
-            if a < h_order and b < e_order:  # else truncated away
-                key = (_merge_keys(ua, ub), a, b)
-                out[key] = out.get(key, 0) + ca * cb
+def _int_euler(nums: IntTerms, pack: _Packing) -> IntTerms:
+    """The Euler operator by Horner, P_0 - d/dx(P_1 - d/dx(P_2 - ...))."""
+    parts = _int_partials(nums, pack)
+    acc: IntTerms = {}
+    for s in range(max(parts, default=0), 3 * pack.width - 1, -pack.width):
+        acc = _int_dx(acc, pack, parts.get(s, {}), -1)
+    return acc
+
+
+def _int_frechet(nphi: IntTerms, nb: IntTerms, pack: _Packing) -> IntTerms:
+    """sum_k (dphi/du_k) d^k/dx^k b."""
+    parts = _int_partials(nphi, pack)
+    out: IntTerms = {}
+    for s in range(3 * pack.width, max(parts, default=0) + 1, pack.width):
+        if s > 3 * pack.width:
+            nb = _int_dx(nb, pack)
+        _int_product(parts.get(s, {}), nb, pack, out)
     return out
+
+
+def _int_bracket(h: tuple[int, IntTerms], f: tuple[int, IntTerms],
+                 pack: _Packing) -> tuple[int, IntTerms]:
+    """{h, f} in normal form, (den, nums) in and out."""
+    density = _int_product(_int_euler(h[1], pack), _int_dx(_int_euler(f[1], pack), pack),
+                           pack, {})
+    return _reduce(h[0] * f[0], density, pack)
 
 
 def total_x_derivative(p: DiffPoly) -> DiffPoly:
     """d/dx p = sum_k (dp/du_k) u_{k+1}; a derivation, kills constants."""
-    den, nums = _scaled(p.terms)
-    return DiffPoly._make(p.vars, _unscale(_int_dx(nums), den))
+    pack, den, nums = _encoded(p)
+    return _decoded(p.vars, den, _int_dx(nums, pack), pack)
 
 
 def substitute_u(p: DiffPoly, image: DiffPoly) -> DiffPoly:
     """Replace the dependent variable: u_k goes to d^k/dx^k (image)."""
     p._check_ring(image)
     images = [image]
-    for _ in range(max(p.max_index(), 0)):
+    for _ in range(max((ue[-1][0] for ue, _, _ in p.terms if ue), default=0)):
         images.append(total_x_derivative(images[-1]))
     out = DiffPoly.zero(p.vars)
     for (ue, a, b), coef in p.terms.items():
@@ -378,12 +375,8 @@ def variational_derivative(h: "LocalFunctional | DiffPoly") -> DiffPoly:
     Representative-independent: total x-derivatives are killed.
     """
     f = h.density if isinstance(h, LocalFunctional) else h
-    den, nums = _scaled(f.terms)
-    parts = _int_partials(nums)
-    acc: IntTerms = {}
-    for k in range(max(parts, default=-1), -1, -1):
-        acc = _int_dx(acc, parts.get(k, {}), -1)
-    return DiffPoly._make(f.vars, _unscale(acc, den))
+    pack, den, nums = _encoded(f)
+    return _decoded(f.vars, den, _int_euler(nums, pack), pack)
 
 
 # -- normal form -------------------------------------------------------------------
@@ -414,23 +407,6 @@ class LocalFunctional:
 
     __hash__ = None
 
-    def __add__(self, other: "LocalFunctional") -> "LocalFunctional":
-        # sums of normal-form monomials stay normal
-        return LocalFunctional(self.density + other.density)
-
-    def __sub__(self, other: "LocalFunctional") -> "LocalFunctional":
-        return LocalFunctional(self.density - other.density)
-
-    def __neg__(self) -> "LocalFunctional":
-        return LocalFunctional(-self.density)
-
-    def __mul__(self, other) -> "LocalFunctional":
-        if isinstance(other, (int, Fraction)):
-            return LocalFunctional(self.density * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def pretty(self) -> str:
         return f"int({self.density.pretty()}) dx"
 
@@ -450,79 +426,77 @@ def normalize(p: DiffPoly) -> LocalFunctional:
     The remainder of `_reduce`: the projection onto the complement of
     im(d/dx), hence idempotent and independent of reduction order.
     """
-    den, rest = _reduce(p)
-    return LocalFunctional(DiffPoly._make(p.vars, _unscale(rest, den)))
+    pack, den, nums = _encoded(p)
+    return LocalFunctional(_decoded(p.vars, *_reduce(den, nums, pack), pack))
 
 
-def _reduce(p: DiffPoly, antiderivative: IntTerms | None = None) -> tuple[int, IntTerms]:
-    """(den, rest): the normal-form remainder of p as rest[key] / den, filled
-    greatest monomial first in integration-by-parts order.
+def _reduce(den: int, nums: IntTerms, pack: _Packing,
+            antiderivative: IntTerms | None = None) -> tuple[int, IntTerms]:
+    """(den', rest): the normal-form remainder of nums / den as rest / den',
+    filled greatest monomial first in integration-by-parts order.
 
     A monomial c*R*u_{N-1}^j*u_N with u_N linear and strictly top reduces to
     -c/(j+1) * dx(R) * u_{N-1}^{j+1}: the usual step int Q u_N = -int (dx Q)
     u_{N-1}, with the self-reproducing part (dx raising a u_{N-1} of Q back
     to u_N) already solved for.  The peeled c/(j+1) * R * u_{N-1}^{j+1}, whose
     x-derivative is the monomial minus its reduction, goes into
-    `antiderivative` (over the same den) when one is given.  Every produced
-    monomial has strictly lower top index, so the loop terminates; pure c*u_N
-    terms come out as zero.  A reduction keeps the u-degree and divides by at
-    most the largest u-degree d, so scaling by lcm(1..d)^(top index) once
-    makes every division exact.
+    `antiderivative` (over den') when one is given.  Every produced monomial
+    has strictly lower top index, so the loop terminates; pure c*u_N terms
+    come out as zero.  A reduction keeps the u-degree and divides by at most
+    the largest u-degree d, so scaling by lcm(1..d)^(top index) once makes
+    every division exact.  Keys pop as integers, their h and e fields
+    flipped so that the smallest (h, e) of a monomial comes first.
     """
-    d = max((u_degree(ue) for ue, _, _ in p.terms), default=0)
-    den, nums = _scaled(p.terms)
-    scale = lcm(*range(1, d + 1)) ** max(p.max_index(), 0)
+    w, mask = pack.width, pack.mask
+    base, flip = 3 * w, (1 << 2 * w) - 1  # u_0's shift; the h and e fields
+    top = (max(nums, default=0).bit_length() - 1 - base) // w
+    scale = lcm(*range(1, max((k >> 2 * w & mask for k in nums), default=0) + 1)) ** max(top, 0)
     work = {key: c * scale for key, c in nums.items()}
-    heap = [(_heap_key(key[0]), key) for key in work]
-    heapq.heapify(heap)
+    heap = [-(key ^ flip) for key in work]
+    heapify(heap)
     rest: IntTerms = {}
     while heap:
-        key = heapq.heappop(heap)[1]
+        key = -heappop(heap) ^ flip
         coef = work.pop(key)
         if not coef:
             continue
-        ue, a, b = key
-        top, mult = ue[-1] if ue else (0, 0)
-        if top == 0 or mult >= 2:  # already normal
+        s = key.bit_length() - 1
+        s -= (s - base) % w  # the shift of the top u_N
+        if s <= base or key >> s >= 2:  # already normal
             rest[key] = coef
             continue
-        peeled = _times_top(ue[:-1], top - 1, 1)  # R * u_{N-1}^{j+1}
-        coef = _exact_div(coef, peeled[-1][1])
+        peeled = key - (1 << s) + (1 << (s - w))  # R * u_{N-1}^{j+1}
+        coef, r = divmod(coef, peeled >> (s - w) & mask)  # by j + 1
+        if r:
+            raise DiffAlgError("a term is not divisible by j + 1 in the scaled worklist")
         if antiderivative is not None:
             # distinct for distinct popped monomials: u_N -> u_{N-1} is injective
-            antiderivative[(peeled, a, b)] = coef
-        # d/dx(peeled) is j+1 times the popped monomial plus the reduction
-        for rk, m in _dx_monomial(peeled):
-            if rk != ue:
-                _push(work, heap, (rk, a, b), -m * coef)
+            antiderivative[peeled] = coef
+        # d/dx(peeled) is j+1 times the popped monomial plus the reduction.
+        # Reductions only produce monomials below the one being reduced, so a
+        # term enters the heap once, the first time it is seen; a sum that
+        # cancels stays in `work` as zero until it is popped.
+        for fs, m in pack.factors(peeled):
+            k = peeled + (1 << (fs + w)) - (1 << fs)
+            if k == key:
+                continue
+            if k in work:
+                work[k] -= m * coef
+            else:
+                work[k] = -m * coef
+                heappush(heap, -(k ^ flip))
     return den * scale, rest
-
-
-def _exact_div(n: int, d: int) -> int:
-    q, r = divmod(n, d)
-    if r:
-        raise DiffAlgError(f"numerator {n} is not divisible by {d} in the scaled worklist")
-    return q
-
-
-def _push(work: IntTerms, heap: list, key: FlatKey, coef: int) -> None:
-    # Reductions only produce monomials below the one being reduced, so a
-    # term enters the heap once, the first time it is seen; a sum that
-    # cancels stays in `work` as zero until it is popped.
-    if key in work:
-        work[key] += coef
-    else:
-        work[key] = coef
-        heapq.heappush(heap, (_heap_key(key[0]), key))
 
 
 def poisson_bracket(
     h: "LocalFunctional | DiffPoly", f: "LocalFunctional | DiffPoly"
 ) -> LocalFunctional:
     """{h, f} = int (delta h/delta u) d/dx (delta f/delta u) dx, normalized."""
-    dh = variational_derivative(h)
-    df = variational_derivative(f)
-    return normalize(dh * total_x_derivative(df))
+    dh, df = (x.density if isinstance(x, LocalFunctional) else x for x in (h, f))
+    dh._check_ring(df)
+    pack = DiffPoly._packing(dh, df)
+    bracket = _int_bracket(_scaled(dh.terms, pack), _scaled(df.terms, pack), pack)
+    return LocalFunctional(_decoded(dh.vars, *bracket, pack))
 
 
 # -- Miura substitution ---------------------------------------------------------
@@ -573,10 +547,11 @@ def integrate_x(q: DiffPoly) -> DiffPoly:
     exactly when nothing remains, and otherwise the greatest remaining
     monomial is named.
     """
+    pack, den, nums = _encoded(q)
     phi: IntTerms = {}
-    den, rest = _reduce(q, phi)
+    den, rest = _reduce(den, nums, pack, phi)
     if rest:
-        ue, a, b = next(iter(rest))
+        ue, a, b = pack.decode(next(iter(rest)))
         top, mult = ue[-1] if ue else (0, 0)
         name = f"{u_monomial_pretty(ue)} at h^{a} e^{b}"
         if top == 0:
@@ -584,17 +559,12 @@ def integrate_x(q: DiffPoly) -> DiffPoly:
         raise NotTotalDerivativeError(
             f"leading monomial {name} has u_{top}^{mult}; input is not a total derivative"
         )
-    return DiffPoly._make(q.vars, _unscale(phi, den))
+    return _decoded(q.vars, den, phi, pack)
 
 
 def frechet_apply(phi: DiffPoly, b: DiffPoly) -> DiffPoly:
     """Frechet derivative of phi applied to b: sum_k (dphi/du_k) d^k/dx^k b."""
     phi._check_ring(b)
-    (dphi, nphi), (db, bk) = _scaled(phi.terms), _scaled(b.terms)
-    parts = _int_partials(nphi)
-    out: IntTerms = {}
-    for k in range(max(parts, default=-1) + 1):
-        if k > 0:
-            bk = _int_dx(bk)
-        _int_product(parts.get(k, {}), bk, phi.vars, out)
-    return DiffPoly._make(phi.vars, _unscale(out, dphi * db))
+    pack = DiffPoly._packing(phi, b)
+    (dphi, nphi), (db, nb) = _scaled(phi.terms, pack), _scaled(b.terms, pack)
+    return _decoded(phi.vars, dphi * db, _int_frechet(nphi, nb, pack), pack)

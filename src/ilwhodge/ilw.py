@@ -20,43 +20,22 @@ and the result is re-checked against {h_i, h_1} = 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Callable
 
 from . import exactnum
 from .diffalg import (
-    DiffPoly,
-    LocalFunctional,
-    NotTotalDerivativeError,
-    coeff_ring,
-    differential_degree,
-    frechet_apply,
-    integrate_x,
-    monomial_sort_key,
-    normalize,
-    poisson_bracket,
-    total_x_derivative,
-    u_degree,
-    u_key,
-    u_monomial_pretty,
-    variational_derivative,
+    DiffPoly, LocalFunctional, _decoded, _int_bracket, _int_frechet, _Packing, _reduce, coeff_ring,
+    differential_degree, monomial_sort_key, normalize, poisson_bracket, total_x_derivative,
+    u_degree, u_key, u_monomial_pretty, variational_derivative,
 )
+from .mpseries import _content, _scaled
 from .reports import VerificationReport, first_term_mismatch
 
 __all__ = [
-    "Hamiltonian",
-    "InconsistentSystemError",
-    "h1",
-    "hamiltonian",
-    "higher_hamiltonian",
-    "flow",
-    "t1_flow_rhs",
-    "t2_flow_rhs",
-    "verify_flow_t1",
-    "verify_flow_t2",
-    "verify_commutation",
-    "check_grading",
-    "first_diffpoly_mismatch",
+    "Hamiltonian", "InconsistentSystemError", "h1", "hamiltonian", "higher_hamiltonian", "flow",
+    "t1_flow_rhs", "t2_flow_rhs", "verify_flow_t1", "verify_flow_t2", "verify_commutation",
+    "check_grading", "first_diffpoly_mismatch",
 ]
 
 CgValues = Callable[[int], Fraction]
@@ -125,7 +104,9 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
     Step d integrates {g_d, h_1} = sum_s (dg_d/du_s) d^s/dx^s flow(h_1) once
     in x and divides each term h^a (u-monomial of degree n) by its D - 1
     eigenvalue 2a + n - 1.  The normal form of g_i is checked for grading
-    and re-verified against {h_i, h_1} = 0.
+    and re-verified against {h_i, h_1} = 0.  The whole build runs on packed
+    keys, as integer numerators over one denominator; a `Fraction` is built
+    only for h_i itself.
     """
     if i < 2:
         raise ValueError(f"higher Hamiltonian index must be >= 2, got {i}")
@@ -133,26 +114,29 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
         raise ValueError(f"genus order must be >= 0, got {G}")
     cvars = coeff_ring(G)
     h1_full = h1(G, cg_values)
-    xdh1 = flow(h1_full)
-    density = DiffPoly.u_power(cvars)
+    # the widest term is the re-check's product, of u-degree i + 3
+    pack = _Packing(cvars, i + 3)
+    d1, xdh1 = _scaled(flow(h1_full).terms, pack)
+    w, mask = pack.width, pack.mask
+    den, density = 1, {pack.encode((((0, 1),), 0, 0)): 1}
     for _ in range(i + 1):
-        rhs = frechet_apply(density, xdh1)
-        try:
-            phi = integrate_x(rhs)
-        except NotTotalDerivativeError:
-            raise InconsistentSystemError(
-                i, _lowest_h_order(variational_derivative(rhs))
-            ) from None
-        density = DiffPoly._make(
-            cvars,
-            {(ue, a, b): c / (2 * a + u_degree(ue) - 1) for (ue, a, b), c in phi.terms.items()},
-        )
+        rhs = _int_frechet(density, xdh1, pack)
+        phi: dict[int, int] = {}
+        den, rest = _reduce(den * d1, rhs, pack, phi)
+        if rest:  # not a total x-derivative
+            rhs = _decoded(cvars, 1, rhs, pack)
+            raise InconsistentSystemError(i, _lowest_h_order(variational_derivative(rhs)))
+        # the D - 1 eigenvalue 2a + n - 1 of h^a (u-monomial of u-degree n)
+        eigen = {k: 2 * (k >> w & mask) + (k >> 2 * w & mask) - 1 for k in phi}
+        scale = lcm(*eigen.values())
+        den, density = _content(den * scale, {k: c * (scale // eigen[k]) for k, c in phi.items()})
 
-    ham = Hamiltonian(i, G, normalize(density))
+    den, nums = _reduce(den, density, pack)
+    ham = Hamiltonian(i, G, LocalFunctional(_decoded(cvars, den, nums, pack)))
     check_grading(ham)
-    residual = poisson_bracket(ham.functional, h1_full.functional)
-    if not residual.is_zero():
-        raise InconsistentSystemError(i, _lowest_h_order(residual.density))
+    residual = _int_bracket((den, nums), _scaled(h1_full.functional.density.terms, pack), pack)
+    if residual[1]:
+        raise InconsistentSystemError(i, _lowest_h_order(_decoded(cvars, *residual, pack)))
     return ham
 
 

@@ -21,34 +21,25 @@ functional equation into such a recurrence.  Each slice is a sum of ordinary
 products of homogeneous components, so the work is about that of a single
 product, not one product per power.
 
-Products run through one integer kernel: coefficients become numerators over
-the lcm of their denominators, pairs multiply in integers, and a reduced
-`Fraction` is built once per output term, in the graded solve as well.
+Products run through one integer kernel, shared with `diffalg`: coefficients
+become numerators over the lcm of their denominators, each key becomes one
+packed int (`Packing`), pairs multiply in integers, and a reduced `Fraction`
+is built once per output term, in the graded solve as well.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import add, lt
+from operator import lshift
 from typing import Iterable, Mapping
 
 from .exactnum import rational_to_str
 
 __all__ = [
-    "SeriesError",
-    "VarSpec",
-    "TermMap",
-    "MultiSeries",
-    "exp_series",
-    "log_series",
-    "inverse_series",
-    "divide_series",
-    "sinc_half_series",
-    "substitute_square",
-    "series_text",
-    "term_text",
-    "join_signed",
+    "SeriesError", "VarSpec", "TermMap", "MultiSeries", "exp_series", "log_series",
+    "inverse_series", "divide_series", "sinc_half_series", "substitute_square", "series_text",
+    "term_text", "join_signed",
 ]
 
 Exponents = tuple[int, ...]
@@ -95,10 +86,11 @@ class TermMap:
 
     The ring code shared by `MultiSeries` and `diffalg.DiffPoly`.  A subclass
     supplies its error class `error`, its key check and canonical form
-    `_key(vars, key)`, its render order `_order(key)`, `constant` and its own
-    `__mul__` (through `_times` with its integer product kernel).  `terms`
-    never stores a zero coefficient or a key that `_key` rejects; two maps of
-    one class are equal iff their variables and term maps are equal.
+    `_key(vars, key)`, its render order `_order(key)`, `constant`, the packed
+    key layout `_packing(a, b)` of a product and its own `__mul__` (through
+    `_times`).  `terms` never stores a zero coefficient or a key that `_key`
+    rejects; two maps of one class are equal iff their variables and term
+    maps are equal.
     """
 
     __slots__ = ("vars", "terms")
@@ -182,18 +174,47 @@ class TermMap:
     def __rsub__(self, other):
         return (-self) + other
 
-    def _times(self, other, product):
+    def _times(self, other):
         """self * other: a rational scales every coefficient; a map over the
-        same ring multiplies through `product(nums_a, nums_b)`, an integer
-        kernel on the numerators of `_scaled`."""
+        same ring multiplies through `_int_product` on packed keys."""
         if isinstance(other, (int, Fraction)):
             return self._make(self.vars, {key: c * other for key, c in self.terms.items()}
                               if other else {})
         if type(other) is not type(self):
             return NotImplemented
         self._check_ring(other)
-        (da, na), (db, nb) = _scaled(self.terms), _scaled(other.terms)
-        return self._make(self.vars, _unscale(product(na, nb), da * db))
+        pack = self._packing(self, other)
+        (da, na), (db, nb) = _scaled(self.terms, pack), _scaled(other.terms, pack)
+        return self._make(self.vars, _unscale(_int_product(na, nb, pack, {}), da * db, pack))
+
+
+class Packing:
+    """Packed keys (Monagan & Pearce, CASC 2007): one int per key, field i of
+    `width` bits at bit i * width, here exponent i of a `MultiSeries`.  The
+    width is the least that holds the operands.  Each field's top bit is a
+    guard that stored keys keep clear, so adding keys never carries between
+    fields.  `bias` lifts the truncated fields 0..n-1 of one factor so that a
+    sum field sets its guard exactly at its order; field n, up to `top`, is
+    not truncated, and its guard (`over`) set means the width cannot hold
+    the result: `_int_product` raises `error` and never wraps."""
+
+    __slots__ = ("width", "mask", "shifts", "bias", "guard", "over")
+    error = SeriesError
+
+    def __init__(self, orders: tuple[int, ...], top: int = 0):
+        w = 1 + max([top.bit_length()] + [(o - 1).bit_length() for o in orders])
+        half, n = 1 << (w - 1), len(orders)
+        self.width, self.mask = w, (1 << w) - 1
+        self.shifts = range(0, n * w, w)
+        self.bias = sum((half - o) << s for o, s in zip(orders, self.shifts))
+        self.guard = sum(half << (i * w) for i in range(n + 1))
+        self.over = half << (n * w)
+
+    def encode(self, e: Exponents) -> int:
+        return sum(map(lshift, e, self.shifts))
+
+    def decode(self, key: int) -> Exponents:
+        return tuple([key >> s & self.mask for s in self.shifts])
 
 
 class MultiSeries(TermMap):
@@ -233,17 +254,6 @@ class MultiSeries(TermMap):
                 raise SeriesError(f"variable {v.name} truncates even the constant term")
         return cls._make(vs, {(0,) * len(vs): c})
 
-    @classmethod
-    def variable(cls, vars: Iterable[VarSpec], name: str) -> "MultiSeries":
-        vs = tuple(vars)
-        idx = _var_index(vs, name)
-        exps = tuple(1 if i == idx else 0 for i in range(len(vs)))
-        return cls(vs, {exps: Fraction(1)})
-
-    @classmethod
-    def monomial(cls, vars: Iterable[VarSpec], exps: Exponents, coef) -> "MultiSeries":
-        return cls(vars, {tuple(exps): coef})
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -254,9 +264,10 @@ class MultiSeries(TermMap):
         """Coefficient at an exponent vector; 0 if absent, error if out of range."""
         return self.terms.get(self._key(self.vars, exps), Fraction(0))
 
+    _packing = staticmethod(lambda a, b: Packing(tuple(v.order for v in a.vars)))
+
     def __mul__(self, other) -> "MultiSeries":
-        bounds = tuple(v.order for v in self.vars)
-        return self._times(other, lambda na, nb: _int_product(na, nb, bounds))
+        return self._times(other)
 
     __rmul__ = __mul__
 
@@ -338,26 +349,49 @@ def _components(a: MultiSeries) -> list[MultiSeries]:
     return [MultiSeries._make(a.vars, t) for t in parts]
 
 
-def _scaled(terms: Mapping[Exponents, Fraction]) -> tuple[int, dict[Exponents, int]]:
-    """(den, nums) with terms[e] = nums[e] / den and den the lcm of the denominators."""
+# integer numerators keyed by packed keys, over a denominator kept alongside
+IntTerms = dict[int, int]
+
+
+def _scaled(terms: Mapping, pack: Packing) -> tuple[int, IntTerms]:
+    """(den, nums) with terms[key] = nums[pack.encode(key)] / den and den the
+    lcm of the denominators."""
     den = lcm(*(c.denominator for c in terms.values()))
-    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    encode = pack.encode
+    return den, {encode(e): c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
-def _int_product(na: dict, nb: dict, bounds: Exponents) -> dict[Exponents, int]:
-    """Integer numerators of a truncated product; a sum that cancels stays as 0."""
-    out: dict[Exponents, int] = {}
-    for ea, ca in na.items():
-        for eb, cb in nb.items():
-            e = tuple(map(add, ea, eb))
-            if all(map(lt, e, bounds)):
-                out[e] = out.get(e, 0) + ca * cb
+def _int_product(na: IntTerms, nb: IntTerms, pack: Packing, out: IntTerms) -> IntTerms:
+    """na * nb on packed keys, added into `out`, dropping every term at or past
+    a truncation order; a sum that cancels stays as 0."""
+    bias, guard, over = pack.bias, pack.guard, pack.over
+    right = [(k + bias, c) for k, c in nb.items()]
+    acc: IntTerms = {}
+    for ka, ca in na.items():
+        for kb, cb in right:
+            k = ka + kb
+            if k & guard:  # truncated away, or too wide for the layout
+                if k & over:
+                    raise pack.error(f"a product term exceeds the {pack.width}-bit packed fields")
+                continue
+            acc[k] = acc.get(k, 0) + ca * cb
+    for k, c in acc.items():
+        k -= bias
+        out[k] = out.get(k, 0) + c
     return out
 
 
-def _unscale(nums: dict[Exponents, int], den: int) -> dict[Exponents, Fraction]:
-    """The reduced coefficients nums[e] / den, zeros dropped."""
-    return {e: Fraction(n, den) for e, n in nums.items() if n}
+def _content(den: int, nums: IntTerms) -> tuple[int, IntTerms]:
+    """(den, nums) divided by their gcd: den is then the lcm of the reduced
+    denominators, as `_scaled` would give."""
+    g = gcd(den, *nums.values())
+    return den // g, {k: n // g for k, n in nums.items() if n}
+
+
+def _unscale(nums: IntTerms, den: int, pack: Packing) -> dict:
+    """The reduced coefficients nums[key] / den on decoded keys, zeros dropped."""
+    decode = pack.decode
+    return {decode(k): Fraction(n, den) for k, n in nums.items() if n}
 
 
 def _accumulate(terms: dict, key, coef: Fraction) -> None:
@@ -378,28 +412,26 @@ def _solve_graded(base: list[MultiSeries], left: list[MultiSeries], weight) -> M
     solved component stays integer numerators over one positive denominator;
     division by weight(d) and reduction by the content are done in integers.
     """
-    bounds = tuple(v.order for v in base[0].vars)
-    lefts = [_scaled(p.terms) for p in left]
-    y: list[tuple[int, dict[Exponents, int]]] = []
+    pack = Packing(tuple(v.order for v in base[0].vars))
+    lefts = [_scaled(p.terms, pack) for p in left]
+    y: list[tuple[int, IntTerms]] = []
     out: dict[Exponents, Fraction] = {}
     for d, b in enumerate(base):
-        slices = [_scaled(b.terms)] + [
-            (lefts[k][0] * y[d - k][0], _int_product(lefts[k][1], y[d - k][1], bounds))
+        slices = [_scaled(b.terms, pack)] + [
+            (lefts[k][0] * y[d - k][0], _int_product(lefts[k][1], y[d - k][1], pack, {}))
             for k in range(1, d + 1) if lefts[k][1] and y[d - k][1]
         ]
         w = Fraction(weight(d))
         sign_den = w.denominator if w > 0 else -w.denominator  # den stays positive
         den = lcm(*(s for s, _ in slices))
-        acc: dict[Exponents, int] = {}
+        acc: IntTerms = {}
         for s, nums in slices:
             f = den // s * sign_den
             for e, n in nums.items():
                 acc[e] = acc.get(e, 0) + n * f
-        den *= abs(w.numerator)
-        g = gcd(den, *acc.values())
-        den, nums = den // g, {e: n // g for e, n in acc.items() if n}
+        den, nums = _content(den * abs(w.numerator), acc)
         y.append((den, nums))
-        out.update(_unscale(nums, den))
+        out.update(_unscale(nums, den, pack))
     return MultiSeries._make(base[0].vars, out)
 
 

@@ -33,7 +33,13 @@ reference for the engine's flat differential-polynomial ring.
 to each partial derivative d/du_k, every power taken as k separate
 x-derivatives, and `frechet_reference` the sum over k of d/du_k times the
 k-th x-derivative, each product truncated; they are the reference for the
-engine's one-pass partials and Horner evaluation on integer numerators.
+engine's one-pass partials and Horner evaluation on integer numerators;
+`partial_reference` is the single d/du_k they are built from.
+`solve_graded_reference` is the graded recurrence of the series operations,
+weight(d) y_d = base_d + sum_{k>=1} left_k y_{d-k}, solved degree by degree
+on plain {exps: Fraction} maps with `series_product_reference` for every
+product.  These plain-tuple oracles are the reference for the engine's
+kernels on packed integer keys.
 """
 
 from __future__ import annotations
@@ -321,7 +327,7 @@ def dx_reference(terms: dict) -> dict:
     return out
 
 
-def _partial_reference(terms: dict, k: int) -> dict:
+def partial_reference(terms: dict, k: int) -> dict:
     """d/du_k of a {(u-exps, (h, e)): c} map."""
     out: dict = {}
     for (ue, hexp), c in terms.items():
@@ -345,7 +351,7 @@ def variational_reference(terms: dict) -> dict:
     """sum_k (-d/dx)^k d/du_k of a {(u-exps, (h, e)): c} map."""
     out: dict = {}
     for k in range(_top_index(terms) + 1):
-        term = _partial_reference(terms, k)
+        term = partial_reference(terms, k)
         for _ in range(k):
             term = dx_reference(term)
         for key, c in term.items():
@@ -361,7 +367,22 @@ def frechet_reference(phi: dict, b: dict, h_order: int, e_order: int) -> dict:
     for k in range(_top_index(phi) + 1):
         if k:
             bk = dx_reference(bk)
-        product = multiply_reference(_partial_reference(phi, k), bk, h_order, e_order)
+        product = multiply_reference(partial_reference(phi, k), bk, h_order, e_order)
         for key, c in product.items():
             _add(out, key, c)
     return out
+
+
+def solve_graded_reference(base: dict, left: dict, weight, bounds: tuple) -> dict:
+    """{exps: Fraction} of the y with weight(d) * y_d = base_d + sum over k >= 1
+    of left_k * y_{d-k} in every total degree d inside the box `bounds`."""
+    y: dict = {}
+    for d in range(sum(b - 1 for b in bounds) + 1):
+        acc = {e: c for e, c in base.items() if sum(e) == d}
+        lower = {e: c for e, c in y.items() if sum(e) < d}
+        shifts = {e: c for e, c in left.items() if sum(e) >= 1}
+        for e, c in series_product_reference(shifts, lower, bounds).items():
+            if sum(e) == d:
+                _add(acc, e, c)
+        y.update({e: c / weight(d) for e, c in acc.items() if c})
+    return y

@@ -13,6 +13,10 @@ from fractions import Fraction
 
 from ilwhodge.diffalg import (
     DiffPoly,
+    _int_dx,
+    _int_partials,
+    _Packing,
+    _reduce,
     coeff_ring,
     frechet_apply,
     integrate_x,
@@ -26,7 +30,13 @@ from ilwhodge.diffalg import (
 )
 from ilwhodge.mpseries import (
     MultiSeries,
+    Packing,
     VarSpec,
+    _components,
+    _int_product,
+    _scaled,
+    _solve_graded,
+    _unscale,
     divide_series,
     exp_series,
     inverse_series,
@@ -41,7 +51,9 @@ from oracles import (
     log_power_sum,
     multiply_reference,
     normalize_reference,
+    partial_reference,
     series_product_reference,
+    solve_graded_reference,
     variational_reference,
 )
 
@@ -206,11 +218,11 @@ def check_bracket_antisymmetry_jacobi(cases: int, seed: int) -> int:
         h = normalize(random_diffpoly(cvars, rng, max_index=2, max_udeg=3, max_terms=2))
         f = normalize(random_diffpoly(cvars, rng, max_index=2, max_udeg=3, max_terms=2))
         g = normalize(random_diffpoly(cvars, rng, max_index=1, max_udeg=3, max_terms=2))
-        assert (poisson_bracket(h, f) + poisson_bracket(f, h)).is_zero()
+        assert (poisson_bracket(h, f).density + poisson_bracket(f, h).density).is_zero()
         jacobi = (
-            poisson_bracket(h, poisson_bracket(f, g))
-            + poisson_bracket(f, poisson_bracket(g, h))
-            + poisson_bracket(g, poisson_bracket(h, f))
+            poisson_bracket(h, poisson_bracket(f, g)).density
+            + poisson_bracket(f, poisson_bracket(g, h)).density
+            + poisson_bracket(g, poisson_bracket(h, f)).density
         )
         assert jacobi.is_zero()
     return cases
@@ -340,6 +352,78 @@ def check_calculus_kernel_against_reference(cases: int, seed: int) -> int:
     return cases
 
 
+# A ring and a u-degree bound that fill 4-bit packed fields exactly: h^7, e^7
+# and a u-degree of 7 are the largest values a field holds, and a series
+# exponent up to 15 fills the 5-bit fields of the box (8, 3, 16).
+WIDTH_RING, WIDTH_TOP = coeff_ring(7), 7
+WIDTH_BOX = (VarSpec("x", 8), VarSpec("y", 3), VarSpec("z", 16))
+
+
+def _wide_diffpoly(rng: random.Random, degree: int) -> DiffPoly:
+    """Up to four terms of u-degree `degree` (or less), often one factor taking
+    the whole degree, at (h, e) exponents that are often the largest kept."""
+    terms: dict = {}
+    for _ in range(rng.randint(1, 4)):
+        ue: dict[int, int] = {}
+        k0 = rng.randint(0, 5)
+        for _ in range(rng.choice((degree, rng.randint(0, degree)))):
+            k = k0 if rng.random() < 0.6 else rng.randint(0, 5)
+            ue[k] = ue.get(k, 0) + 1
+        a, b = (rng.choice((0, v.order - 1, rng.randrange(v.order))) for v in WIDTH_RING)
+        terms[(tuple(sorted(ue.items())), a, b)] = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+    return DiffPoly(WIDTH_RING, terms)
+
+
+def _flat_packed(den: int, nums: dict, pack) -> dict:
+    """`_flat` of packed numerators over den."""
+    return {(ue, (a, b)): c for (ue, a, b), c in _unscale(nums, den, pack).items()}
+
+
+def check_packed_kernels_at_field_width(cases: int, seed: int) -> int:
+    """The packed product, d/dx, partials, normal form, x-antiderivative and
+    graded solve against the plain-tuple references, with every field at its
+    width limit somewhere: multiplicities and u-degrees up to 7 and h, e
+    exponents up to 7 in 4-bit fields, series exponents up to 15 in 5-bit
+    ones, and products one step past the h or e order."""
+    rng = random.Random(seed)
+    pack = _Packing(WIDTH_RING, WIDTH_TOP)
+    series_pack = Packing(tuple(v.order for v in WIDTH_BOX))
+    assert (pack.width, series_pack.width) == (4, 5)
+    h_order, e_order = (v.order for v in WIDTH_RING)
+    full = past = 0
+    for n in range(cases):
+        d = rng.randint(0, WIDTH_TOP)
+        p, q = _wide_diffpoly(rng, d), _wide_diffpoly(rng, WIDTH_TOP - d)
+        fp, fq = _flat(p), _flat(q)
+        (dp, np), (dq, nq) = _scaled(p.terms, pack), _scaled(q.terms, pack)
+        assert (_flat_packed(dp * dq, _int_product(np, nq, pack, {}), pack)
+                == multiply_reference(fp, fq, h_order, e_order))
+        assert _flat_packed(dp, _int_dx(np, pack), pack) == dx_reference(fp)
+        parts = _int_partials(np, pack)
+        for k in range(7):
+            assert (_flat_packed(dp, parts.get((k + 3) * pack.width, {}), pack)
+                    == partial_reference(fp, k))
+        assert _flat_packed(*_reduce(dp, np, pack), pack) == normalize_reference(fp)
+        phi: dict = {}
+        den, rest = _reduce(dp, _int_dx(np, pack), pack, phi)
+        assert not rest and _flat_packed(den, phi, pack) == integrate_x_reference(dx_reference(fp))
+        full += any(sum(m for _, m in ua + ub) == WIDTH_TOP for ua, _, _ in p.terms
+                    for ub, _, _ in q.terms)
+        past += any(a1 + a2 == h_order or b1 + b2 == e_order
+                    for _, a1, b1 in p.terms for _, a2, b2 in q.terms)
+        # the graded solve, with a weight of either sign, on the series box
+        base = MultiSeries(WIDTH_BOX, _big_terms(rng, WIDTH_BOX))
+        left = MultiSeries(WIDTH_BOX, _big_terms(rng, WIDTH_BOX))
+        sign = -1 if n % 2 else 1
+        got = _solve_graded(_components(base), _components(left), lambda d: sign * (d + 2))
+        bounds = tuple(v.order for v in WIDTH_BOX)
+        assert got.terms == solve_graded_reference(base.terms, left.terms,
+                                                   lambda d: sign * (d + 2), bounds)
+    assert full, "no product filled the u-degree field"
+    assert past, "no product went one step past the h or e order"
+    return cases
+
+
 ALL_SUITES = [
     ("exp/log inversion", check_exp_log_inversion),
     ("series ops vs power sums", check_series_ops_against_power_sums),
@@ -352,4 +436,5 @@ ALL_SUITES = [
     ("normal form vs max-scan reference", check_normalize_against_reference),
     ("flat ring vs reference", check_diffpoly_ring_against_reference),
     ("calculus kernel vs reference", check_calculus_kernel_against_reference),
+    ("packed kernels at the field width", check_packed_kernels_at_field_width),
 ]

@@ -13,7 +13,9 @@ from ilwhodge.cli import _coefficient_rows
 from ilwhodge.diffalg import (
     DiffAlgError,
     DiffPoly,
+    LocalFunctional,
     NotTotalDerivativeError,
+    _Packing,
     coeff_ring,
     frechet_apply,
     integrate_x,
@@ -27,11 +29,12 @@ from ilwhodge.diffalg import (
     u_key,
     variational_derivative,
 )
-from ilwhodge.mpseries import SeriesError
+from ilwhodge.mpseries import SeriesError, _int_product, _scaled
 from oracles import series_reciprocal, sinc_half_coeffs
 from properties import (
     check_bracket_antisymmetry_jacobi,
     check_calculus_kernel_against_reference,
+    check_packed_kernels_at_field_width,
     check_diffpoly_ring_against_reference,
     check_dx_derivation,
     check_euler_kills_dx,
@@ -321,10 +324,12 @@ def test_json_schema():
 
 
 def test_local_functional_algebra():
+    # sums and rational multiples of normal-form densities stay normal
     a = normalize(dp({((0, 3),): 1}))
     b = normalize(dp({((0, 1), (2, 1)): 1}))
-    assert (a + b) - b == a
-    assert (a * Fraction(1, 2)).density == dp({((0, 3),): (1, 2)})
+    assert LocalFunctional((a.density + b.density) - b.density) == a
+    assert normalize(a.density + b.density) == LocalFunctional(a.density + b.density)
+    assert LocalFunctional(a.density * Fraction(1, 2)).density == dp({((0, 3),): (1, 2)})
 
 
 # -- randomized property suites ---------------------------------------------
@@ -356,6 +361,28 @@ def test_flat_ring_matches_reference():
 
 def test_calculus_kernel_matches_reference():
     check_calculus_kernel_against_reference(200, 2030)
+
+
+def test_packed_kernels_match_references_at_the_field_width():
+    check_packed_kernels_at_field_width(200, 2031)
+
+
+def test_packed_product_past_the_field_width_raises():
+    # 4-bit fields hold a u-degree of at most 7; u^4 * u^4 would need 8
+    pack = _Packing(coeff_ring(7), 7)
+    _, nums = _scaled(dp({((0, 4),): 1}).terms, pack)
+    assert _int_product(nums, _scaled(dp({((0, 3),): 1}).terms, pack)[1], pack, {})
+    with pytest.raises(DiffAlgError, match="exceeds the 4-bit packed fields"):
+        _int_product(nums, nums, pack, {})
+
+
+def test_field_width_follows_the_operands():
+    # no fixed cap: u^130 * u^200 packs u-degree 330 in 10-bit fields
+    cv = coeff_ring(1)
+    product = DiffPoly.u_power(cv, 0, 130) * DiffPoly.u_power(cv, 0, 200, Fraction(1, 3))
+    assert product == DiffPoly.u_power(cv, 0, 330, Fraction(1, 3))
+    assert DiffPoly._packing(product).width == 10
+    assert normalize(total_x_derivative(product)).is_zero()
 
 
 # -- rendering digest ---------------------------------------------------------

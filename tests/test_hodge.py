@@ -253,7 +253,7 @@ class TestConsistencyGuards:
 
         def corrupted(G):
             hv = coeff_ring(G)
-            return original(G) + MultiSeries.monomial(hv, (1, 0), Fraction(1, 7))
+            return original(G) + MultiSeries(hv, {(1, 0): Fraction(1, 7)})
 
         monkeypatch.setattr(ilwhodge.hodge, "s_series", corrupted)
         with pytest.raises(HodgeConsistencyError):
@@ -268,7 +268,7 @@ class TestConsistencyGuards:
     def test_off_diagonal_quotient_is_detected(self, monkeypatch):
         def not_a_function_of_he(G):
             hv = coeff_ring(G)
-            return exp_series(MultiSeries.monomial(hv, (2, 0), Fraction(1, 5)))
+            return exp_series(MultiSeries(hv, {(2, 0): Fraction(1, 5)}))
 
         monkeypatch.setattr(ilwhodge.hodge, "s_tilde_series", not_a_function_of_he)
         with pytest.raises(HodgeConsistencyError):

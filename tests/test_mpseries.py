@@ -8,8 +8,10 @@ import pytest
 from ilwhodge.diffalg import DiffAlgError, DiffPoly, coeff_ring
 from ilwhodge.mpseries import (
     MultiSeries,
+    Packing,
     SeriesError,
     VarSpec,
+    _int_product,
     divide_series,
     exp_series,
     inverse_series,
@@ -32,6 +34,23 @@ HE = (VarSpec("h", 4), VarSpec("e", 4))
 
 def series(vars, terms):
     return MultiSeries(vars, {k: Fraction(*v) if isinstance(v, tuple) else Fraction(v) for k, v in terms.items()})
+
+
+def test_packed_product_past_the_field_width_raises():
+    # the untruncated field above two 4-bit exponent fields holds at most 7
+    pack = Packing((8, 8), 7)
+    assert pack.width == 4
+    assert _int_product({4 << 8: 1}, {3 << 8: 1}, pack, {}) == {7 << 8: 1}
+    with pytest.raises(SeriesError, match="exceeds the 4-bit packed fields"):
+        _int_product({4 << 8: 1}, {4 << 8: 1}, pack, {})
+
+
+def test_packed_product_truncates_one_step_past_the_order():
+    # x^7 in a 4-bit field of order 8 is kept; x^8 sets the guard bit
+    pack = Packing((8, 3))
+    assert _int_product({7: 2}, {0: 3, 1: 5}, pack, {}) == {7: 6}
+    a = MultiSeries((VarSpec("x", 8), VarSpec("y", 3)), {(7, 2): 2, (1, 0): 1})
+    assert a * a == MultiSeries(a.vars, {(2, 0): 1})
 
 
 def test_mul_truncation():
@@ -104,7 +123,7 @@ def test_exp_of_zero():
 
 
 def test_log_exp_t():
-    t = MultiSeries.variable(T6, "t")
+    t = MultiSeries(T6, {(1,): 1})
     assert log_series(exp_series(t)) == t
 
 
@@ -124,7 +143,7 @@ def test_exp_log_preconditions():
     # a variable of order 0 leaves no room for exp's constant term
     with pytest.raises(SeriesError, match="truncates even the constant term"):
         exp_series(MultiSeries.zero((VarSpec("t", 0),)))
-    t = MultiSeries.variable(T6, "t")
+    t = MultiSeries(T6, {(1,): 1})
     with pytest.raises(SeriesError, match="divide_series"):
         divide_series(t, t)
     with pytest.raises(SeriesError, match="divide_series"):
@@ -241,7 +260,7 @@ def test_series_kernel_matches_reference():
 
 def test_divide_series_hand_expansion():
     # (1 + t) / (1 - t) = 1 + 2t + 2t^2 + ... to truncation
-    t = MultiSeries.variable(T6, "t")
+    t = MultiSeries(T6, {(1,): 1})
     expected = series(T6, {(0,): 1, (1,): 2, (2,): 2, (3,): 2, (4,): 2, (5,): 2})
     assert divide_series(1 + t, 1 - t) == expected
     assert divide_series(Fraction(1, 2), MultiSeries.constant(T6, 2)) == MultiSeries.constant(T6, Fraction(1, 4))
