@@ -265,7 +265,7 @@ class _Packing(Packing):
 
     def decode(self, key: int) -> FlatKey:
         w, mask = self.width, self.mask
-        ue = tuple((s // w - 3, m) for s, m in self.factors(key))
+        ue = tuple(((s - self.base) // w, m) for s, m in self.factors(key))
         return (ue, key >> w & mask, key & mask)
 
     def factors(self, key: int) -> list[tuple[int, int]]:
@@ -323,7 +323,7 @@ def _int_euler(nums: IntTerms, pack: _Packing) -> IntTerms:
     """The Euler operator by Horner, P_0 - d/dx(P_1 - d/dx(P_2 - ...))."""
     parts = _int_partials(nums, pack)
     acc: IntTerms = {}
-    for s in range(max(parts, default=0), 3 * pack.width - 1, -pack.width):
+    for s in range(max(parts, default=0), pack.base - 1, -pack.width):
         acc = _int_dx(acc, pack, parts.get(s, {}), -1)
     return acc
 
@@ -332,8 +332,8 @@ def _int_frechet(nphi: IntTerms, nb: IntTerms, pack: _Packing) -> IntTerms:
     """sum_k (dphi/du_k) d^k/dx^k b."""
     parts = _int_partials(nphi, pack)
     out: IntTerms = {}
-    for s in range(3 * pack.width, max(parts, default=0) + 1, pack.width):
-        if s > 3 * pack.width:
+    for s in range(pack.base, max(parts, default=0) + 1, pack.width):
+        if s > pack.base:
             nb = _int_dx(nb, pack)
         _int_product(parts.get(s, {}), nb, pack, out)
     return out
@@ -447,8 +447,8 @@ def _reduce(den: int, nums: IntTerms, pack: _Packing,
     every division exact.  Keys pop as integers, their h and e fields
     flipped so that the smallest (h, e) of a monomial comes first.
     """
-    w, mask = pack.width, pack.mask
-    base, flip = 3 * w, (1 << 2 * w) - 1  # u_0's shift; the h and e fields
+    w, mask, base = pack.width, pack.mask, pack.base
+    flip = (1 << 2 * w) - 1  # the h and e fields
     top = (max(nums, default=0).bit_length() - 1 - base) // w
     scale = lcm(*range(1, max((k >> 2 * w & mask for k in nums), default=0) + 1)) ** max(top, 0)
     work = {key: c * scale for key, c in nums.items()}

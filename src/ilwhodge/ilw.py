@@ -124,7 +124,7 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
         phi: dict[int, int] = {}
         den, rest = _reduce(den * d1, rhs, pack, phi)
         if rest:  # not a total x-derivative
-            rhs = _decoded(cvars, 1, rhs, pack)
+            rhs = _decoded(cvars, 1, rhs, pack)  # only its lowest h-order is read
             raise InconsistentSystemError(i, _lowest_h_order(variational_derivative(rhs)))
         # the D - 1 eigenvalue 2a + n - 1 of h^a (u-monomial of u-degree n)
         eigen = {k: 2 * (k >> w & mask) + (k >> 2 * w & mask) - 1 for k in phi}
