@@ -78,7 +78,7 @@ def test_criterion_2_first_flow():
 
 
 def test_criterion_3_second_flow():
-    G = 20
+    G = 30
     start = time.monotonic()
     got = flow(higher_hamiltonian(2, G))
     mism = first_diffpoly_mismatch(got, t2_flow_rhs(G))
@@ -114,12 +114,15 @@ def test_criterion_3_second_flow():
 
 
 def test_criterion_4_commutation():
-    defining = poisson_bracket(higher_hamiltonian(2, 8).functional, h1(8).functional)
-    pairs = [verify_commutation(3, 2, 8), verify_commutation(4, 3, 8)]
+    start = time.monotonic()
+    defining = poisson_bracket(higher_hamiltonian(2, 12).functional, h1(12).functional)
+    pairs = [verify_commutation(3, 2, 12), verify_commutation(4, 3, 12)]
+    elapsed = time.monotonic() - start
     _report(
         4,
-        defining.is_zero() and all(r.ok for r in pairs),
-        "{h2, h1} = 0 up to h^8; {h3, h2} = 0 up to h^8; {h4, h3} = 0 up to h^8 (reported)",
+        defining.is_zero() and all(r.ok for r in pairs) and elapsed < 10.0,
+        "{h2, h1} = 0 up to h^12; {h3, h2} = 0 up to h^12; {h4, h3} = 0 up to h^12 "
+        f"in {elapsed:.2f}s (reported)",
     )
 
 
