@@ -20,6 +20,9 @@ and S were both read off the one expansion of ((t/2)/sin(t/2))^(k+1).
 The three at `hamiltonian --index 130 --genus 2`, `--index 300 --genus 1`
 and `one-point --max-genus 64 --format csv` were taken before the kernels
 moved to packed integer keys; their exponents need wide fields.
+The three at `verify cg --genus 40` (whole, and with a shifted C_40) and
+`one-point --max-genus 40 --format csv` were taken before each degree slice
+of the graded series solve became one integer accumulation.
 
 The two JSON digests (`hamiltonian --index 2 --genus 6 --format json` and
 `verify all --genus 4 --format json`) were re-pinned when the `seed` key
@@ -136,6 +139,14 @@ GOLDEN = {
         "2e72856d395802ee412c2fe152b2678361125779f2a785b62d6fc7e9242c0370",
     ("one-point", "--max-genus", "64", "--format", "csv"):
         "2605804647b7f9131a6dc897aa74c62563737869a5ac4300e654331bbb8358fc",
+    # the graded solve at genus 40: S, S~ and the quotient that yields C_40
+    # (the mismatch line carries the computed C_40), and S re-keyed
+    ("verify", "cg", "--genus", "40"):
+        "5ce2d8b55b100d736daf88bd90a0fd45752e4c17693d159a0d0e4ed0608e77c0",
+    ("verify", "cg", "--genus", "40", "--perturb-cg", "40:1/7", "--format", "json"):
+        "ea6a1c36e7422c0fa1f47e4f64df8e35742d8d8604fda9c61bd6826d062b2ba2",
+    ("one-point", "--max-genus", "40", "--format", "csv"):
+        "84f2c67145826d10ed70fc35d1bf53e3aa57a6a21bce9d90b52db88e7f67c34b",
 }
 
 # Calls whose exit code is not 0: a perturbed run reports every mismatch
@@ -143,6 +154,7 @@ GOLDEN = {
 EXIT_CODE = {
     ("verify", "all", "--genus", "5", "--perturb-cg", "3:1/1000"): 1,
     ("verify", "cg", "--genus", "24", "--perturb-cg", "24:1/7", "--format", "json"): 1,
+    ("verify", "cg", "--genus", "40", "--perturb-cg", "40:1/7", "--format", "json"): 1,
     ("verify", "one-point-reverse", "--genus", "20", "--perturb-cg", "20:-1/3",
      "--format", "json"): 1,
     **{
