@@ -396,7 +396,7 @@ def _unscale(nums: IntTerms, den: int, pack: Packing) -> dict:
 
 def _accumulate(terms: dict, key, coef: Fraction) -> None:
     """Add coef to terms[key], dropping the key when the sum is zero."""
-    acc = terms.get(key, 0) + coef
+    acc = terms[key] + coef if key in terms else coef  # no 0 + Fraction
     if acc:
         terms[key] = acc
     else:
@@ -408,30 +408,43 @@ def _solve_graded(base: list[MultiSeries], left: list[MultiSeries], weight) -> M
     in every total degree d, built from the degrees below d.
 
     Each degree slice is a sum of products of homogeneous components, so the
-    whole solve costs about one product's worth of coefficient work.  Each
-    solved component stays integer numerators over one positive denominator;
+    whole solve costs about one product's worth of coefficient work.  Slice d
+    is one integer accumulation: every product adds into one packed-key map
+    over the lcm of the slice's operand denominators, with the shorter factor
+    scaled once.  A solved component stays a list of (biased key, numerator)
+    pairs over one positive denominator, so no product builds a list or dict;
     division by weight(d) and reduction by the content are done in integers.
     """
     pack = Packing(tuple(v.order for v in base[0].vars))
-    lefts = [_scaled(p.terms, pack) for p in left]
-    y: list[tuple[int, IntTerms]] = []
+    bias, guard, decode = pack.bias, pack.guard, pack.decode
+    lefts = [(den, list(nums.items())) for den, nums in (_scaled(p.terms, pack) for p in left)]
+    y: list[tuple[int, list[tuple[int, int]]]] = []
     out: dict[Exponents, Fraction] = {}
     for d, b in enumerate(base):
-        slices = [_scaled(b.terms, pack)] + [
-            (lefts[k][0] * y[d - k][0], _int_product(lefts[k][1], y[d - k][1], pack, {}))
-            for k in range(1, d + 1) if lefts[k][1] and y[d - k][1]
-        ]
+        bden, bnums = _scaled(b.terms, pack)
+        pairs = [(lefts[k][0] * y[d - k][0], lefts[k][1], y[d - k][1])
+                 for k in range(1, d + 1) if lefts[k][1] and y[d - k][1]]
+        den = lcm(bden, *[p[0] for p in pairs])
         w = Fraction(weight(d))
         sign_den = w.denominator if w > 0 else -w.denominator  # den stays positive
-        den = lcm(*(s for s, _ in slices))
-        acc: IntTerms = {}
-        for s, nums in slices:
+        f = den // bden * sign_den
+        acc = {k + bias: n * f for k, n in bnums.items()}
+        for s, nl, ny in pairs:
             f = den // s * sign_den
-            for e, n in nums.items():
-                acc[e] = acc.get(e, 0) + n * f
-        den, nums = _content(den * abs(w.numerator), acc)
-        y.append((den, nums))
-        out.update(_unscale(nums, den, pack))
+            short, long = (nl, ny) if len(nl) <= len(ny) else (ny, nl)
+            for ks, cs in short:
+                cs *= f
+                for kl, cl in long:
+                    k = ks + kl
+                    # a set guard bit drops a truncated term; the series
+                    # layout's top field stays empty, so nothing can wrap
+                    if not k & guard:
+                        acc[k] = acc.get(k, 0) + cs * cl
+        den *= abs(w.numerator)
+        g = gcd(den, *acc.values())
+        den //= g
+        y.append((den, [(k, n // g) for k, n in acc.items() if n]))
+        out.update({decode(k - bias): Fraction(n, den) for k, n in y[-1][1]})
     return MultiSeries._make(base[0].vars, out)
 
 

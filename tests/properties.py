@@ -424,6 +424,61 @@ def check_packed_kernels_at_field_width(cases: int, seed: int) -> int:
     return cases
 
 
+# boxes of one, two and three variables, and the 5-bit fields of WIDTH_BOX;
+# weights of either sign, integral and fractional, one of them constant as
+# in a division
+GRADED_BOXES = [
+    (VarSpec("x", 12),),
+    (VarSpec("x", 6), VarSpec("y", 5)),
+    (VarSpec("x", 3), VarSpec("y", 4), VarSpec("z", 3)),
+    WIDTH_BOX,
+]
+GRADED_WEIGHTS = [
+    lambda d: d + 1,
+    lambda d: -(d + 2),
+    lambda d: Fraction(2 * d + 1, 3),
+    lambda d: Fraction(-5, 7),
+]
+
+
+def check_graded_solve_against_reference(cases: int, seed: int) -> int:
+    """The graded solve, one integer accumulation per degree slice, against
+    `solve_graded_reference`.  Every other case solves for a drawn target y:
+    its base is weight(d) y_d minus the slice's products, so each degree
+    where y is 0 but the products are not is a slice that cancels to zero.
+    Left factors are sparse, so many of their components are empty, and one
+    case in eight has no left factor at all."""
+    rng = random.Random(seed)
+    cancelled = empty_left = 0
+    for n in range(cases):
+        vars = GRADED_BOXES[n % len(GRADED_BOXES)]
+        weight = GRADED_WEIGHTS[n // len(GRADED_BOXES) % len(GRADED_WEIGHTS)]
+        bounds = tuple(v.order for v in vars)
+        left = MultiSeries(vars, {} if n % 8 == 7 else _big_terms(rng, vars))
+        shifts = {e: c for e, c in left.terms.items() if sum(e)}
+        target = None
+        if n % 2:
+            target = _big_terms(rng, vars)
+            products = series_product_reference(shifts, target, bounds)
+            base = {e: weight(sum(e)) * target.get(e, 0) - products.get(e, 0)
+                    for e in target.keys() | products.keys()}
+            degrees = {sum(e) for e in target}
+            cancelled += any(sum(e) not in degrees for e in products)
+        else:
+            base = _big_terms(rng, vars)
+        base = MultiSeries(vars, base)
+        got = _solve_graded(_components(base), _components(left), weight)
+        assert got.terms == solve_graded_reference(base.terms, left.terms, weight, bounds)
+        if target is not None:
+            assert got.terms == target
+        for c in got.terms.values():
+            assert type(c) is Fraction and c != 0
+        empty_left += len({sum(e) for e in shifts}) < sum(b - 1 for b in bounds)
+    assert cancelled, "no degree slice cancelled to zero"
+    assert empty_left, "every left component was nonempty"
+    return cases
+
+
 ALL_SUITES = [
     ("exp/log inversion", check_exp_log_inversion),
     ("series ops vs power sums", check_series_ops_against_power_sums),
@@ -437,4 +492,5 @@ ALL_SUITES = [
     ("flat ring vs reference", check_diffpoly_ring_against_reference),
     ("calculus kernel vs reference", check_calculus_kernel_against_reference),
     ("packed kernels at the field width", check_packed_kernels_at_field_width),
+    ("graded solve vs reference", check_graded_solve_against_reference),
 ]

@@ -22,6 +22,7 @@ from ilwhodge.mpseries import (
 from oracles import log_sinc_half_coeffs
 from properties import (
     check_exp_log_inversion,
+    check_graded_solve_against_reference,
     check_series_kernel_against_reference,
     check_series_ops_against_power_sums,
     random_series,
@@ -256,6 +257,10 @@ def test_series_ops_match_power_sums():
 
 def test_series_kernel_matches_reference():
     check_series_kernel_against_reference(200, 103)
+
+
+def test_graded_solve_matches_reference():
+    check_graded_solve_against_reference(200, 104)
 
 
 def test_divide_series_hand_expansion():
