@@ -50,7 +50,7 @@ class InconsistentSystemError(RuntimeError):
     def __init__(self, index: int, genus: int):
         self.index = index
         self.genus = genus
-        super().__init__(f"commutation system for h_{index} at h^{genus} has no solution")
+        super().__init__(f"h_{index} is not a conserved quantity of h_1 at h^{genus}")
 
 
 class Hamiltonian:
