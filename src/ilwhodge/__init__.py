@@ -11,54 +11,21 @@ verification reports.
 
 from .exactnum import Rational, bernoulli, c_g, dispersion_coeff
 from .mpseries import (
-    MultiSeries,
-    SeriesError,
-    VarSpec,
-    divide_series,
-    exp_series,
-    inverse_series,
-    log_series,
-    sinc_half_series,
-    substitute_square,
+    MultiSeries, SeriesError, VarSpec, divide_series, exp_series, inverse_series, log_series,
+    sinc_half_series, substitute_square,
 )
 from .diffalg import (
-    DiffAlgError,
-    DiffPoly,
-    LocalFunctional,
-    NotTotalDerivativeError,
-    coeff_ring,
-    integrate_x,
-    miura_forward,
-    miura_inverse,
-    miura_inverse_series,
-    miura_series,
-    normalize,
-    poisson_bracket,
-    total_x_derivative,
-    u_key,
-    variational_derivative,
+    DiffAlgError, DiffPoly, LocalFunctional, NotTotalDerivativeError, coeff_ring, integrate_x,
+    miura_forward, miura_inverse, miura_inverse_series, miura_series, normalize, poisson_bracket,
+    total_x_derivative, u_key, variational_derivative,
 )
 from .hodge import (
-    BracketTable,
-    HodgeConsistencyError,
-    extract_cg,
-    one_point_table,
-    s_series,
-    s_tilde_series,
-    verify_cg,
-    verify_linear_term_identity,
-    verify_one_point_reverse,
+    BracketTable, HodgeConsistencyError, extract_cg, one_point_table, s_series, s_tilde_series,
+    verify_cg, verify_linear_term_identity, verify_one_point_reverse,
 )
 from .ilw import (
-    Hamiltonian,
-    InconsistentSystemError,
-    flow,
-    h1,
-    hamiltonian,
-    higher_hamiltonian,
-    verify_commutation,
-    verify_flow_t1,
-    verify_flow_t2,
+    Hamiltonian, InconsistentSystemError, flow, h1, hamiltonian, higher_hamiltonian,
+    verify_commutation, verify_flow_t1, verify_flow_t2,
 )
 from .reports import VerificationReport
 

@@ -33,27 +33,14 @@ from . import exactnum
 from .diffalg import coeff_ring
 from .exactnum import rational_to_str
 from .mpseries import (
-    MultiSeries,
-    divide_series,
-    exp_series,
-    log_series,
-    sinc_half_series,
-    substitute_square,
+    MultiSeries, divide_series, exp_series, log_series, sinc_half_series, substitute_square,
 )
 from .reports import VerificationReport, first_mismatch, first_term_mismatch
 
 __all__ = [
-    "HodgeConsistencyError",
-    "BracketTable",
-    "one_point_table",
-    "sinc_factor_series",
-    "s_series",
-    "s_tilde_series",
-    "s_tilde_from_constants",
-    "extract_cg",
-    "verify_cg",
-    "verify_linear_term_identity",
-    "verify_one_point_reverse",
+    "HodgeConsistencyError", "BracketTable", "one_point_table", "sinc_factor_series", "s_series",
+    "s_tilde_series", "s_tilde_from_constants", "extract_cg", "verify_cg",
+    "verify_linear_term_identity", "verify_one_point_reverse",
 ]
 
 CgValues = Callable[[int], Fraction]
@@ -101,6 +88,24 @@ class BracketTable:
         return "\n".join(lines) + "\n"
 
 
+# S and S~ by (name, G) while `cli` runs the checks of one verify call, so
+# that each is built once per G; None otherwise, so nothing outlives a call
+memo: dict | None = None
+
+
+def _kept_per_call(build: Callable[[int], MultiSeries]) -> Callable[[int], MultiSeries]:
+    def series(G: int) -> MultiSeries:
+        if memo is None:
+            return build(G)
+        key = (build.__name__, G)
+        if key not in memo:
+            memo[key] = build(G)
+        return memo[key]
+
+    series.__name__, series.__doc__, series.__wrapped__ = build.__name__, build.__doc__, build
+    return series
+
+
 def one_point_table(g_max: int) -> BracketTable:
     """One-point values <lambda_j tau_{3g-j-2}>_g for g <= g_max: the
     coefficient of h^g e^j in S."""
@@ -122,6 +127,7 @@ def sinc_factor_series(G: int) -> MultiSeries:
     return substitute_square(sinc_half_series(2 * G + 1), coeff_ring(G))
 
 
+@_kept_per_call
 def s_series(G: int) -> MultiSeries:
     """S(h, e) = ((t/2)/sin(t/2))^{k+1} at t^2 = h e, k = 1/e, that is
     exp((1 + 1/e) L) with L = log((t/2)/sin(t/2)).
@@ -136,6 +142,7 @@ def s_series(G: int) -> MultiSeries:
     return exp_series(MultiSeries(L.vars, exponent))
 
 
+@_kept_per_call
 def s_tilde_series(G: int) -> MultiSeries:
     """S~(h, e): S times the sine factor sin(sqrt(he)/2)/(sqrt(he)/2)."""
     return s_series(G) * sinc_factor_series(G)

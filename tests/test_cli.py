@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ilwhodge.cli import main
+from ilwhodge.cli import VERIFY, checks, main
 from ilwhodge.exactnum import rational_from_str
 
 
@@ -221,6 +221,61 @@ class TestVerify:
             ("commute(2,1)", "error", 5),
             ("commute(3,2)", "error", 2),
         ]
+
+
+class TestPerturbationLoci:
+    """No quiet fault injection: a shifted c_{g0} that a selector's checks
+    declare visible makes exactly those checks fail, and one that none of
+    them can see is a usage error."""
+
+    @pytest.mark.parametrize("which", list(VERIFY))
+    def test_every_locus_up_to_genus_6(self, capsys, which):
+        for G in range(1, 7):
+            for g0 in range(1, G + 1):
+                argv = ["verify", which, "--genus", str(G), "--format", "json",
+                        "--perturb-cg", f"{g0}:1/3"]
+                declared = [loci(order, g0) for _, order, loci, _ in checks(which, G)]
+                if not any(declared):
+                    with pytest.raises(SystemExit) as exc:
+                        main(argv)
+                    assert exc.value.code == 2, (G, g0)
+                    captured = capsys.readouterr()
+                    assert captured.out == ""
+                    assert captured.err.count("\n") == 1 and f"c_{g0}" in captured.err
+                    continue
+                assert main(argv) == 1, (G, g0)
+                details = json.loads(capsys.readouterr().out)["details"]
+                failed = [d["status"] in ("mismatch", "error") for d in details]
+                assert failed == declared, (G, g0, details)
+
+    def test_commute_sees_no_fault_below_order_4(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "commute", "--genus", "3", "--perturb-cg", "1:1/3"])
+        assert exc.value.code == 2
+        assert "verify commute cannot detect a shifted c_1 at genus 3" in capsys.readouterr().err
+
+
+class TestSharedSeries:
+    def test_verify_all_builds_s_and_s_tilde_once(self, capsys, monkeypatch):
+        from ilwhodge import hodge
+
+        calls = {"log": 0, "exp": 0}
+
+        def counted(name, fn):
+            def series(*args):
+                calls[name] += 1
+                return fn(*args)
+            return series
+
+        monkeypatch.setattr(hodge, "log_series", counted("log", hodge.log_series))
+        monkeypatch.setattr(hodge, "exp_series", counted("exp", hodge.exp_series))
+        assert main(["verify", "all", "--genus", "8"]) == 0
+        # one log for S; one exp for S and one for the ODE side of the reverse check
+        assert calls == {"log": 1, "exp": 2}
+        assert main(["verify", "all", "--genus", "8"]) == 0
+        assert calls == {"log": 2, "exp": 4}  # nothing is kept from the first call
+        assert hodge.memo is None
+        capsys.readouterr()
 
 
 class TestPlumbing:
