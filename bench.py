@@ -1,7 +1,8 @@
 """In-process timings of the engine at fixed orders, written to BENCH_<n>.json.
 
-    python3 bench.py --out BENCH_16.json --label change
-    python3 bench.py --out BENCH_16.json --label parent --src ../parent/src --commit <sha>
+    python3 bench.py --out BENCH_17.json --label change
+    python3 bench.py --out BENCH_17.json --label parent --src ../parent/src --commit <sha>
+    python3 bench.py --out BENCH_17.json --compare parent change
 
 Each row is one library call, timed `--runs` times in this process; the row
 keeps every time and their median.  The rows go under `runs[label]`, next to
@@ -9,6 +10,11 @@ the Python version, the CPU count and the commit of the timed source tree;
 other labels already in the file are kept, so two trees measured on the
 same machine can share one file.  Unlike `perfbench/`, which times whole
 CLI calls, these rows leave out interpreter start-up.
+
+`--compare A B` times nothing: it prints, for each row that labels A and B
+of the file share, the ratio of A's median to B's (above 1 when B is
+faster), and exits 1 when some row of B is slower than A's by more than the
+`wall_s` bound of BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -27,6 +33,11 @@ from pathlib import Path
 CALLS = [
     ("extract_cg(80)", "hodge", "extract_cg", (80,)),
     ("one_point_table(60)", "hodge", "one_point_table", (60,)),
+    # the engine calls of the benchmark's hodge-series workload, at its orders
+    ("extract_cg(24)", "hodge", "extract_cg", (24,)),
+    ("one_point_table(24)", "hodge", "one_point_table", (24,)),
+    ("verify_one_point_reverse(20)", "hodge", "verify_one_point_reverse", (20,)),
+    ("verify_linear_term_identity(20)", "hodge", "verify_linear_term_identity", (20,)),
     ("higher_hamiltonian(2, 30)", "ilw", "higher_hamiltonian", (2, 30)),
     ("higher_hamiltonian(4, 16)", "ilw", "higher_hamiltonian", (4, 16)),
     ("higher_hamiltonian(4, 20)", "ilw", "higher_hamiltonian", (4, 20)),
@@ -59,14 +70,37 @@ def measure(runs: int) -> dict:
     return rows
 
 
+def compare(doc: dict, a: str, b: str) -> int:
+    """Print B's speedup over A per shared row; 1 when a row regressed past
+    the `wall_s` bound."""
+    spec = json.loads((Path(__file__).resolve().parent / "BENCHMARK.json").read_text())
+    bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "wall_s")
+    rows_a, rows_b = doc["runs"][a]["rows"], doc["runs"][b]["rows"]
+    slower = []
+    for name in [n for n in rows_a if n in rows_b]:
+        ta, tb = rows_a[name]["median_s"], rows_b[name]["median_s"]
+        flag = ""
+        if tb > ta * (1 + bound):
+            slower.append(name)
+            flag = f"  SLOWER by more than {bound:.0%}"
+        print(f"{name:32s} {ta:8.4f} s -> {tb:8.4f} s  {ta / tb:5.2f}x{flag}")
+    return 1 if slower else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--label", required=True)
+    parser.add_argument("--label")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare the rows of labels A and B of --out; time nothing")
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent / "src")
     parser.add_argument("--commit", help="commit of --src when it is not a git checkout")
     parser.add_argument("--runs", type=int, default=5)
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(json.loads(args.out.read_text()), *args.compare)
+    if not args.label:
+        parser.error("--label is required unless --compare is given")
     sys.path.insert(0, str(args.src.resolve()))
     rows = measure(args.runs)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}

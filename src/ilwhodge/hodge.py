@@ -88,8 +88,9 @@ class BracketTable:
         return "\n".join(lines) + "\n"
 
 
-# S and S~ by (name, G) while `cli` runs the checks of one verify call, so
-# that each is built once per G; None otherwise, so nothing outlives a call
+# S and S~ depend on G alone.  While `cli` runs the checks of one verify call
+# this keeps them by (name, G), so each is built once per G; it is None
+# otherwise, so nothing outlives that call.
 memo: dict | None = None
 
 

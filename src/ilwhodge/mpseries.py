@@ -24,7 +24,9 @@ product, not one product per power.
 Products run through one integer kernel, shared with `diffalg`: coefficients
 become numerators over the lcm of their denominators, each key becomes one
 packed int (`Packing`), pairs multiply in integers, and a reduced `Fraction`
-is built once per output term, in the graded solve as well.
+is built once per output term.  The graded solve fuses its slice on the same
+keys: all products of degree d add into one integer map, over one
+denominator, and `Fraction`s are built once per solved term.
 """
 
 from __future__ import annotations
