@@ -20,12 +20,7 @@ from math import comb, factorial, lcm
 Rational = Fraction
 
 __all__ = [
-    "Rational",
-    "bernoulli",
-    "c_g",
-    "dispersion_coeff",
-    "rational_to_str",
-    "rational_from_str",
+    "Rational", "bernoulli", "c_g", "dispersion_coeff", "rational_to_str", "rational_from_str",
 ]
 
 # B_0, B_1, ... computed so far; guarded for concurrent use.

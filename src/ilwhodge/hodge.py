@@ -96,12 +96,9 @@ memo: dict | None = None
 
 def _kept_per_call(build: Callable[[int], MultiSeries]) -> Callable[[int], MultiSeries]:
     def series(G: int) -> MultiSeries:
-        if memo is None:
-            return build(G)
-        key = (build.__name__, G)
-        if key not in memo:
-            memo[key] = build(G)
-        return memo[key]
+        if memo is not None and (build.__name__, G) not in memo:
+            memo[build.__name__, G] = build(G)
+        return build(G) if memo is None else memo[build.__name__, G]
 
     series.__name__, series.__doc__, series.__wrapped__ = build.__name__, build.__doc__, build
     return series

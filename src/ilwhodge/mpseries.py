@@ -14,19 +14,19 @@ realized by `substitute_square` (z^(2m) -> h^m e^m), keeping the ring total.
 
 `exp_series`, `log_series` and `divide_series` (with `inverse_series` as
 1 / a) share one graded recurrence (Brent & Kung, J. ACM 25, 1978).  A series
-is split into homogeneous components by total degree, and component d of
-the result is solved from the components below it; for exp and log the
-Euler derivative sum_i x_i d/dx_i, which scales degree d by d, turns the
-functional equation into such a recurrence.  Each slice is a sum of ordinary
-products of homogeneous components, so the work is about that of a single
-product, not one product per power.
+is split into homogeneous components by a grade, and component d of the
+result is solved from the components below it; for exp and log the Euler
+derivative of the grade, which scales grade d by d, turns the functional
+equation into such a recurrence.  The grade is the degree in one variable
+when every nonconstant term of the input has that variable, else the total
+degree.  Each slice is a sum of products of homogeneous components, so the
+work is about that of a single product, not one product per power.
 
 Products run through one integer kernel, shared with `diffalg`: coefficients
 become numerators over the lcm of their denominators, each key becomes one
 packed int (`Packing`), pairs multiply in integers, and a reduced `Fraction`
-is built once per output term.  The graded solve fuses its slice on the same
-keys: all products of degree d add into one integer map, over one
-denominator, and `Fraction`s are built once per solved term.
+is built once per output term.  The graded solve fuses each slice on the
+same keys: all its products add into one integer map over one denominator.
 """
 
 from __future__ import annotations
@@ -341,13 +341,22 @@ def _var_index(vs: tuple[VarSpec, ...], name: str) -> int:
     raise SeriesError(f"no variable named {name!r} in {[v.name for v in vs]}")
 
 
-def _components(a: MultiSeries) -> list[MultiSeries]:
-    """Homogeneous components a_0..a_D of a by total degree, where D is the
-    largest total degree the truncation box retains."""
-    top = sum(v.order - 1 for v in a.vars)
-    parts: list[dict[Exponents, Fraction]] = [{} for _ in range(top + 1)]
+def _grading(a: MultiSeries):
+    """The grade of an exponent vector in the solve for a: the exponent of the
+    variable of least order that is positive on every term of a but the
+    constant, so that grade 0 holds only the constant; else the total degree.
+    One variable gives fewer slices, each a larger product."""
+    found = [i for i in range(len(a.vars)) if all(e[i] for e in a.terms if any(e))]
+    i = min(found, key=lambda j: a.vars[j].order, default=None)
+    return sum if i is None else (lambda e: e[i])
+
+
+def _components(a: MultiSeries, grade=sum) -> list[MultiSeries]:
+    """Homogeneous components a_0..a_D of a by grade (by default the total
+    degree), where D is the largest grade the truncation box retains."""
+    parts: list[dict] = [{} for _ in range(grade([v.order - 1 for v in a.vars]) + 1)]
     for e, c in a.terms.items():
-        parts[sum(e)][e] = c
+        parts[grade(e)][e] = c
     return [MultiSeries._make(a.vars, t) for t in parts]
 
 
@@ -407,15 +416,14 @@ def _accumulate(terms: dict, key, coef: Fraction) -> None:
 
 def _solve_graded(base: list[MultiSeries], left: list[MultiSeries], weight) -> MultiSeries:
     """The series y with weight(d) * y_d = base_d + sum_{k=1..d} left_k * y_{d-k}
-    in every total degree d, built from the degrees below d.
+    in every grade d that the components were split by, from the grades below.
 
-    Each degree slice is a sum of products of homogeneous components, so the
-    whole solve costs about one product's worth of coefficient work.  Slice d
-    is one integer accumulation: every product adds into one packed-key map
-    over the lcm of the slice's operand denominators, with the shorter factor
-    scaled once.  A solved component stays a list of (biased key, numerator)
-    pairs over one positive denominator, so no product builds a list or dict;
-    division by weight(d) and reduction by the content are done in integers.
+    Slice d is one integer accumulation, about one product's worth of work:
+    every product adds into one packed-key map over the lcm of the slice's
+    operand denominators, with the shorter factor scaled once.  A solved
+    component stays (biased key, numerator) pairs over one positive
+    denominator, so no product builds a list or dict; division by weight(d)
+    and reduction by the content are done in integers.
     """
     pack = Packing(tuple(v.order for v in base[0].vars))
     bias, guard, decode = pack.bias, pack.guard, pack.decode
@@ -451,20 +459,21 @@ def _solve_graded(base: list[MultiSeries], left: list[MultiSeries], weight) -> M
 
 
 def _euler(parts: list[MultiSeries]) -> list[MultiSeries]:
-    """Components of the Euler derivative sum_i x_i d/dx_i: degree d scaled by d."""
+    """Components of the Euler derivative of the grade: grade d scaled by d."""
     return [p * d for d, p in enumerate(parts)]
 
 
 def exp_series(a: MultiSeries) -> MultiSeries:
     """exp of a series with zero constant term, exact to truncation.
 
-    f = exp(a) satisfies E f = (E a) f for the Euler derivative E, that is
-    d f_d = sum_{k=1..d} k a_k f_{d-k}.
+    f = exp(a) satisfies E f = (E a) f for the Euler derivative E of the
+    grade, that is d f_d = sum_{k=1..d} k a_k f_{d-k}.
     """
     if a.constant_term != 0:
         raise SeriesError("exp_series requires a zero constant term")
     one = MultiSeries.constant(a.vars, 1)  # rejects a variable of order 0
-    return _solve_graded(_components(one), _euler(_components(a)), lambda d: d or 1)
+    grade = _grading(a)
+    return _solve_graded(_components(one, grade), _euler(_components(a, grade)), lambda d: d or 1)
 
 
 def log_series(a: MultiSeries) -> MultiSeries:
@@ -475,9 +484,10 @@ def log_series(a: MultiSeries) -> MultiSeries:
     """
     if a.constant_term != 1:
         raise SeriesError("log_series requires constant term 1")
-    parts = _components(a)
+    grade = _grading(a)
+    parts = _components(a, grade)
     eg = _solve_graded(_euler(parts), [-p for p in parts], lambda d: 1)  # E g
-    return MultiSeries._make(a.vars, {e: c / sum(e) for e, c in eg.terms.items()})
+    return MultiSeries._make(a.vars, {e: c / grade(e) for e, c in eg.terms.items()})
 
 
 def divide_series(num, den: MultiSeries) -> MultiSeries:
@@ -503,7 +513,9 @@ def _divide(num, den: MultiSeries, caller: str) -> MultiSeries:
             f"{caller}: variable mismatch: {[v.name for v in num.vars]} vs "
             f"{[v.name for v in den.vars]}"
         )
-    return _solve_graded(_components(num), [-p for p in _components(den)], lambda d: c)
+    grade = _grading(den)
+    return _solve_graded(_components(num, grade), [-p for p in _components(den, grade)],
+                         lambda d: c)
 
 
 def sinc_half_series(order: int) -> MultiSeries:

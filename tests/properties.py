@@ -33,6 +33,7 @@ from ilwhodge.mpseries import (
     Packing,
     VarSpec,
     _components,
+    _grading,
     _int_product,
     _scaled,
     _solve_graded,
@@ -124,7 +125,11 @@ SERIES_BOXES = [
 
 
 def check_series_ops_against_power_sums(cases: int, seed: int) -> int:
+    """exp, log, inverse and division against the power sums, on inputs that
+    the graded solve splits by one variable's degree and on inputs that it
+    splits by total degree."""
     rng = random.Random(seed)
+    by_one = by_total = 0
     for _ in range(cases):
         vars = rng.choice(SERIES_BOXES)
         a = random_series(rng, vars, zero_constant=True)
@@ -137,6 +142,10 @@ def check_series_ops_against_power_sums(cases: int, seed: int) -> int:
         assert inverse_series(c) == inverse_power_sum(c)
         num = random_series(rng, vars, zero_constant=rng.random() < 0.5)
         assert divide_series(num, c) == num * inverse_power_sum(c)
+        for s in (a, b, c):
+            by_total += _grading(s) is sum
+            by_one += _grading(s) is not sum
+    assert by_one and by_total, "the solve was not graded both ways"
     return cases
 
 

@@ -11,6 +11,8 @@ from ilwhodge.mpseries import (
     Packing,
     SeriesError,
     VarSpec,
+    _components,
+    _grading,
     _int_product,
     divide_series,
     exp_series,
@@ -19,7 +21,7 @@ from ilwhodge.mpseries import (
     sinc_half_series,
     substitute_square,
 )
-from oracles import log_sinc_half_coeffs
+from oracles import exp_power_sum, inverse_power_sum, log_power_sum, log_sinc_half_coeffs
 from properties import (
     check_exp_log_inversion,
     check_graded_solve_against_reference,
@@ -261,6 +263,17 @@ def test_series_kernel_matches_reference():
 
 def test_graded_solve_matches_reference():
     check_graded_solve_against_reference(200, 104)
+
+
+def test_series_ops_grade_by_one_variable_when_every_term_has_it():
+    x = MultiSeries(HE, {(1, 0): 1, (1, 1): Fraction(1, 2), (2, 1): 3})
+    grade = _grading(x)
+    assert [sorted(p.terms) for p in _components(x, grade)] == [[], [(1, 0), (1, 1)], [(2, 1)], []]
+    assert _grading(x + MultiSeries(HE, {(0, 1): 1})) is sum  # no variable is in every term
+    assert exp_series(x) == exp_power_sum(x)
+    assert log_series(1 + x) == log_power_sum(1 + x)
+    assert inverse_series(1 + x) == inverse_power_sum(1 + x)
+    assert divide_series(x, 1 + x) == x * inverse_power_sum(1 + x)
 
 
 def test_divide_series_hand_expansion():
