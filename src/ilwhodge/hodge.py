@@ -89,18 +89,18 @@ class BracketTable:
 
 
 # S and S~ depend on G alone.  While `cli` runs the checks of one verify call
-# this keeps them by (name, G), so each is built once per G; it is None
+# this keeps them by (builder, G), so each is built once per G; it is None
 # otherwise, so nothing outlives that call.
 memo: dict | None = None
 
 
-def _kept_per_call(build: Callable[[int], MultiSeries]) -> Callable[[int], MultiSeries]:
+def _kept_per_call(build):
     def series(G: int) -> MultiSeries:
-        if memo is not None and (build.__name__, G) not in memo:
-            memo[build.__name__, G] = build(G)
-        return build(G) if memo is None else memo[build.__name__, G]
+        if memo is not None and (build, G) not in memo:
+            memo[build, G] = build(G)
+        return build(G) if memo is None else memo[build, G]
 
-    series.__name__, series.__doc__, series.__wrapped__ = build.__name__, build.__doc__, build
+    series.__name__, series.__doc__ = build.__name__, build.__doc__
     return series
 
 

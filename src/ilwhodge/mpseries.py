@@ -343,11 +343,10 @@ def _var_index(vs: tuple[VarSpec, ...], name: str) -> int:
 
 def _grading(a: MultiSeries):
     """The grade of an exponent vector in the solve for a: the exponent of the
-    variable of least order that is positive on every term of a but the
-    constant, so that grade 0 holds only the constant; else the total degree.
-    One variable gives fewer slices, each a larger product."""
-    found = [i for i in range(len(a.vars)) if all(e[i] for e in a.terms if any(e))]
-    i = min(found, key=lambda j: a.vars[j].order, default=None)
+    first variable that is positive on every term of a but the constant, so
+    that grade 0 holds only the constant, or else the total degree.  One
+    variable gives fewer slices, each a larger product."""
+    i = next((i for i in range(len(a.vars)) if all(e[i] for e in a.terms if any(e))), None)
     return sum if i is None else (lambda e: e[i])
 
 
@@ -428,17 +427,17 @@ def _solve_graded(base: list[MultiSeries], left: list[MultiSeries], weight) -> M
     pack = Packing(tuple(v.order for v in base[0].vars))
     bias, guard, decode = pack.bias, pack.guard, pack.decode
     lefts = [(den, list(nums.items())) for den, nums in (_scaled(p.terms, pack) for p in left)]
-    y: list[tuple[int, list[tuple[int, int]]]] = []
-    out: dict[Exponents, Fraction] = {}
+    one = [(bias, 1)]  # the constant 1, biased: base_d enters the slice as base_d * 1
+    y, out = [], {}
     for d, b in enumerate(base):
         bden, bnums = _scaled(b.terms, pack)
-        pairs = [(lefts[k][0] * y[d - k][0], lefts[k][1], y[d - k][1])
-                 for k in range(1, d + 1) if lefts[k][1] and y[d - k][1]]
-        den = lcm(bden, *[p[0] for p in pairs])
+        pairs = [(bden, list(bnums.items()), one)] + [
+            (lefts[k][0] * y[d - k][0], lefts[k][1], y[d - k][1])
+            for k in range(1, d + 1) if lefts[k][1] and y[d - k][1]]
+        den = lcm(*[p[0] for p in pairs])
         w = Fraction(weight(d))
         sign_den = w.denominator if w > 0 else -w.denominator  # den stays positive
-        f = den // bden * sign_den
-        acc = {k + bias: n * f for k, n in bnums.items()}
+        acc = {}
         for s, nl, ny in pairs:
             f = den // s * sign_den
             short, long = (nl, ny) if len(nl) <= len(ny) else (ny, nl)
