@@ -8,8 +8,11 @@ Each row is one library call, timed `--runs` times in this process; the row
 keeps every time and their median.  The rows go under `runs[label]`, next to
 the Python version, the CPU count and the commit of the timed source tree;
 other labels already in the file are kept, so two trees measured on the
-same machine can share one file.  Unlike `perfbench/`, which times whole
-CLI calls, these rows leave out interpreter start-up.
+same machine can share one file.  A second call with the same label, commit,
+Python version and CPU count adds its times to the label's rows instead, so
+two trees can be timed in alternation, a few runs at a time, on a machine
+whose speed drifts.  Unlike `perfbench/`, which times whole CLI calls, these
+rows leave out interpreter start-up.
 
 `--compare A B` times nothing: it prints, for each row that labels A and B
 of the file share, the ratio of A's median to B's (above 1 when B is
@@ -104,13 +107,22 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
     rows = measure(args.runs)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
-    doc["runs"][args.label] = {
+    entry = {
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "commit": args.commit or _commit(args.src),
         "runs_per_row": args.runs,
         "rows": rows,
     }
+    old = doc["runs"].get(args.label)
+    if old and all(old[k] == entry[k] for k in ("python", "nproc", "commit")):
+        # the same tree again: its times accumulate, so that two trees timed
+        # in alternation share the machine's slow and fast spells
+        entry["runs_per_row"] += old["runs_per_row"]
+        for name, row in rows.items():
+            row["times_s"] = old["rows"].get(name, {"times_s": []})["times_s"] + row["times_s"]
+            row["median_s"] = statistics.median(row["times_s"])
+    doc["runs"][args.label] = entry
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
