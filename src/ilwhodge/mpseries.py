@@ -342,10 +342,10 @@ def _var_index(vs: tuple[VarSpec, ...], name: str) -> int:
 
 
 def _grading(a: MultiSeries):
-    """The grade of an exponent vector in the solve for a: the exponent of the
-    first variable that is positive on every term of a but the constant, so
-    that grade 0 holds only the constant, or else the total degree.  One
-    variable gives fewer slices, each a larger product."""
+    """The grade of an exponent vector in the solve for a: its exponent of the
+    first variable that every term of a but the constant contains, so that
+    grade 0 holds only the constant, or else the total degree.  One variable
+    gives fewer slices, each a larger product."""
     i = next((i for i in range(len(a.vars)) if all(e[i] for e in a.terms if any(e))), None)
     return sum if i is None else (lambda e: e[i])
 
