@@ -83,6 +83,13 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, subparsers included, whose usage errors are one line."""
+
+    def error(self, message: str) -> NoReturn:
+        _usage_error(message)
+
+
 class _FromEnv:
     """Default of an option that ILWHODGE_<name> may set; see `_env_option`."""
 
@@ -144,7 +151,7 @@ def _perturbation(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ilwhodge",
         description="Exact verification engine for the ILW hierarchy and "
         "one-point Hodge-integral identities.",

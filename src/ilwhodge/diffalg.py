@@ -16,6 +16,10 @@ derivative, and the triangular Miura substitution (the series
 sin(z/2)/(z/2) of `mpseries` with z^2 read as h e d^2/dx^2) and its inverse
 (the reciprocal series).
 
+The calculus runs on packed keys (`_Packing`): a key's u_k fields are read
+off it each time, and every product, the Frechet sum included, is one call
+of `mpseries._int_product`, the one pair loop of the package.
+
 A `LocalFunctional` is the class of a density modulo total x-derivatives,
 stored in a canonical normal form: no monomial keeps a factor u_N (N >= 1)
 that is linear and strictly above every other derivative index in that
@@ -251,12 +255,12 @@ class _Packing(Packing):
     index, then multiplicities from the top down, then h and e: the
     integration-by-parts order of `_reduce`."""
 
-    __slots__ = ("base", "seen")
+    __slots__ = ("base",)
     error = DiffAlgError
 
     def __init__(self, cvars: tuple[VarSpec, ...], degree: int):
         super().__init__(tuple(v.order for v in reversed(cvars)), degree)
-        self.base, self.seen = 3 * self.width, {}
+        self.base = 3 * self.width
 
     def encode(self, key: FlatKey) -> int:
         (ue, a, b), w = key, self.width
@@ -269,17 +273,13 @@ class _Packing(Packing):
         return (ue, key >> w & mask, key & mask)
 
     def factors(self, key: int) -> list[tuple[int, int]]:
-        """(field shift, multiplicity) of every u_k in a key, lowest first,
-        remembered per u-monomial."""
-        out = self.seen.get(key >> self.base)
-        if out is None:
-            w, mask, out, rest = self.width, self.mask, [], key >> self.base << self.base
-            while rest:  # jump to the lowest nonzero field
-                s = (rest & -rest).bit_length() - 1
-                s -= s % w
-                out.append((s, rest >> s & mask))
-                rest &= ~(mask << s)
-            self.seen[key >> self.base] = out
+        """(field shift, multiplicity) of every u_k in a key, lowest first."""
+        w, mask, out, rest = self.width, self.mask, [], key >> self.base << self.base
+        while rest:  # jump to the lowest nonzero field
+            s = (rest & -rest).bit_length() - 1
+            s -= s % w
+            out.append((s, rest >> s & mask))
+            rest &= ~(mask << s)
         return out
 
 
@@ -329,22 +329,21 @@ def _int_euler(nums: IntTerms, pack: _Packing) -> IntTerms:
 
 
 def _int_frechet(nphi: IntTerms, nb: IntTerms, pack: _Packing) -> IntTerms:
-    """sum_k (dphi/du_k) d^k/dx^k b."""
-    parts = _int_partials(nphi, pack)
-    out: IntTerms = {}
+    """sum_k (dphi/du_k) d^k/dx^k b, as one `_int_product` accumulation."""
+    parts, products = _int_partials(nphi, pack), []
     for s in range(pack.base, max(parts, default=0) + 1, pack.width):
         if s > pack.base:
             nb = _int_dx(nb, pack)
-        _int_product(parts.get(s, {}), nb, pack, out)
-    return out
+        products.append((1, list(parts.get(s, {}).items()), list(nb.items())))
+    return _int_product(products, pack)
 
 
-def _int_bracket(h: tuple[int, IntTerms], f: tuple[int, IntTerms],
+def _int_bracket(h: tuple[int, IntTerms], xf: tuple[int, IntTerms],
                  pack: _Packing) -> tuple[int, IntTerms]:
-    """{h, f} in normal form, (den, nums) in and out."""
-    density = _int_product(_int_euler(h[1], pack), _int_dx(_int_euler(f[1], pack), pack),
-                           pack, {})
-    return _reduce(h[0] * f[0], density, pack)
+    """{h, f} in normal form from h and the flow d/dx (delta f/delta u) of f,
+    (den, nums) in and out."""
+    density = _int_product([(1, list(_int_euler(h[1], pack).items()), list(xf[1].items()))], pack)
+    return _reduce(h[0] * xf[0], density, pack)
 
 
 def total_x_derivative(p: DiffPoly) -> DiffPoly:
@@ -495,7 +494,9 @@ def poisson_bracket(
     dh, df = (x.density if isinstance(x, LocalFunctional) else x for x in (h, f))
     dh._check_ring(df)
     pack = DiffPoly._packing(dh, df)
-    bracket = _int_bracket(_scaled(dh.terms, pack), _scaled(df.terms, pack), pack)
+    den, nums = _scaled(df.terms, pack)
+    bracket = _int_bracket(_scaled(dh.terms, pack), (den, _int_dx(_int_euler(nums, pack), pack)),
+                           pack)
     return LocalFunctional(_decoded(dh.vars, *bracket, pack))
 
 

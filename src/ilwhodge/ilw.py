@@ -25,9 +25,9 @@ from typing import Callable
 
 from . import exactnum
 from .diffalg import (
-    DiffPoly, LocalFunctional, _decoded, _int_bracket, _int_frechet, _Packing, _reduce, coeff_ring,
-    differential_degree, monomial_sort_key, normalize, poisson_bracket, total_x_derivative,
-    u_degree, u_key, u_monomial_pretty, variational_derivative,
+    DiffPoly, LocalFunctional, _decoded, _int_bracket, _int_dx, _int_euler, _int_frechet, _Packing,
+    _reduce, coeff_ring, differential_degree, monomial_sort_key, normalize, poisson_bracket,
+    total_x_derivative, u_degree, u_key, u_monomial_pretty, variational_derivative,
 )
 from .mpseries import _content, _scaled
 from .reports import VerificationReport, first_term_mismatch
@@ -93,10 +93,6 @@ def flow(h: Hamiltonian | LocalFunctional) -> DiffPoly:
     return total_x_derivative(variational_derivative(functional))
 
 
-def _lowest_h_order(p: DiffPoly) -> int:
-    return min(a for _, a, _ in p.terms)
-
-
 def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Hamiltonian:
     """The index-i Hamiltonian (i >= 2), built by the double-ramification
     recursion from g_{-1} = u.
@@ -116,16 +112,18 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
     h1_full = h1(G, cg_values)
     # the widest term is the re-check's product, of u-degree i + 3
     pack = _Packing(cvars, i + 3)
-    d1, xdh1 = _scaled(flow(h1_full).terms, pack)
     w, mask = pack.width, pack.mask
+    d1, n1 = _scaled(h1_full.functional.density.terms, pack)
+    xdh1 = _int_dx(_int_euler(n1, pack), pack)  # the flow of h_1, over d1
+    # the h-order of an obstruction, read off the h field of its keys
+    lowest_h_order = lambda nums: min(k >> w & mask for k, c in nums.items() if c)  # noqa: E731
     den, density = 1, {pack.encode((((0, 1),), 0, 0)): 1}
     for _ in range(i + 1):
         rhs = _int_frechet(density, xdh1, pack)
         phi: dict[int, int] = {}
         den, rest = _reduce(den * d1, rhs, pack, phi)
         if rest:  # not a total x-derivative
-            rhs = _decoded(cvars, 1, rhs, pack)  # only its lowest h-order is read
-            raise InconsistentSystemError(i, _lowest_h_order(variational_derivative(rhs)))
+            raise InconsistentSystemError(i, lowest_h_order(_int_euler(rhs, pack)))
         # the D - 1 eigenvalue 2a + n - 1 of h^a (u-monomial of u-degree n)
         eigen = {k: 2 * (k >> w & mask) + (k >> 2 * w & mask) - 1 for k in phi}
         scale = lcm(*eigen.values())
@@ -134,9 +132,9 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
     den, nums = _reduce(den, density, pack)
     ham = Hamiltonian(i, G, LocalFunctional(_decoded(cvars, den, nums, pack)))
     check_grading(ham)
-    residual = _int_bracket((den, nums), _scaled(h1_full.functional.density.terms, pack), pack)
-    if residual[1]:
-        raise InconsistentSystemError(i, _lowest_h_order(_decoded(cvars, *residual, pack)))
+    residual = _int_bracket((den, nums), (d1, xdh1), pack)[1]
+    if residual:
+        raise InconsistentSystemError(i, lowest_h_order(residual))
     return ham
 
 

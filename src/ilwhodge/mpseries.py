@@ -24,9 +24,11 @@ work is about that of a single product, not one product per power.
 
 Products run through one integer kernel, shared with `diffalg`: coefficients
 become numerators over the lcm of their denominators, each key becomes one
-packed int (`Packing`), pairs multiply in integers, and a reduced `Fraction`
-is built once per output term.  The graded solve fuses each slice on the
-same keys: all its products add into one integer map over one denominator.
+packed int (`Packing`), and `_int_product`, the one pair loop of the
+package, adds a list of scaled products into one integer map; a reduced
+`Fraction` is built once per output term.  Each slice of the graded solve
+is one such call: base_d minus the slice's left products, over one
+denominator.
 """
 
 from __future__ import annotations
@@ -187,7 +189,8 @@ class TermMap:
         self._check_ring(other)
         pack = self._packing(self, other)
         (da, na), (db, nb) = _scaled(self.terms, pack), _scaled(other.terms, pack)
-        return self._make(self.vars, _unscale(_int_product(na, nb, pack, {}), da * db, pack))
+        product = _int_product([(1, list(na.items()), list(nb.items()))], pack)
+        return self._make(self.vars, _unscale(product, da * db, pack))
 
 
 class Packing:
@@ -371,24 +374,28 @@ def _scaled(terms: Mapping, pack: Packing) -> tuple[int, IntTerms]:
     return den, {encode(e): c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
-def _int_product(na: IntTerms, nb: IntTerms, pack: Packing, out: IntTerms) -> IntTerms:
-    """na * nb on packed keys, added into `out`, dropping every term at or past
-    a truncation order; a sum that cancels stays as 0."""
+def _int_product(products: list, pack: Packing) -> IntTerms:
+    """sum of scale * a * b over the (scale, a, b) products, each factor a
+    sequence of (packed key, numerator) pairs, dropping every term at or
+    past a truncation order; a sum that cancels stays as 0.  The one pair
+    loop of the package: the shorter factor of each product is biased and
+    scaled once, and the bias comes off the sum's keys at the end."""
     bias, guard, over = pack.bias, pack.guard, pack.over
-    right = [(k + bias, c) for k, c in nb.items()]
     acc: IntTerms = {}
-    for ka, ca in na.items():
-        for kb, cb in right:
-            k = ka + kb
-            if k & guard:  # truncated away, or too wide for the layout
-                if k & over:
-                    raise pack.error(f"a product term exceeds the {pack.width}-bit packed fields")
-                continue
-            acc[k] = acc.get(k, 0) + ca * cb
-    for k, c in acc.items():
-        k -= bias
-        out[k] = out.get(k, 0) + c
-    return out
+    for scale, a, b in products:
+        short, long = (a, b) if len(a) <= len(b) else (b, a)
+        for ks, cs in short:
+            ks += bias
+            cs *= scale
+            for kl, cl in long:
+                k = ks + kl
+                if k & guard:  # truncated away, or too wide for the layout
+                    if k & over:
+                        raise pack.error(
+                            f"a product term exceeds the {pack.width}-bit packed fields")
+                    continue
+                acc[k] = acc.get(k, 0) + cs * cl
+    return {k - bias: c for k, c in acc.items()}
 
 
 def _content(den: int, nums: IntTerms) -> tuple[int, IntTerms]:
@@ -414,46 +421,30 @@ def _accumulate(terms: dict, key, coef: Fraction) -> None:
 
 
 def _solve_graded(base: list[MultiSeries], left: list[MultiSeries], weight) -> MultiSeries:
-    """The series y with weight(d) * y_d = base_d + sum_{k=1..d} left_k * y_{d-k}
+    """The series y with weight(d) * y_d = base_d - sum_{k=1..d} left_k * y_{d-k}
     in every grade d that the components were split by, from the grades below.
 
-    Slice d is one integer accumulation, about one product's worth of work:
-    every product adds into one packed-key map over the lcm of the slice's
-    operand denominators, with the shorter factor scaled once.  A solved
-    component stays (biased key, numerator) pairs over one positive
-    denominator, so no product builds a list or dict; division by weight(d)
-    and reduction by the content are done in integers.
+    Slice d is one `_int_product` call, about one product's worth of work,
+    over the lcm of the slice's operand denominators: base_d enters as
+    base_d * 1 and each left product with a negative scale.  Division by
+    weight(d) and reduction by the content are done in integers.
     """
     pack = Packing(tuple(v.order for v in base[0].vars))
-    bias, guard, decode = pack.bias, pack.guard, pack.decode
-    lefts = [(den, list(nums.items())) for den, nums in (_scaled(p.terms, pack) for p in left)]
-    one = [(bias, 1)]  # the constant 1, biased: base_d enters the slice as base_d * 1
+    # denominators of the left factors negated: their products are subtracted
+    lefts = [(-den, list(nums.items())) for den, nums in (_scaled(p.terms, pack) for p in left)]
     y, out = [], {}
-    for d, b in enumerate(base):
-        bden, bnums = _scaled(b.terms, pack)
-        pairs = [(bden, list(bnums.items()), one)] + [
-            (lefts[k][0] * y[d - k][0], lefts[k][1], y[d - k][1])
-            for k in range(1, d + 1) if lefts[k][1] and y[d - k][1]]
-        den = lcm(*[p[0] for p in pairs])
-        w = Fraction(weight(d))
-        sign_den = w.denominator if w > 0 else -w.denominator  # den stays positive
-        acc = {}
-        for s, nl, ny in pairs:
-            f = den // s * sign_den
-            short, long = (nl, ny) if len(nl) <= len(ny) else (ny, nl)
-            for ks, cs in short:
-                cs *= f
-                for kl, cl in long:
-                    k = ks + kl
-                    # a set guard bit drops a truncated term; the series
-                    # layout's top field stays empty, so nothing can wrap
-                    if not k & guard:
-                        acc[k] = acc.get(k, 0) + cs * cl
-        den *= abs(w.numerator)
-        g = gcd(den, *acc.values())
-        den //= g
-        y.append((den, [(k, n // g) for k, n in acc.items() if n]))
-        out.update({decode(k - bias): Fraction(n, den) for k, n in y[-1][1]})
+    for d, part in enumerate(base):
+        products = [(lefts[k][0] * y[d - k][0], lefts[k][1], y[d - k][1])
+                    for k in range(1, d + 1) if lefts[k][1] and y[d - k][1]]
+        if part.terms:  # base_d enters as base_d * 1
+            bden, bnums = _scaled(part.terms, pack)
+            products.append((bden, list(bnums.items()), [(0, 1)]))
+        den, w = lcm(*[s for s, _, _ in products]), weight(d)
+        f = w.denominator if w > 0 else -w.denominator  # den stays positive
+        den, nums = _content(den * abs(w.numerator),
+                             _int_product([(den // s * f, a, b) for s, a, b in products], pack))
+        y.append((den, list(nums.items())))
+        out.update(_unscale(nums, den, pack))
     return MultiSeries._make(base[0].vars, out)
 
 
@@ -466,13 +457,14 @@ def exp_series(a: MultiSeries) -> MultiSeries:
     """exp of a series with zero constant term, exact to truncation.
 
     f = exp(a) satisfies E f = (E a) f for the Euler derivative E of the
-    grade, that is d f_d = sum_{k=1..d} k a_k f_{d-k}.
+    grade, that is d f_d = sum_{k=1..d} k a_k f_{d-k}: the solve's weight
+    is -d, as it subtracts its left sum, and 1 for the constant f_0 = 1.
     """
     if a.constant_term != 0:
         raise SeriesError("exp_series requires a zero constant term")
     one = MultiSeries.constant(a.vars, 1)  # rejects a variable of order 0
     grade = _grading(a)
-    return _solve_graded(_components(one, grade), _euler(_components(a, grade)), lambda d: d or 1)
+    return _solve_graded(_components(one, grade), _euler(_components(a, grade)), lambda d: -d or 1)
 
 
 def log_series(a: MultiSeries) -> MultiSeries:
@@ -485,7 +477,7 @@ def log_series(a: MultiSeries) -> MultiSeries:
         raise SeriesError("log_series requires constant term 1")
     grade = _grading(a)
     parts = _components(a, grade)
-    eg = _solve_graded(_euler(parts), [-p for p in parts], lambda d: 1)  # E g
+    eg = _solve_graded(_euler(parts), parts, lambda d: 1)  # E g
     return MultiSeries._make(a.vars, {e: c / grade(e) for e, c in eg.terms.items()})
 
 
@@ -513,8 +505,7 @@ def _divide(num, den: MultiSeries, caller: str) -> MultiSeries:
             f"{[v.name for v in den.vars]}"
         )
     grade = _grading(den)
-    return _solve_graded(_components(num, grade), [-p for p in _components(den, grade)],
-                         lambda d: c)
+    return _solve_graded(_components(num, grade), _components(den, grade), lambda d: c)
 
 
 def sinc_half_series(order: int) -> MultiSeries:

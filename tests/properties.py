@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from ilwhodge.diffalg import (
+    DiffAlgError,
     DiffPoly,
     _int_dx,
+    _int_frechet,
     _int_partials,
     _Packing,
     _reduce,
@@ -405,7 +408,8 @@ def check_packed_kernels_at_field_width(cases: int, seed: int) -> int:
         p, q = _wide_diffpoly(rng, d), _wide_diffpoly(rng, WIDTH_TOP - d)
         fp, fq = _flat(p), _flat(q)
         (dp, np), (dq, nq) = _scaled(p.terms, pack), _scaled(q.terms, pack)
-        assert (_flat_packed(dp * dq, _int_product(np, nq, pack, {}), pack)
+        product = _int_product([(1, list(np.items()), list(nq.items()))], pack)
+        assert (_flat_packed(dp * dq, product, pack)
                 == multiply_reference(fp, fq, h_order, e_order))
         assert _flat_packed(dp, _int_dx(np, pack), pack) == dx_reference(fp)
         parts = _int_partials(np, pack)
@@ -424,12 +428,79 @@ def check_packed_kernels_at_field_width(cases: int, seed: int) -> int:
         base = MultiSeries(WIDTH_BOX, _big_terms(rng, WIDTH_BOX))
         left = MultiSeries(WIDTH_BOX, _big_terms(rng, WIDTH_BOX))
         sign = -1 if n % 2 else 1
-        got = _solve_graded(_components(base), _components(left), lambda d: sign * (d + 2))
+        got = _solve_graded(_components(base), _components(-left), lambda d: sign * (d + 2))
         bounds = tuple(v.order for v in WIDTH_BOX)
         assert got.terms == solve_graded_reference(base.terms, left.terms,
                                                    lambda d: sign * (d + 2), bounds)
     assert full, "no product filled the u-degree field"
     assert past, "no product went one step past the h or e order"
+    return cases
+
+
+def _degree(ue) -> int:
+    return sum(m for _, m in ue)
+
+
+def _pairs(p: DiffPoly, pack) -> tuple[int, list]:
+    """(den, [(packed key, numerator), ...]) of p, the factor form of `_int_product`."""
+    den, nums = _scaled(p.terms, pack)
+    return den, list(nums.items())
+
+
+def check_one_pair_loop_at_field_width(cases: int, seed: int) -> int:
+    """`_int_product` over several products at once, against the sum of
+    their `multiply_reference` products, and `_int_frechet`, which sums its
+    products in one such call, against `frechet_reference`, both with every
+    u-degree, h and e field at its width limit somewhere.  Each call has
+    products of distinct scales (one negative), a shorter first and a
+    shorter second factor, an empty factor, and in one case of four a
+    product past the field width after the first, which must raise."""
+    rng = random.Random(seed)
+    pack = _Packing(WIDTH_RING, WIDTH_TOP)
+    h_order, e_order = (v.order for v in WIDTH_RING)
+    shorter, full, raised = set(), [0, 0], 0
+    for n in range(cases):
+        factors = []
+        for _ in range(2):
+            d = rng.randint(0, WIDTH_TOP)
+            factors.append((_wide_diffpoly(rng, d), _wide_diffpoly(rng, WIDTH_TOP - d)))
+        # the first product passes its shorter factor first, the second last
+        factors = [sorted(f, key=lambda x: len(x.terms) * sign)
+                   for f, sign in zip(factors, (1, -1))]
+        factors.append((DiffPoly.zero(WIDTH_RING), factors[0][0]))
+        weights = (rng.randint(1, 5), -rng.randint(1, 5), rng.randint(1, 5))
+        scaled = [(_pairs(a, pack), _pairs(b, pack)) for a, b in factors]
+        den = lcm(*[da * db for (da, _), (db, _) in scaled])
+        products = [(den // (da * db) * m, na, nb)
+                    for m, ((da, na), (db, nb)) in zip(weights, scaled)]
+        assert len({scale for scale, _, _ in products[:2]}) == 2
+        expected: dict = {}
+        for m, (a, b) in zip(weights, factors):
+            for key, c in multiply_reference(_flat(a), _flat(b), h_order, e_order).items():
+                expected[key] = expected.get(key, 0) + m * c
+        expected = {key: c for key, c in expected.items() if c}
+        assert _flat_packed(den, _int_product(products, pack), pack) == expected
+        for _, na, nb in products[:2]:
+            shorter.add("first" if len(na) < len(nb) else "second" if len(na) > len(nb) else "")
+        full[0] += any(_degree(ua) + _degree(ub) == WIDTH_TOP for a, b in factors[:2]
+                       for ua, _, _ in a.terms for ub, _, _ in b.terms)
+        if n % 4 == 3:  # u^4 * u^4 needs a u-degree of 8 in fields that hold 7
+            wide = _pairs(DiffPoly(WIDTH_RING, {(((0, 4),), 0, 0): 1}), pack)[1]
+            try:
+                _int_product(products + [(1, wide, wide)], pack)
+            except DiffAlgError as exc:
+                raised += "exceeds the 4-bit packed fields" in str(exc)
+        # the Frechet sum: (dphi/du_k) has u-degree one below phi's
+        d = rng.randint(0, WIDTH_TOP - 1)
+        phi, b = _wide_diffpoly(rng, d + 1), _wide_diffpoly(rng, WIDTH_TOP - d)
+        (dphi, nphi), (db, nb) = _scaled(phi.terms, pack), _scaled(b.terms, pack)
+        assert (_flat_packed(dphi * db, _int_frechet(nphi, nb, pack), pack)
+                == frechet_reference(_flat(phi), _flat(b), h_order, e_order))
+        full[1] += any(_degree(ua) - 1 + _degree(ub) == WIDTH_TOP
+                       for ua, _, _ in phi.terms for ub, _, _ in b.terms)
+    assert {"first", "second"} <= shorter, "no product had each factor as the shorter one"
+    assert all(full), "no product or Frechet term filled the u-degree field"
+    assert raised == cases // 4, "a product past the field width did not raise"
     return cases
 
 
@@ -476,7 +547,7 @@ def check_graded_solve_against_reference(cases: int, seed: int) -> int:
         else:
             base = _big_terms(rng, vars)
         base = MultiSeries(vars, base)
-        got = _solve_graded(_components(base), _components(left), weight)
+        got = _solve_graded(_components(base), _components(-left), weight)
         assert got.terms == solve_graded_reference(base.terms, left.terms, weight, bounds)
         if target is not None:
             assert got.terms == target
@@ -502,4 +573,5 @@ ALL_SUITES = [
     ("calculus kernel vs reference", check_calculus_kernel_against_reference),
     ("packed kernels at the field width", check_packed_kernels_at_field_width),
     ("graded solve vs reference", check_graded_solve_against_reference),
+    ("one pair loop at the field width", check_one_pair_loop_at_field_width),
 ]

@@ -82,6 +82,7 @@ class TestOnePoint:
         with pytest.raises(SystemExit) as exc:
             main(["one-point", "--max-genus", "0"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_csv(self, capsys):
         code, out = run(capsys, "one-point", "--max-genus", "1", "--format", "csv")
@@ -173,11 +174,13 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "cg", "--perturb-cg", "nonsense"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_zero_shift_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "cg", "--genus", "3", "--perturb-cg", "2:0"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     @pytest.mark.parametrize("locus", ["0", "4"])
     def test_perturbation_outside_orders_rejected(self, capsys, locus):
@@ -207,6 +210,7 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "everything"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_engine_error_reports_the_order_its_check_ran_at(self, capsys, monkeypatch):
         from ilwhodge import ilw

@@ -41,6 +41,7 @@ from properties import (
     check_miura_roundtrip,
     check_normalize_against_reference,
     check_normalize_idempotent,
+    check_one_pair_loop_at_field_width,
     he_group,
     random_diffpoly,
 )
@@ -367,13 +368,18 @@ def test_packed_kernels_match_references_at_the_field_width():
     check_packed_kernels_at_field_width(200, 2031)
 
 
+def test_one_pair_loop_matches_references_at_the_field_width():
+    check_one_pair_loop_at_field_width(200, 2032)
+
+
 def test_packed_product_past_the_field_width_raises():
     # 4-bit fields hold a u-degree of at most 7; u^4 * u^4 would need 8
     pack = _Packing(coeff_ring(7), 7)
-    _, nums = _scaled(dp({((0, 4),): 1}).terms, pack)
-    assert _int_product(nums, _scaled(dp({((0, 3),): 1}).terms, pack)[1], pack, {})
+    u4 = list(_scaled(dp({((0, 4),): 1}).terms, pack)[1].items())
+    u3 = list(_scaled(dp({((0, 3),): 1}).terms, pack)[1].items())
+    assert _int_product([(1, u4, u3)], pack)
     with pytest.raises(DiffAlgError, match="exceeds the 4-bit packed fields"):
-        _int_product(nums, nums, pack, {})
+        _int_product([(1, u4, u4)], pack)
 
 
 def test_field_width_follows_the_operands():

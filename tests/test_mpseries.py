@@ -43,15 +43,15 @@ def test_packed_product_past_the_field_width_raises():
     # the untruncated field above two 4-bit exponent fields holds at most 7
     pack = Packing((8, 8), 7)
     assert pack.width == 4
-    assert _int_product({4 << 8: 1}, {3 << 8: 1}, pack, {}) == {7 << 8: 1}
+    assert _int_product([(1, [(4 << 8, 1)], [(3 << 8, 1)])], pack) == {7 << 8: 1}
     with pytest.raises(SeriesError, match="exceeds the 4-bit packed fields"):
-        _int_product({4 << 8: 1}, {4 << 8: 1}, pack, {})
+        _int_product([(1, [(4 << 8, 1)], [(4 << 8, 1)])], pack)
 
 
 def test_packed_product_truncates_one_step_past_the_order():
     # x^7 in a 4-bit field of order 8 is kept; x^8 sets the guard bit
     pack = Packing((8, 3))
-    assert _int_product({7: 2}, {0: 3, 1: 5}, pack, {}) == {7: 6}
+    assert _int_product([(1, [(7, 2)], [(0, 3), (1, 5)])], pack) == {7: 6}
     a = MultiSeries((VarSpec("x", 8), VarSpec("y", 3)), {(7, 2): 2, (1, 0): 1})
     assert a * a == MultiSeries(a.vars, {(2, 0): 1})
 
