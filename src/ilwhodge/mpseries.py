@@ -427,7 +427,8 @@ def _solve_graded(base: list[MultiSeries], left: list[MultiSeries], weight) -> M
     Slice d is one `_int_product` call, about one product's worth of work,
     over the lcm of the slice's operand denominators: base_d enters as
     base_d * 1 and each left product with a negative scale.  Division by
-    weight(d) and reduction by the content are done in integers.
+    weight(d), an int or a `Fraction`, and reduction by the content are
+    done in integers.
     """
     pack = Packing(tuple(v.order for v in base[0].vars))
     # denominators of the left factors negated: their products are subtracted
