@@ -48,6 +48,7 @@ CALLS = [
     ("higher_hamiltonian(2, 30)", "ilw", "higher_hamiltonian", (2, 30)),
     ("higher_hamiltonian(4, 16)", "ilw", "higher_hamiltonian", (4, 16)),
     ("higher_hamiltonian(4, 20)", "ilw", "higher_hamiltonian", (4, 20)),
+    ("higher_hamiltonian(6, 10)", "ilw", "higher_hamiltonian", (6, 10)),
     ("verify_commutation(4, 3, 12)", "ilw", "verify_commutation", (4, 3, 12)),
 ]
 

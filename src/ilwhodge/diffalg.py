@@ -18,7 +18,10 @@ sin(z/2)/(z/2) of `mpseries` with z^2 read as h e d^2/dx^2) and its inverse
 
 The calculus runs on packed keys (`_Packing`): a key's u_k fields are read
 off it each time, and every product, the Frechet sum included, is one call
-of `mpseries._int_product`, the one pair loop of the package.
+of `mpseries._int_product`, the one pair loop of the package.  The Frechet
+sum is what certifies a Hamiltonian build in `ilw`; `poisson_bracket` is
+the only code that multiplies a variational derivative by a flow, so the
+Euler route is a second route to {h_i, h_1} = 0.
 
 A `LocalFunctional` is the class of a density modulo total x-derivatives,
 stored in a canonical normal form: no monomial keeps a factor u_N (N >= 1)
@@ -338,14 +341,6 @@ def _int_frechet(nphi: IntTerms, nb: IntTerms, pack: _Packing) -> IntTerms:
     return _int_product(products, pack)
 
 
-def _int_bracket(h: tuple[int, IntTerms], xf: tuple[int, IntTerms],
-                 pack: _Packing) -> tuple[int, IntTerms]:
-    """{h, f} in normal form from h and the flow d/dx (delta f/delta u) of f,
-    (den, nums) in and out."""
-    density = _int_product([(1, list(_int_euler(h[1], pack).items()), list(xf[1].items()))], pack)
-    return _reduce(h[0] * xf[0], density, pack)
-
-
 def total_x_derivative(p: DiffPoly) -> DiffPoly:
     """d/dx p = sum_k (dp/du_k) u_{k+1}; a derivation, kills constants."""
     pack, den, nums = _encoded(p)
@@ -494,10 +489,10 @@ def poisson_bracket(
     dh, df = (x.density if isinstance(x, LocalFunctional) else x for x in (h, f))
     dh._check_ring(df)
     pack = DiffPoly._packing(dh, df)
-    den, nums = _scaled(df.terms, pack)
-    bracket = _int_bracket(_scaled(dh.terms, pack), (den, _int_dx(_int_euler(nums, pack), pack)),
-                           pack)
-    return LocalFunctional(_decoded(dh.vars, *bracket, pack))
+    (hden, hnums), (fden, fnums) = _scaled(dh.terms, pack), _scaled(df.terms, pack)
+    xf = _int_dx(_int_euler(fnums, pack), pack)  # the flow of f
+    density = _int_product([(1, list(_int_euler(hnums, pack).items()), list(xf.items()))], pack)
+    return LocalFunctional(_decoded(dh.vars, *_reduce(hden * fden, density, pack), pack))
 
 
 # -- Miura substitution ---------------------------------------------------------

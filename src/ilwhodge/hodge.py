@@ -35,7 +35,7 @@ from .exactnum import rational_to_str
 from .mpseries import (
     MultiSeries, divide_series, exp_series, log_series, sinc_half_series, substitute_square,
 )
-from .reports import VerificationReport, first_mismatch, first_term_mismatch
+from .reports import VerificationReport, first_term_mismatch
 
 __all__ = [
     "HodgeConsistencyError", "BracketTable", "one_point_table", "sinc_factor_series", "s_series",
@@ -175,9 +175,11 @@ def extract_cg(G: int) -> list[Fraction]:
 def verify_cg(G: int, cg_values: CgValues | None = None) -> VerificationReport:
     """Compare the extracted constants against the Bernoulli closed form."""
     reference = cg_values or exactnum.c_g
-    computed = extract_cg(G)
-    scan = (({"g": g}, reference(g), computed[g - 1]) for g in range(1, G + 1))
-    return VerificationReport.of("cg", G, first_mismatch(scan, "expected", "computed"))
+    mism = first_term_mismatch(
+        {g: reference(g) for g in range(1, G + 1)}, dict(enumerate(extract_cg(G), 1)),
+        lambda g: {"g": g}, "expected", "computed",
+    )
+    return VerificationReport.of("cg", G, mism)
 
 
 def verify_linear_term_identity(

@@ -13,23 +13,26 @@ the higher densities follow from the recursion
     d/dx (D - 1) g_{d+1} = {g_d, h_1},    g_{-1} = u,
 
 with D = 2h d/dh + sum_s u_s d/du_s (Buryak-Rossi, CMP 342 (2016)); h_i is
-int g_i dx.  Each step is an exact x-antiderivative followed by a division,
-and the result is re-checked against {h_i, h_1} = 0.
+int g_i dx.  Each step is an exact x-antiderivative followed by a division.
+The antiderivative exists exactly when {h_d, h_1} = 0, so a step certifies
+the density it starts from, and one more step on g_i certifies h_i.  The
+bracket itself, by the Euler route of `diffalg.poisson_bracket`, is the
+second route that `verify_commutation` runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from typing import Callable
 
 from . import exactnum
 from .diffalg import (
-    DiffPoly, LocalFunctional, _decoded, _int_bracket, _int_dx, _int_euler, _int_frechet, _Packing,
+    DiffPoly, LocalFunctional, _decoded, _int_dx, _int_euler, _int_frechet, _Packing,
     _reduce, coeff_ring, differential_degree, monomial_sort_key, normalize, poisson_bracket,
     total_x_derivative, u_degree, u_key, u_monomial_pretty, variational_derivative,
 )
-from .mpseries import _content, _scaled
+from .mpseries import IntTerms, _content, _scaled
 from .reports import VerificationReport, first_term_mismatch
 
 __all__ = [
@@ -43,9 +46,9 @@ CgValues = Callable[[int], Fraction]
 
 class InconsistentSystemError(RuntimeError):
     """h_i cannot be made to commute with h_1, which signals a faulty h_1
-    such as a shifted c_g: the recursion meets a right-hand side with no
-    x-antiderivative, or its result fails the bracket re-check.  `genus` is
-    the lowest h-order of the obstruction."""
+    such as a shifted c_g: a recursion step, or the last step on h_i itself,
+    meets a t_1-derivative with no x-antiderivative.  `genus` is the lowest
+    h-order of the obstruction."""
 
     def __init__(self, index: int, genus: int):
         self.index = index
@@ -99,10 +102,14 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
 
     Step d integrates {g_d, h_1} = sum_s (dg_d/du_s) d^s/dx^s flow(h_1) once
     in x and divides each term h^a (u-monomial of degree n) by its D - 1
-    eigenvalue 2a + n - 1.  The normal form of g_i is checked for grading
-    and re-verified against {h_i, h_1} = 0.  The whole build runs on packed
-    keys, as integer numerators over one denominator; a `Fraction` is built
-    only for h_i itself.
+    eigenvalue 2a + n - 1.  By parts, int sum_s (dg/du_s) d^s/dx^s X dx =
+    int (delta g/delta u) X dx, and `_reduce` leaves the canonical normal
+    form, so a step's remainder is zero exactly when the bracket
+    {int g_d, h_1} is; a remainder raises `InconsistentSystemError` at its
+    lowest h-order.  The normal form of g_i is checked for grading and
+    certified by one more step.  The whole build runs on packed keys, as
+    integer numerators over one denominator; a `Fraction` is built only for
+    h_i itself.
     """
     if i < 2:
         raise ValueError(f"higher Hamiltonian index must be >= 2, got {i}")
@@ -110,20 +117,23 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
         raise ValueError(f"genus order must be >= 0, got {G}")
     cvars = coeff_ring(G)
     h1_full = h1(G, cg_values)
-    # the widest term is the re-check's product, of u-degree i + 3
+    # the widest term is a step's product, of u-degree i + 3
     pack = _Packing(cvars, i + 3)
     w, mask = pack.width, pack.mask
     d1, n1 = _scaled(h1_full.functional.density.terms, pack)
     xdh1 = _int_dx(_int_euler(n1, pack), pack)  # the flow of h_1, over d1
-    # the h-order of an obstruction, read off the h field of its keys
-    lowest_h_order = lambda nums: min(k >> w & mask for k, c in nums.items() if c)  # noqa: E731
+
+    def step(den: int, density: IntTerms, phi: IntTerms | None = None) -> int:
+        # the t_1-derivative of density / den, integrated into phi when given
+        den, rest = _reduce(den * d1, _int_frechet(density, xdh1, pack), pack, phi)
+        if rest:  # the obstruction's lowest h-order, read off the h field
+            raise InconsistentSystemError(i, min(k >> w & mask for k in rest))
+        return den
+
     den, density = 1, {pack.encode((((0, 1),), 0, 0)): 1}
     for _ in range(i + 1):
-        rhs = _int_frechet(density, xdh1, pack)
-        phi: dict[int, int] = {}
-        den, rest = _reduce(den * d1, rhs, pack, phi)
-        if rest:  # not a total x-derivative
-            raise InconsistentSystemError(i, lowest_h_order(_int_euler(rhs, pack)))
+        phi: IntTerms = {}
+        den = step(den, density, phi)
         # the D - 1 eigenvalue 2a + n - 1 of h^a (u-monomial of u-degree n)
         eigen = {k: 2 * (k >> w & mask) + (k >> 2 * w & mask) - 1 for k in phi}
         scale = lcm(*eigen.values())
@@ -132,9 +142,7 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
     den, nums = _reduce(den, density, pack)
     ham = Hamiltonian(i, G, LocalFunctional(_decoded(cvars, den, nums, pack)))
     check_grading(ham)
-    residual = _int_bracket((den, nums), (d1, xdh1), pack)[1]
-    if residual:
-        raise InconsistentSystemError(i, lowest_h_order(residual))
+    step(den, nums)  # {h_i, h_1} = 0 on the normal form of h_i
     return ham
 
 
@@ -188,19 +196,19 @@ def t1_flow_rhs(G: int) -> DiffPoly:
 
 def t2_flow_rhs(G: int) -> DiffPoly:
     """Closed form of the second flow: (1/2)u^2 u_x plus the two displayed
-    dispersive sums with coefficients |B_{2g}|/(2g)!."""
-    cvars = coeff_ring(G)
+    dispersive sums with coefficients |B_{2g}|/(2g)!, as a literal term map:
+    at h^g e^{g-1} it is (1/4)(d/dx (2 u u_{2g}) + d^{2g+1}/dx^{2g+1} u^2),
+    where d/dx (2 u u_{2g}) = 2 u_1 u_{2g} + 2 u u_{2g+1} and, by Leibniz,
+    d^n/dx^n u^2 = sum_k C(n, k) u_k u_{n-k}."""
     terms = {(u_key({0: 2, 1: 1}), 0, 0): Fraction(1, 2)}
-    dxs = total_x_derivative(DiffPoly.u_power(cvars, 0, 2))
     for g in range(1, G + 1):
-        disp = exactnum.dispersion_coeff(g)
-        inner = total_x_derivative(DiffPoly(cvars, {(u_key({0: 1, 2 * g: 1}), 0, 0): 2}))
-        dxs = total_x_derivative(total_x_derivative(dxs))  # d^(2g+1)/dx^(2g+1) u^2
-        for (ue, _, _), c in (inner + dxs).terms.items():
-            terms[(ue, g, g - 1)] = c * disp / 4
+        disp, n = exactnum.dispersion_coeff(g), 2 * g + 1
+        # n is odd, so Leibniz gives u_k u_{n-k} twice; k = 0, 1 add d/dx (2 u u_{2g})
+        for k in range(g + 1):
+            terms[(u_key({k: 1, n - k: 1}), g, g - 1)] = disp * (comb(n, k) + (k <= 1)) / 2
         if g >= 2:
             terms[(u_key({2 * g + 1: 1}), g, g - 2)] = disp * (g + 1)
-    return DiffPoly(cvars, terms)
+    return DiffPoly(coeff_ring(G), terms)
 
 
 def verify_flow_t1(G: int, cg_values: CgValues | None = None) -> VerificationReport:

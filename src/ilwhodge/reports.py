@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .exactnum import rational_to_str
 
-__all__ = ["VerificationReport", "first_mismatch", "first_term_mismatch"]
+__all__ = ["VerificationReport", "first_term_mismatch"]
 
 
 class VerificationReport:
@@ -45,25 +45,17 @@ class VerificationReport:
         return out
 
 
-def first_mismatch(
-    scan: Iterable[tuple[dict, Fraction, Fraction]], x_label: str, y_label: str
-) -> dict | None:
-    """The first `(locus, x, y)` of `scan` with x != y, as the locus followed
-    by both values in p/q form under `x_label` and `y_label`; None if every
-    pair agrees.  `scan` is consumed only up to that point."""
-    for locus, x, y in scan:
-        if x != y:
-            return {**locus, x_label: rational_to_str(x), y_label: rational_to_str(y)}
-    return None
-
-
 def first_term_mismatch(
     x: Mapping, y: Mapping, locus: Callable[..., dict], x_label: str, y_label: str,
     key: Callable | None = None,
 ) -> dict | None:
-    """`first_mismatch` over the keys of the term maps x and y, scanned in
-    `sorted(..., key=key)` order with an absent key read as 0; `locus(k)` is
-    the locus of key k."""
+    """The first key at which the term maps x and y differ, scanned in
+    `sorted(..., key=key)` order with an absent key read as 0: `locus(k)`
+    followed by both values in p/q form under `x_label` and `y_label`; None
+    if every key agrees."""
     zero = Fraction(0)
-    scan = ((locus(k), x.get(k, zero), y.get(k, zero)) for k in sorted(x.keys() | y.keys(), key=key))
-    return first_mismatch(scan, x_label, y_label)
+    for k in sorted(x.keys() | y.keys(), key=key):
+        xv, yv = x.get(k, zero), y.get(k, zero)
+        if xv != yv:
+            return {**locus(k), x_label: rational_to_str(xv), y_label: rational_to_str(yv)}
+    return None

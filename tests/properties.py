@@ -290,6 +290,23 @@ def check_normalize_against_reference(cases: int, seed: int) -> int:
     return cases
 
 
+def check_frechet_pairing_by_parts(cases: int, seed: int) -> int:
+    """int sum_k (dg/du_k) d^k/dx^k X dx = int (delta g/delta u) X dx, by
+    parts: why the normal form of a recursion step's Frechet sum vanishes
+    exactly when the bracket {int g, h_1} does, with X the flow of h_1."""
+    rng = random.Random(seed)
+    nonzero = 0
+    for _ in range(cases):
+        cvars = coeff_ring(rng.randint(2, 4))
+        g = random_diffpoly(cvars, rng, max_index=4, with_params=rng.random() < 0.5)
+        x = random_diffpoly(cvars, rng, max_udeg=2, with_params=rng.random() < 0.5)
+        pairing = normalize(frechet_apply(g, x))
+        assert pairing == normalize(variational_derivative(g) * x)
+        nonzero += not pairing.is_zero()
+    assert nonzero, "every pairing was zero"
+    return cases
+
+
 # coefficient rings for the flat product: the square box the engine uses and
 # an uneven one where products of random terms are often truncated
 RING_BOXES = [coeff_ring(2), (VarSpec("h", 3), VarSpec("e", 2))]
@@ -568,6 +585,7 @@ ALL_SUITES = [
     ("bracket antisymmetry + Jacobi", check_bracket_antisymmetry_jacobi),
     ("Miura roundtrip", check_miura_roundtrip),
     ("normalize idempotence", check_normalize_idempotent),
+    ("Frechet pairing by parts", check_frechet_pairing_by_parts),
     ("normal form vs max-scan reference", check_normalize_against_reference),
     ("flat ring vs reference", check_diffpoly_ring_against_reference),
     ("calculus kernel vs reference", check_calculus_kernel_against_reference),

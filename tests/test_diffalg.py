@@ -38,6 +38,7 @@ from properties import (
     check_diffpoly_ring_against_reference,
     check_dx_derivation,
     check_euler_kills_dx,
+    check_frechet_pairing_by_parts,
     check_miura_roundtrip,
     check_normalize_against_reference,
     check_normalize_idempotent,
@@ -350,6 +351,10 @@ def test_bracket_antisymmetry_and_jacobi():
 
 def test_normalize_idempotent_and_class_preserving():
     check_normalize_idempotent(200, 2027)
+
+
+def test_frechet_pairing_equals_euler_pairing():
+    check_frechet_pairing_by_parts(200, 2033)
 
 
 def test_normal_form_matches_max_scan_reference():

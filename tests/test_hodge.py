@@ -23,7 +23,7 @@ from ilwhodge.hodge import (
     verify_one_point_reverse,
 )
 from ilwhodge.mpseries import MultiSeries, exp_series, inverse_series
-from ilwhodge.reports import VerificationReport, first_mismatch
+from ilwhodge.reports import VerificationReport, first_term_mismatch
 from oracles import (
     bernoulli_at,
     dimension_check,
@@ -183,12 +183,10 @@ class TestLinearTermIdentity:
             for g0 in [None, *range(1, G + 1)]:
                 cg = exactnum.c_g if g0 is None else perturbed(g0)
                 left, right = linear_term_reference(st.terms, cg, G)
-                scan = (
-                    ({"h_exp": a, "e_exp": b, "t_label": d},
-                     left.get((a, b, d), Fraction(0)), right.get((a, b, d), Fraction(0)))
-                    for a, b, d in sorted(left.keys() | right.keys())
+                expected = first_term_mismatch(
+                    left, right, lambda k: {"h_exp": k[0], "e_exp": k[1], "t_label": k[2]},
+                    "left", "right",
                 )
-                expected = first_mismatch(scan, "left", "right")
                 got = verify_linear_term_identity(G, cg).first_mismatch
                 assert got == expected, (G, g0)
                 assert got is None or list(got) == list(expected)

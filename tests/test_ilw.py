@@ -11,10 +11,12 @@ from ilwhodge.diffalg import (
     coeff_ring,
     normalize,
     poisson_bracket,
+    total_x_derivative,
     u_key,
 )
 import ilwhodge.ilw
 from ilwhodge.ilw import (
+    InconsistentSystemError,
     check_grading,
     first_diffpoly_mismatch,
     flow,
@@ -112,6 +114,23 @@ class TestTheorem1:
     def test_t1_flow_matches(self):
         assert verify_flow_t1(5).ok
 
+    def test_t2_closed_form_matches_derivative_construction(self):
+        # the reference builds each dispersive sum with total_x_derivative
+        # and DiffPoly arithmetic, which the literal term map avoids
+        for G in range(13):
+            cvars = coeff_ring(G)
+            terms = {(u_key({0: 2, 1: 1}), 0, 0): Fraction(1, 2)}
+            dxs = total_x_derivative(DiffPoly.u_power(cvars, 0, 2))
+            for g in range(1, G + 1):
+                disp = exactnum.dispersion_coeff(g)
+                inner = total_x_derivative(DiffPoly(cvars, {(u_key({0: 1, 2 * g: 1}), 0, 0): 2}))
+                dxs = total_x_derivative(total_x_derivative(dxs))  # d^(2g+1)/dx^(2g+1) u^2
+                for (ue, _, _), c in (inner + dxs).terms.items():
+                    terms[(ue, g, g - 1)] = c * disp / 4
+                if g >= 2:
+                    terms[(u_key({2 * g + 1: 1}), g, g - 2)] = disp * (g + 1)
+            assert t2_flow_rhs(G) == DiffPoly(cvars, terms), G
+
     def test_t2_closed_form_low_order_slice(self):
         # h^1 e^0 slice is (1/48)(2 (u u_2)_x + d^3/dx^3 u^2)
         f = flow(higher_hamiltonian(2, 1))
@@ -162,6 +181,33 @@ class TestNegativeControls:
             "monomial", "h_exp", "e_exp", "expected", "computed", "bracket"
         ]
         assert report.first_mismatch["bracket"] == "{h_2, h_1}"
+
+
+# the build of h_i with c_{g0} shifted by 1/1000000, per G and g0 = 1..G:
+# None when it succeeds, else the h-order of its InconsistentSystemError
+SHIFTED_CG_OUTCOMES = {
+    1: [None],
+    2: [None, None],
+    3: [None, None, None],
+    4: [4, 4, 4, None],
+    5: [4, 4, 4, 5, None],
+    6: [4, 4, 4, 5, 6, None],
+}
+
+
+@pytest.mark.parametrize("i", [2, 3, 4])
+def test_shifted_cg_outcomes_are_pinned(i):
+    got = {}
+    for G in SHIFTED_CG_OUTCOMES:
+        got[G] = []
+        for g0 in range(1, G + 1):
+            try:
+                higher_hamiltonian(i, G, perturbed(g0))
+                got[G].append(None)
+            except InconsistentSystemError as err:
+                assert err.index == i
+                got[G].append(err.genus)
+    assert got == SHIFTED_CG_OUTCOMES
 
 
 class TestReconstruction:
