@@ -11,8 +11,11 @@ other labels already in the file are kept, so two trees measured on the
 same machine can share one file.  A second call with the same label, commit,
 Python version and CPU count adds its times to the label's rows instead, so
 two trees can be timed in alternation, a few runs at a time, on a machine
-whose speed drifts.  Unlike `perfbench/`, which times whole CLI calls, these
-rows leave out interpreter start-up.
+whose speed drifts.  These rows leave out interpreter start-up and exit.
+The `cli:` rows keep them: each run is a fresh `python -m ilwhodge` child
+of one distinct op of the benchmark's workloads, run with `PYTHONPATH=<--src>`
+and the caller's environment otherwise unchanged, and timed from its start
+to its exit, as `perfbench/` times an op.
 
 `--compare A B` times nothing: it prints, for each row that labels A and B
 of the file share, both minima and the ratio of A's minimum to B's (above 1
@@ -51,6 +54,20 @@ CALLS = [
     ("higher_hamiltonian(6, 10)", "ilw", "higher_hamiltonian", (6, 10)),
     ("verify_commutation(4, 3, 12)", "ilw", "verify_commutation", (4, 3, 12)),
 ]
+# (argv, exit code): the distinct ops of perfbench/workloads.py; the seeded
+# negative control of verify-suite at one fixed locus and shift
+CLI_CALLS = [
+    (("verify", "cg", "--genus", "24"), 0),
+    (("one-point", "--max-genus", "24"), 0),
+    (("verify", "one-point-reverse", "--genus", "20"), 0),
+    (("verify", "linear-term", "--genus", "20"), 0),
+    (("hamiltonian", "--index", "2", "--genus", "10"), 0),
+    (("hamiltonian", "--index", "3", "--genus", "7"), 0),
+    (("hamiltonian", "--index", "4", "--genus", "6"), 0),
+    (("verify", "all", "--genus", "8"), 0),
+    (("verify", "commute", "--genus", "9"), 0),
+    (("verify", "all", "--genus", "6", "--perturb-cg", "3:1/7"), 1),
+]
 
 
 def _commit(src: Path) -> str | None:
@@ -62,19 +79,34 @@ def _commit(src: Path) -> str | None:
     return out.stdout.strip()
 
 
-def measure(runs: int) -> dict:
+def _cli_child(src: Path, argv: tuple[str, ...], code: int) -> None:
+    # cwd is --src, so that `-m` finds no other tree's package in the caller's
+    # directory
+    proc = subprocess.run([sys.executable, "-m", "ilwhodge", *argv, "--format", "json"],
+                          cwd=src, env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True)
+    if proc.returncode != code:
+        tail = proc.stderr.decode(errors="replace").strip().splitlines()[-1:]
+        sys.exit(f"bench.py: {' '.join(argv)} exited {proc.returncode}, want {code} {tail}")
+
+
+def measure(runs: int, src: Path) -> dict:
     import importlib
 
+    calls = [(name, getattr(importlib.import_module(f"ilwhodge.{module}"), function), args)
+             for name, module, function, args in CALLS]
+    calls += [(f"cli: {' '.join(argv)} --format json", _cli_child, (src, argv, code))
+              for argv, code in CLI_CALLS]
+    width = max(len(name) for name, _, _ in calls)
     rows = {}
-    for name, module, function, args in CALLS:
-        fn = getattr(importlib.import_module(f"ilwhodge.{module}"), function)
+    for name, fn, args in calls:
         times = []
         for _ in range(runs):
             t0 = time.perf_counter()
             fn(*args)
             times.append(round(time.perf_counter() - t0, 6))
         rows[name] = {"median_s": statistics.median(times), "times_s": times}
-        print(f"{name:32s} {rows[name]['median_s']:.3f} s", file=sys.stderr)
+        print(f"{name:{width}s} {rows[name]['median_s']:.3f} s", file=sys.stderr)
     return rows
 
 
@@ -91,13 +123,15 @@ def compare(doc: dict, a: str, b: str) -> int:
     bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "wall_s")
     rows_a, rows_b = doc["runs"][a]["rows"], doc["runs"][b]["rows"]
     slower = []
-    for name in [n for n in rows_a if n in rows_b]:
+    shared = [n for n in rows_a if n in rows_b]
+    width = max(map(len, shared), default=0)
+    for name in shared:
         ta, tb = min(rows_a[name]["times_s"]), min(rows_b[name]["times_s"])
         flag = ""
         if tb > ta * (1 + bound):
             slower.append(name)
             flag = f"  SLOWER by more than {bound:.0%}"
-        print(f"{name:32s} min {ta:8.4f} s -> {tb:8.4f} s  {ta / tb:5.2f}x"
+        print(f"{name:{width}s} min {ta:8.4f} s -> {tb:8.4f} s  {ta / tb:5.2f}x"
               f"  (median {rows_a[name]['median_s']:.4f} -> {rows_b[name]['median_s']:.4f}){flag}")
     return 1 if slower else 0
 
@@ -122,8 +156,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--label is required unless --compare is given")
     if args.runs < 1:
         parser.error(f"--runs must be >= 1, got {args.runs}")
-    sys.path.insert(0, str(args.src.resolve()))
-    rows = measure(args.runs)
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    rows = measure(args.runs, src)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     entry = {
         "python": platform.python_version(),

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import gc
+import importlib
 import json
 import os
 import subprocess
@@ -422,13 +424,69 @@ class TestPlumbing:
         assert {"argparse", "ilwhodge.cli", "ilwhodge.linalg"} <= loaded
         assert loaded & {"dataclasses", "inspect"} == set()
 
-    def test_module_entry_point(self):
+    @pytest.mark.parametrize(
+        "code, argv",
+        [
+            (0, ["bernoulli", "--max", "4", "--format", "csv"]),
+            (1, ["verify", "all", "--genus", "6", "--perturb-cg", "3:1/7", "--format", "json"]),
+            (2, ["hamiltonian", "--index", "0"]),
+        ],
+        ids=["ok", "mismatch", "usage"],
+    )
+    def test_module_entry_point(self, capsys, code, argv):
+        # the process entry point prints and exits exactly as cli.main does
         root = Path(__file__).resolve().parents[1]
         proc = subprocess.run(
-            [sys.executable, "-m", "ilwhodge", "bernoulli", "--max", "4", "--format", "csv"],
+            [sys.executable, "-m", "ilwhodge", *argv],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": str(root / "src")},
         )
-        assert proc.returncode == 0
-        assert "B,4,-1/30" in proc.stdout
+        try:
+            in_process = main(argv)
+        except SystemExit as exc:
+            in_process = exc.code
+        captured = capsys.readouterr()
+        assert in_process == code
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+        assert (proc.stderr if code == 2 else proc.stdout).strip()
+
+    def test_module_entry_point_freezes_before_exit_handlers(self):
+        # the survivors are frozen before the interpreter shuts down, and the
+        # process still exits normally: atexit handlers run
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['ilwhodge', 'bernoulli', '--max', '2', '--format', 'csv']\n"
+            "runpy.run_module('ilwhodge', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True"
+
+    def test_main_does_not_freeze(self, capsys):
+        # tests and perfbench/tracing.py call cli.main in process
+        before = gc.get_freeze_count()
+        assert main(["bernoulli", "--max", "2"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_the_module_entry_point(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+        module, _, name = project["scripts"]["ilwhodge"].partition(":")
+        # the function that `if __name__ == "__main__":` in __main__.py calls
+        source = (root / "src" / "ilwhodge" / "__main__.py").read_text()
+        guard = next(
+            node for node in ast.parse(source).body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        )
+        [call] = [node for node in ast.walk(guard) if isinstance(node, ast.Call)]
+        entry = importlib.import_module("ilwhodge.__main__")
+        assert getattr(importlib.import_module(module), name) is getattr(entry, call.func.id)
