@@ -425,15 +425,16 @@ class TestPlumbing:
         assert loaded & {"dataclasses", "inspect"} == set()
 
     @pytest.mark.parametrize(
-        "code, argv",
+        "code, argv, shows",
         [
-            (0, ["bernoulli", "--max", "4", "--format", "csv"]),
-            (1, ["verify", "all", "--genus", "6", "--perturb-cg", "3:1/7", "--format", "json"]),
-            (2, ["hamiltonian", "--index", "0"]),
+            (0, ["bernoulli", "--max", "4", "--format", "csv"], "B,4,-1/30"),
+            (1, ["verify", "all", "--genus", "6", "--perturb-cg", "3:1/7", "--format", "json"],
+             '"status": "mismatch"'),
+            (2, ["hamiltonian", "--index", "0"], "ilwhodge: error:"),
         ],
         ids=["ok", "mismatch", "usage"],
     )
-    def test_module_entry_point(self, capsys, code, argv):
+    def test_module_entry_point(self, capsys, code, argv, shows):
         # the process entry point prints and exits exactly as cli.main does
         root = Path(__file__).resolve().parents[1]
         proc = subprocess.run(
@@ -449,7 +450,7 @@ class TestPlumbing:
         captured = capsys.readouterr()
         assert in_process == code
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
-        assert (proc.stderr if code == 2 else proc.stdout).strip()
+        assert shows in proc.stdout + proc.stderr
 
     def test_module_entry_point_freezes_before_exit_handlers(self):
         # the survivors are frozen before the interpreter shuts down, and the
