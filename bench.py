@@ -13,16 +13,20 @@ Python version and CPU count adds its times to the label's rows instead, so
 two trees can be timed in alternation, a few runs at a time, on a machine
 whose speed drifts.  These rows leave out interpreter start-up and exit.
 The `cli:` rows keep them: each run is a fresh `python -m ilwhodge` child
-of one distinct op of the benchmark's workloads, run with `PYTHONPATH=<--src>`
-and the caller's environment otherwise unchanged, and timed from its start
-to its exit, as `perfbench/` times an op.
+of one op of the benchmark's workloads (the ops of the first pass that
+`perfbench/workloads.py` plans for each workload at a fixed seed), run with
+`PYTHONPATH=<--src>` and the caller's environment otherwise unchanged, and
+timed from its start to its exit, as `perfbench/` times an op.  A child's
+exit code and output go through the op's own check, untimed, and a failed
+check stops the run.
 
 `--compare A B` times nothing: it prints, for each row that labels A and B
-of the file share, both minima and the ratio of A's minimum to B's (above 1
-when B is faster), with both medians beside them, and exits 1 when some
-row's minimum in B is slower than A's by more than the `wall_s` bound of
-BENCHMARK.json.  The minimum is the judge because on a shared machine the
-medians of a row whose code did not change spread by up to about 13 %.
+of the file share, both medians and the median over pairs of B's i-th time
+over A's i-th time (below 1 when B is faster), and exits 1 when some row's
+paired median exceeds 1 plus the `wall_s` bound of BENCHMARK.json.  Runs
+that alternate between the trees pair up times taken in the same spell of a
+shared machine, whose speed drifts by more than that bound, and the median
+over pairs is not moved by one fast or slow run the way a minimum is.
 A usage error, such as a label the file lacks or `--runs` below 1, exits 2
 with one line on stderr.
 """
@@ -39,6 +43,10 @@ import sys
 import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent / "perfbench"))
+
+import workloads  # noqa: E402
+
 # (row name, module, function, arguments)
 CALLS = [
     ("extract_cg(80)", "hodge", "extract_cg", (80,)),
@@ -54,20 +62,8 @@ CALLS = [
     ("higher_hamiltonian(6, 10)", "ilw", "higher_hamiltonian", (6, 10)),
     ("verify_commutation(4, 3, 12)", "ilw", "verify_commutation", (4, 3, 12)),
 ]
-# (argv, exit code): the distinct ops of perfbench/workloads.py; the seeded
-# negative control of verify-suite at one fixed locus and shift
-CLI_CALLS = [
-    (("verify", "cg", "--genus", "24"), 0),
-    (("one-point", "--max-genus", "24"), 0),
-    (("verify", "one-point-reverse", "--genus", "20"), 0),
-    (("verify", "linear-term", "--genus", "20"), 0),
-    (("hamiltonian", "--index", "2", "--genus", "10"), 0),
-    (("hamiltonian", "--index", "3", "--genus", "7"), 0),
-    (("hamiltonian", "--index", "4", "--genus", "6"), 0),
-    (("verify", "all", "--genus", "8"), 0),
-    (("verify", "commute", "--genus", "9"), 0),
-    (("verify", "all", "--genus", "6", "--perturb-cg", "3:1/7"), 1),
-]
+# the seed of the workloads' pass that gives the `cli:` rows
+CLI_SEED = 0
 
 
 def _commit(src: Path) -> str | None:
@@ -79,32 +75,42 @@ def _commit(src: Path) -> str | None:
     return out.stdout.strip()
 
 
-def _cli_child(src: Path, argv: tuple[str, ...], code: int) -> None:
+def _library_call(fn, *args) -> float:
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
+
+
+def _cli_child(src: Path, op: workloads.Op) -> float:
     # cwd is --src, so that `-m` finds no other tree's package in the caller's
     # directory
-    proc = subprocess.run([sys.executable, "-m", "ilwhodge", *argv, "--format", "json"],
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ilwhodge", *op.argv],
                           cwd=src, env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True)
-    if proc.returncode != code:
-        tail = proc.stderr.decode(errors="replace").strip().splitlines()[-1:]
-        sys.exit(f"bench.py: {' '.join(argv)} exited {proc.returncode}, want {code} {tail}")
+    elapsed = time.perf_counter() - t0
+    try:
+        if proc.returncode != op.exit_code:
+            tail = proc.stderr.decode(errors="replace").strip().splitlines()[-1:]
+            raise workloads.CheckFailed(f"exited {proc.returncode}, want {op.exit_code} {tail}")
+        op.check(json.loads(proc.stdout))
+    except (workloads.CheckFailed, ValueError, KeyError, TypeError) as exc:
+        sys.exit(f"bench.py: {op.label}: {exc}")
+    return elapsed
 
 
 def measure(runs: int, src: Path) -> dict:
     import importlib
 
-    calls = [(name, getattr(importlib.import_module(f"ilwhodge.{module}"), function), args)
+    calls = [(name, _library_call,
+              (getattr(importlib.import_module(f"ilwhodge.{module}"), function), *args))
              for name, module, function, args in CALLS]
-    calls += [(f"cli: {' '.join(argv)} --format json", _cli_child, (src, argv, code))
-              for argv, code in CLI_CALLS]
+    calls += [(f"cli: {op.label}", _cli_child, (src, op))
+              for w in workloads.WORKLOADS for op in workloads.pass_plan(w, CLI_SEED)(0)]
     width = max(len(name) for name, _, _ in calls)
     rows = {}
     for name, fn, args in calls:
-        times = []
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            fn(*args)
-            times.append(round(time.perf_counter() - t0, 6))
+        times = [round(fn(*args), 6) for _ in range(runs)]
         rows[name] = {"median_s": statistics.median(times), "times_s": times}
         print(f"{name:{width}s} {rows[name]['median_s']:.3f} s", file=sys.stderr)
     return rows
@@ -117,8 +123,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def compare(doc: dict, a: str, b: str) -> int:
-    """Print B's speedup over A per shared row, by minima; 1 when a row's
-    minimum regressed past the `wall_s` bound."""
+    """Print B's time over A's per shared row, as the median over pairs of
+    runs; 1 when a row's paired median regressed past the `wall_s` bound."""
     spec = json.loads((Path(__file__).resolve().parent / "BENCHMARK.json").read_text())
     bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "wall_s")
     rows_a, rows_b = doc["runs"][a]["rows"], doc["runs"][b]["rows"]
@@ -126,13 +132,14 @@ def compare(doc: dict, a: str, b: str) -> int:
     shared = [n for n in rows_a if n in rows_b]
     width = max(map(len, shared), default=0)
     for name in shared:
-        ta, tb = min(rows_a[name]["times_s"]), min(rows_b[name]["times_s"])
+        ratio = statistics.median(
+            tb / ta for ta, tb in zip(rows_a[name]["times_s"], rows_b[name]["times_s"]))
         flag = ""
-        if tb > ta * (1 + bound):
+        if ratio > 1 + bound:
             slower.append(name)
             flag = f"  SLOWER by more than {bound:.0%}"
-        print(f"{name:{width}s} min {ta:8.4f} s -> {tb:8.4f} s  {ta / tb:5.2f}x"
-              f"  (median {rows_a[name]['median_s']:.4f} -> {rows_b[name]['median_s']:.4f}){flag}")
+        print(f"{name:{width}s} median {rows_a[name]['median_s']:8.4f} s -> "
+              f"{rows_b[name]['median_s']:8.4f} s  paired {ratio:5.3f}{flag}")
     return 1 if slower else 0
 
 

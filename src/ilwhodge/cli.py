@@ -34,36 +34,22 @@ __all__ = ["main", "perturbed_cg"]
 
 FORMATS = ("json", "csv", "latex", "pretty")
 
-def _every(order: int, g0: int) -> bool:
-    return True  # cmd_verify keeps g0 in 1..G
-
-
-def _commute(order: int, g0: int) -> bool:
-    # h_2 commutes with a faulty h_1 below h^max(4, g0 + 1), where its
-    # recursion first fails (tests/test_cli.py sweeps every g0 <= G <= 6)
-    return order >= 4 and g0 < order
-
-
-# selector -> (report name, order cap, loci, check) entries, in report order.
-# A check runs at order min(G, cap) (G when the cap is None) and takes
-# (order, cg_values); it looks its engine function up when it runs, so a
-# wrapper bound to the module attribute later (a tracer, a test double) still
-# sees the call.  loci(order, g0) is true when the check detects a shifted
-# c_{g0} at that order, as a mismatch or an engine error.
+# selector -> (report name, order cap, check) entries, in report order.  A
+# check runs at order min(G, cap) (G when the cap is None) and takes (order,
+# cg_values); it looks its engine function up when it runs, so a wrapper bound
+# to the module attribute later (a tracer, a test double) still sees the call.
 VERIFY = {
-    "cg": [("cg", None, _every, lambda G, cg: hodge.verify_cg(G, cg))],
-    "ilw-t1": [("ilw-t1", None, _every, lambda G, cg: ilw.verify_flow_t1(G, cg))],
-    "ilw-t2": [("ilw-t2", None, _every, lambda G, cg: ilw.verify_flow_t2(G, cg))],
+    "cg": [("cg", None, lambda G, cg: hodge.verify_cg(G, cg))],
+    "ilw-t1": [("ilw-t1", None, lambda G, cg: ilw.verify_flow_t1(G, cg))],
+    "ilw-t2": [("ilw-t2", None, lambda G, cg: ilw.verify_flow_t2(G, cg))],
     "commute": [
-        ("commute(2,1)", None, _commute, lambda G, cg: ilw.verify_commutation(2, 1, G, cg)),
-        ("commute(3,2)", 2, _commute, lambda G, cg: ilw.verify_commutation(3, 2, G, cg)),
+        ("commute(2,1)", None, lambda G, cg: ilw.verify_commutation(2, 1, G, cg)),
+        ("commute(3,2)", 2, lambda G, cg: ilw.verify_commutation(3, 2, G, cg)),
     ],
-    "linear-term": [
-        ("linear-term", None, _every, lambda G, cg: hodge.verify_linear_term_identity(G, cg))
-    ],
-    "one-point-reverse": [
-        ("one-point-reverse", None, _every, lambda G, cg: hodge.verify_one_point_reverse(G, cg))
-    ],
+    "linear-term": [("linear-term", None,
+                     lambda G, cg: hodge.verify_linear_term_identity(G, cg))],
+    "one-point-reverse": [("one-point-reverse", None,
+                           lambda G, cg: hodge.verify_one_point_reverse(G, cg))],
 }
 VERIFY["all"] = [check for checks in VERIFY.values() for check in checks]
 
@@ -304,14 +290,13 @@ def _coefficient_rows(poly: DiffPoly) -> list[dict]:
 
 
 def checks(which: str, G: int) -> list[tuple]:
-    """(report name, order, loci, check) of each check of `verify which` at G."""
-    return [(name, G if cap is None else min(G, cap), loci, check)
-            for name, cap, loci, check in VERIFY[which]]
+    """(report name, order, check) of each check of `verify which` at G."""
+    return [(name, G if cap is None else min(G, cap), check) for name, cap, check in VERIFY[which]]
 
 
 def _run_verifications(which: str, G: int, cg_values) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
-    for name, order, _, check in checks(which, G):
+    for name, order, check in checks(which, G):
         try:
             reports.append(check(order, cg_values))
         except Exception as exc:  # surface engine failures as reports
@@ -324,8 +309,6 @@ def cmd_verify(cfg: dict, which: str, genus: int, perturb) -> int:
         _usage_error(f"verify renders only pretty and json, not {cfg['output_format']}")
     if perturb and not 1 <= perturb[0] <= genus:
         _usage_error(f"--perturb-cg locus {perturb[0]} is outside 1..{genus}")
-    if perturb and not any(loci(order, perturb[0]) for _, order, loci, _ in checks(which, genus)):
-        _usage_error(f"verify {which} cannot detect a shifted c_{perturb[0]} at genus {genus}")
     cg_values = perturbed_cg(*perturb) if perturb else None
     hodge.memo = {}  # the checks share S and S~ for this call only
     try:
@@ -333,6 +316,8 @@ def cmd_verify(cfg: dict, which: str, genus: int, perturb) -> int:
     finally:
         hodge.memo = None
     all_ok = all(r.ok for r in reports)
+    if perturb and all_ok:  # no selected check saw the shift
+        _usage_error(f"verify {which} cannot detect a shifted c_{perturb[0]} at genus {genus}")
     status = "ok" if all_ok else "mismatch"
     if cfg["output_format"] == "pretty":
         lines = [

@@ -1,0 +1,50 @@
+"""`bench.py --compare` on synthetic runs and on a recorded A/B file."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import statistics
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _compare(bench, tmp_path, times_a, times_b) -> int:
+    doc = {"runs": {
+        label: {"rows": {"row": {"median_s": statistics.median(times), "times_s": times}}}
+        for label, times in (("parent", times_a), ("change", times_b))
+    }}
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(doc))
+    return bench.main(["--out", str(path), "--compare", "parent", "change"])
+
+
+TIMES = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97]
+
+
+def test_one_fast_outlier_is_not_a_regression(bench, tmp_path, capsys):
+    # the parent's minimum is 0.6 s against the change's 0.97 s
+    assert _compare(bench, tmp_path, [0.6, *TIMES[1:]], TIMES) == 0
+    assert "SLOWER" not in capsys.readouterr().out
+
+
+def test_consistent_slowdown_is_a_regression(bench, tmp_path, capsys):
+    assert _compare(bench, tmp_path, TIMES, [1.3 * t for t in TIMES]) == 1
+    assert "paired 1.300  SLOWER by more than 20%" in capsys.readouterr().out
+
+
+def test_recorded_runs_of_an_unchanged_engine_pass(bench, capsys):
+    # BENCH_20.json: the minimum of higher_hamiltonian(4, 20) went 0.654 -> 0.812 s
+    assert bench.main(["--out", str(ROOT / "BENCH_20.json"), "--compare", "parent", "change"]) == 0
+    assert "SLOWER" not in capsys.readouterr().out

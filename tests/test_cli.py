@@ -230,9 +230,23 @@ class TestVerify:
 
 
 class TestPerturbationLoci:
-    """No quiet fault injection: a shifted c_{g0} that a selector's checks
-    declare visible makes exactly those checks fail, and one that none of
-    them can see is a usage error."""
+    """No quiet fault injection: a shifted c_{g0} makes exactly the checks
+    that see it fail, and one that no selected check sees is a usage error."""
+
+    @staticmethod
+    def sees(name, order, g0):
+        # h_2 commutes with a faulty h_1 below h^max(4, g0 + 1), where its
+        # recursion first fails; every other check sees every locus
+        return order >= 4 and g0 < order if name.startswith("commute") else True
+
+    def assert_undetected(self, capsys, argv, g0):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and f"c_{g0}" in captured.err
+        return captured.err
 
     @pytest.mark.parametrize("which", list(VERIFY))
     def test_every_locus_up_to_genus_6(self, capsys, which):
@@ -240,14 +254,9 @@ class TestPerturbationLoci:
             for g0 in range(1, G + 1):
                 argv = ["verify", which, "--genus", str(G), "--format", "json",
                         "--perturb-cg", f"{g0}:1/3"]
-                declared = [loci(order, g0) for _, order, loci, _ in checks(which, G)]
+                declared = [self.sees(name, order, g0) for name, order, _ in checks(which, G)]
                 if not any(declared):
-                    with pytest.raises(SystemExit) as exc:
-                        main(argv)
-                    assert exc.value.code == 2, (G, g0)
-                    captured = capsys.readouterr()
-                    assert captured.out == ""
-                    assert captured.err.count("\n") == 1 and f"c_{g0}" in captured.err
+                    self.assert_undetected(capsys, argv, g0)
                     continue
                 assert main(argv) == 1, (G, g0)
                 details = json.loads(capsys.readouterr().out)["details"]
@@ -255,10 +264,22 @@ class TestPerturbationLoci:
                 assert failed == declared, (G, g0, details)
 
     def test_commute_sees_no_fault_below_order_4(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "commute", "--genus", "3", "--perturb-cg", "1:1/3"])
-        assert exc.value.code == 2
-        assert "verify commute cannot detect a shifted c_1 at genus 3" in capsys.readouterr().err
+        err = self.assert_undetected(
+            capsys, ["verify", "commute", "--genus", "3", "--perturb-cg", "1:1/3"], 1)
+        assert err == "ilwhodge: error: verify commute cannot detect a shifted c_1 at genus 3\n"
+
+    def test_commute_at_genus_9_sees_every_locus_but_the_top(self, capsys):
+        argv = ["verify", "commute", "--genus", "9", "--perturb-cg"]
+        assert main([*argv, "8:1/3"]) == 1
+        assert "FAIL  commute(2,1) (order 9)" in capsys.readouterr().out
+        err = self.assert_undetected(capsys, [*argv, "9:1/3"], 9)
+        assert err == "ilwhodge: error: verify commute cannot detect a shifted c_9 at genus 9\n"
+
+    def test_undetected_shift_writes_no_output_file(self, tmp_path, capsys):
+        target = tmp_path / "out.json"
+        self.assert_undetected(capsys, ["verify", "commute", "--genus", "3", "--format", "json",
+                                        "--output", str(target), "--perturb-cg", "2:1/3"], 2)
+        assert not target.exists()
 
 
 class TestSharedSeries:
