@@ -12,12 +12,14 @@ same machine can share one file.  A second call with the same label, commit,
 Python version and CPU count adds its times to the label's rows instead, so
 two trees can be timed in alternation, a few runs at a time, on a machine
 whose speed drifts.  These rows leave out interpreter start-up and exit.
-The `cli:` rows keep them: each run is a fresh `python -m ilwhodge` child
-of one op of the benchmark's workloads (the ops of the first pass that
-`perfbench/workloads.py` plans for each workload at a fixed seed), run with
+The `setup:` and `cli:` rows keep them: each run is a fresh child, run with
 `PYTHONPATH=<--src>` and the caller's environment otherwise unchanged, and
-timed from its start to its exit, as `perfbench/` times an op.  A child's
-exit code and output go through the op's own check, untimed, and a failed
+timed from its start to its exit, as `perfbench/` times an op.  The `setup:`
+row's child is the set-up child of `perfbench/run.py`, which imports the CLI
+and builds its parser.  A `cli:` row's child is a `python -m ilwhodge` call
+of one op of the benchmark's workloads (the ops of the first pass that
+`perfbench/workloads.py` plans for each workload at a fixed seed); its exit
+code and output go through the op's own check, untimed.  A failed child or
 check stops the run.
 
 `--compare A B` times nothing: it prints, for each row that labels A and B
@@ -46,6 +48,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent / "perfbench"))
 
 import workloads  # noqa: E402
+from run import SETUP_CODE  # noqa: E402
 
 # (row name, module, function, arguments)
 CALLS = [
@@ -81,14 +84,25 @@ def _library_call(fn, *args) -> float:
     return time.perf_counter() - t0
 
 
-def _cli_child(src: Path, op: workloads.Op) -> float:
+def _child(src: Path, *args: str) -> tuple[float, subprocess.CompletedProcess]:
     # cwd is --src, so that `-m` finds no other tree's package in the caller's
     # directory
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "ilwhodge", *op.argv],
-                          cwd=src, env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True)
-    elapsed = time.perf_counter() - t0
+    proc = subprocess.run([sys.executable, *args], cwd=src,
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True)
+    return time.perf_counter() - t0, proc
+
+
+def _setup_child(src: Path) -> float:
+    elapsed, proc = _child(src, "-c", SETUP_CODE)
+    if proc.returncode:
+        sys.exit(f"bench.py: set-up child exited {proc.returncode}: "
+                 f"{proc.stderr.decode(errors='replace').strip()}")
+    return elapsed
+
+
+def _cli_child(src: Path, op: workloads.Op) -> float:
+    elapsed, proc = _child(src, "-m", "ilwhodge", *op.argv)
     try:
         if proc.returncode != op.exit_code:
             tail = proc.stderr.decode(errors="replace").strip().splitlines()[-1:]
@@ -105,6 +119,7 @@ def measure(runs: int, src: Path) -> dict:
     calls = [(name, _library_call,
               (getattr(importlib.import_module(f"ilwhodge.{module}"), function), *args))
              for name, module, function, args in CALLS]
+    calls.append((f"setup: {SETUP_CODE}", _setup_child, (src,)))
     calls += [(f"cli: {op.label}", _cli_child, (src, op))
               for w in workloads.WORKLOADS for op in workloads.pass_plan(w, CLI_SEED)(0)]
     width = max(len(name) for name, _, _ in calls)

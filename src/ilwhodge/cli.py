@@ -25,10 +25,8 @@ import sys
 from fractions import Fraction
 from typing import Callable, NoReturn
 
-from . import exactnum, hodge, ilw
-from .diffalg import DiffPoly, u_monomial_pretty
+from . import diffalg, exactnum, hodge, ilw, reports
 from .exactnum import rational_from_str, rational_to_str
-from .reports import VerificationReport
 
 __all__ = ["main", "perturbed_cg"]
 
@@ -277,10 +275,10 @@ def cmd_expression(cfg: dict, command: str, index: int, genus: int) -> int:
     return 0
 
 
-def _coefficient_rows(poly: DiffPoly) -> list[dict]:
+def _coefficient_rows(poly: diffalg.DiffPoly) -> list[dict]:
     return [
         {
-            "monomial": u_monomial_pretty(ue),
+            "monomial": diffalg.u_monomial_pretty(ue),
             "h_exp": a,
             "e_exp": b,
             "coefficient": rational_to_str(value),
@@ -294,14 +292,14 @@ def checks(which: str, G: int) -> list[tuple]:
     return [(name, G if cap is None else min(G, cap), check) for name, cap, check in VERIFY[which]]
 
 
-def _run_verifications(which: str, G: int, cg_values) -> list[VerificationReport]:
-    reports: list[VerificationReport] = []
+def _run_verifications(which: str, G: int, cg_values) -> list[reports.VerificationReport]:
+    results: list[reports.VerificationReport] = []
     for name, order, check in checks(which, G):
         try:
-            reports.append(check(order, cg_values))
+            results.append(check(order, cg_values))
         except Exception as exc:  # surface engine failures as reports
-            reports.append(VerificationReport(name, "error", order, {"error": str(exc)}))
-    return reports
+            results.append(reports.VerificationReport(name, "error", order, {"error": str(exc)}))
+    return results
 
 
 def cmd_verify(cfg: dict, which: str, genus: int, perturb) -> int:
@@ -310,12 +308,12 @@ def cmd_verify(cfg: dict, which: str, genus: int, perturb) -> int:
     if perturb and not 1 <= perturb[0] <= genus:
         _usage_error(f"--perturb-cg locus {perturb[0]} is outside 1..{genus}")
     cg_values = perturbed_cg(*perturb) if perturb else None
-    hodge.memo = {}  # the checks share S and S~ for this call only
+    token = hodge.memo.set({})  # the checks share S and S~ for this call only
     try:
-        reports = _run_verifications(which, genus, cg_values)
+        results = _run_verifications(which, genus, cg_values)
     finally:
-        hodge.memo = None
-    all_ok = all(r.ok for r in reports)
+        hodge.memo.reset(token)
+    all_ok = all(r.ok for r in results)
     if perturb and all_ok:  # no selected check saw the shift
         _usage_error(f"verify {which} cannot detect a shifted c_{perturb[0]} at genus {genus}")
     status = "ok" if all_ok else "mismatch"
@@ -324,12 +322,12 @@ def cmd_verify(cfg: dict, which: str, genus: int, perturb) -> int:
             f"PASS  {r.name} (order {r.order_checked})"
             if r.ok
             else f"FAIL  {r.name} (order {r.order_checked}): {r.first_mismatch}"
-            for r in reports
+            for r in results
         ]
         lines.append(f"verify {which}: {status}")
         text = "\n".join(lines) + "\n"
     else:
-        text = _json("verify " + which, cfg, status, [r.to_json_dict() for r in reports])
+        text = _json("verify " + which, cfg, status, [r.to_json_dict() for r in results])
     _emit(cfg, text)
     return 0 if all_ok else 1
 

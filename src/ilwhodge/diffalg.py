@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .exactnum import rational_to_str
 from .mpseries import (
-    IntTerms, MultiSeries, Packing, TermMap, VarSpec, _int_product, _scaled, _unscale,
+    IntTerms, MultiSeries, Packing, TermMap, VarSpec, _int_product, _scaled, _unscale, coeff_ring,
     inverse_series, join_signed, series_text, sinc_half_series, substitute_square, term_text,
 )
 
@@ -75,13 +75,6 @@ def u_key(exponents: Mapping[int, int] | Iterable[tuple[int, int]]) -> UExps:
         if m:
             acc[k] = acc.get(k, 0) + m
     return tuple(sorted(acc.items()))
-
-
-def coeff_ring(G: int) -> tuple[VarSpec, VarSpec]:
-    """Coefficient variables (h, e) truncated so exponents up to G survive."""
-    if G < 0:
-        raise DiffAlgError(f"truncation order must be >= 0, got {G}")
-    return (VarSpec("h", G + 1), VarSpec("e", G + 1))
 
 
 def differential_degree(ue: UExps) -> int:

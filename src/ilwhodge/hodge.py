@@ -26,14 +26,15 @@ identity
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from fractions import Fraction
 from typing import Callable
 
 from . import exactnum
-from .diffalg import coeff_ring
 from .exactnum import rational_to_str
 from .mpseries import (
-    MultiSeries, divide_series, exp_series, log_series, sinc_half_series, substitute_square,
+    MultiSeries, coeff_ring, divide_series, exp_series, log_series, sinc_half_series,
+    substitute_square,
 )
 from .reports import VerificationReport, first_term_mismatch
 
@@ -88,17 +89,17 @@ class BracketTable:
         return "\n".join(lines) + "\n"
 
 
-# S and S~ depend on G alone.  While `cli` runs the checks of one verify call
-# this keeps them by (builder, G), so each is built once per G; it is None
-# otherwise, so nothing outlives that call.
-memo: dict | None = None
+# S and S~ depend on G alone.  The context of one `cli` verify call keeps them
+# here by (builder, G), built once per G; no other call or thread sees them.
+memo: ContextVar[dict | None] = ContextVar("memo", default=None)
 
 
 def _kept_per_call(build):
     def series(G: int) -> MultiSeries:
-        if memo is not None and (build, G) not in memo:
-            memo[build, G] = build(G)
-        return build(G) if memo is None else memo[build, G]
+        kept = memo.get()
+        if kept is not None and (build, G) not in kept:
+            kept[build, G] = build(G)
+        return build(G) if kept is None else kept[build, G]
 
     series.__name__, series.__doc__ = build.__name__, build.__doc__
     return series

@@ -41,7 +41,7 @@ from typing import Iterable, Mapping
 from .exactnum import rational_to_str
 
 __all__ = [
-    "SeriesError", "VarSpec", "TermMap", "MultiSeries", "exp_series", "log_series",
+    "SeriesError", "VarSpec", "coeff_ring", "TermMap", "MultiSeries", "exp_series", "log_series",
     "inverse_series", "divide_series", "sinc_half_series", "substitute_square", "series_text",
     "term_text", "join_signed",
 ]
@@ -74,6 +74,13 @@ class VarSpec:
 
     def __hash__(self) -> int:
         return hash((self.name, self.order))
+
+
+def coeff_ring(G: int) -> tuple[VarSpec, VarSpec]:
+    """Coefficient variables (h, e) truncated so exponents up to G survive."""
+    if G < 0:
+        raise SeriesError(f"truncation order must be >= 0, got {G}")
+    return (VarSpec("h", G + 1), VarSpec("e", G + 1))
 
 
 def _as_fraction(value) -> Fraction:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -301,8 +302,37 @@ class TestSharedSeries:
         assert calls == {"log": 1, "exp": 2}
         assert main(["verify", "all", "--genus", "8"]) == 0
         assert calls == {"log": 2, "exp": 4}  # nothing is kept from the first call
-        assert hodge.memo is None
+        assert hodge.memo.get() is None
         capsys.readouterr()
+
+    def test_verify_calls_in_threads_keep_their_own_series(self, tmp_path):
+        # more threads than cores, switching every microsecond: each call's
+        # checks must see only its own call's S and S~, never another's or none
+        argv = ["verify", "cg", "--genus", "3", "--format", "json", "--output"]
+        assert main([*argv, str(tmp_path / "serial.json")]) == 0
+        expected = json.loads((tmp_path / "serial.json").read_text())["details"]
+        outcomes: list = []
+
+        def calls(i):
+            path = tmp_path / f"{i}.json"
+            for _ in range(25):
+                code = main([*argv, str(path)])
+                outcomes.append((code, json.loads(path.read_text())["details"]))
+
+        threads = [threading.Thread(target=calls, args=(i,))
+                   for i in range(2 * (os.cpu_count() or 1) + 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(outcomes) == 25 * len(threads)
+        assert all(outcome == (0, expected) for outcome in outcomes)
 
 
 class TestPlumbing:
@@ -390,24 +420,28 @@ class TestPlumbing:
 
     def test_tracer_finds_every_span(self):
         # perfbench/tracing.py wraps engine functions by name, linalg.solve_exact
-        # included, and fails every traced call if one is bound nowhere; it
+        # included, in the ilwhodge modules that `import ilwhodge.cli` put in
+        # sys.modules, and fails every traced call if one is bound nowhere; it
         # wraps MultiSeries.__mul__ wherever that function is bound, so a
         # DiffPoly product must not be counted as a series product
         root = Path(__file__).resolve().parents[1]
 
         def spans(*args):
             proc = subprocess.run(
-                [sys.executable, str(root / "perfbench" / "tracing.py"), *args],
+                [sys.executable, "perfbench/tracing.py", *args],
                 capture_output=True,
                 text=True,
+                cwd=root,
                 env={**os.environ, "PYTHONPATH": str(root / "src")},
             )
             assert proc.returncode == 0, proc.stderr
             return json.loads(proc.stderr.splitlines()[-1])["spans"]
 
         hierarchy = spans("hamiltonian", "--index", "2", "--genus", "2", "--format", "json")
-        assert "ilw.higher_hamiltonian" in hierarchy
+        assert {"cli.main", "engine.hamiltonian", "ilw.higher_hamiltonian"} <= set(hierarchy)
         assert "mpseries.mul" not in hierarchy
+        hodge = spans("verify", "cg", "--genus", "2", "--format", "json")
+        assert {"cli.main", "engine.verify_cg", "hodge.extract_cg"} <= set(hodge)
         assert "mpseries.mul" in spans("one-point", "--max-genus", "3")
 
     def test_runtime_imports_only_the_stdlib(self):
