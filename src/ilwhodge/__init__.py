@@ -21,7 +21,7 @@ _API = {
     "mpseries": "MultiSeries SeriesError VarSpec coeff_ring divide_series exp_series "
                 "inverse_series log_series sinc_half_series substitute_square",
     "diffalg": "DiffAlgError DiffPoly LocalFunctional NotTotalDerivativeError integrate_x "
-               "miura_forward miura_inverse miura_inverse_series miura_series normalize "
+               "miura_inverse_series miura_series normalize "
                "poisson_bracket total_x_derivative u_key variational_derivative",
     "hodge": "BracketTable HodgeConsistencyError extract_cg one_point_table s_series "
              "s_tilde_series verify_cg verify_linear_term_identity verify_one_point_reverse",

@@ -308,11 +308,7 @@ def cmd_verify(cfg: dict, which: str, genus: int, perturb) -> int:
     if perturb and not 1 <= perturb[0] <= genus:
         _usage_error(f"--perturb-cg locus {perturb[0]} is outside 1..{genus}")
     cg_values = perturbed_cg(*perturb) if perturb else None
-    token = hodge.memo.set({})  # the checks share S and S~ for this call only
-    try:
-        results = _run_verifications(which, genus, cg_values)
-    finally:
-        hodge.memo.reset(token)
+    results = _run_verifications(which, genus, cg_values)
     all_ok = all(r.ok for r in results)
     if perturb and all_ok:  # no selected check saw the shift
         _usage_error(f"verify {which} cannot detect a shifted c_{perturb[0]} at genus {genus}")

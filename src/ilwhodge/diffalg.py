@@ -12,9 +12,9 @@ x-derivative, the variational (Euler) derivative, the Poisson bracket
 {f, g} = int (delta f/delta u) d/dx (delta g/delta u) dx, one
 integration-by-parts reduction whose remainder is the normal form of a
 density and whose peeled terms are the x-antiderivative of a total
-derivative, and the triangular Miura substitution (the series
-sin(z/2)/(z/2) of `mpseries` with z^2 read as h e d^2/dx^2) and its inverse
-(the reciprocal series).
+derivative, and the series of the triangular Miura substitution
+(sin(z/2)/(z/2) of `mpseries` with z^2 read as h e d^2/dx^2) and of its
+inverse (the reciprocal series).
 
 The calculus runs on packed keys (`_Packing`): a key's u_k fields are read
 off it each time, and every product, the Frechet sum included, is one call
@@ -47,8 +47,7 @@ from .mpseries import (
 __all__ = [
     "DiffAlgError", "NotTotalDerivativeError", "UExps", "u_key", "u_monomial_pretty", "coeff_ring",
     "DiffPoly", "LocalFunctional", "total_x_derivative", "variational_derivative", "normalize",
-    "poisson_bracket", "miura_series", "miura_inverse_series", "miura_forward", "miura_inverse",
-    "integrate_x", "frechet_apply",
+    "poisson_bracket", "miura_series", "miura_inverse_series", "integrate_x", "frechet_apply",
 ]
 
 # ((derivative index, multiplicity), ...) sorted by index, multiplicities > 0
@@ -150,14 +149,6 @@ class DiffPoly(TermMap):
         return self._times(other)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "DiffPoly":
-        if not isinstance(n, int) or n < 0:
-            raise DiffAlgError(f"power must be a non-negative integer, got {n}")
-        out = DiffPoly.constant(self.vars, 1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     # -- serialization --------------------------------------------------------------
 
@@ -340,21 +331,6 @@ def total_x_derivative(p: DiffPoly) -> DiffPoly:
     return _decoded(p.vars, den, _int_dx(nums, pack), pack)
 
 
-def substitute_u(p: DiffPoly, image: DiffPoly) -> DiffPoly:
-    """Replace the dependent variable: u_k goes to d^k/dx^k (image)."""
-    p._check_ring(image)
-    images = [image]
-    for _ in range(max((ue[-1][0] for ue, _, _ in p.terms if ue), default=0)):
-        images.append(total_x_derivative(images[-1]))
-    out = DiffPoly.zero(p.vars)
-    for (ue, a, b), coef in p.terms.items():
-        term = DiffPoly._make(p.vars, {((), a, b): coef})
-        for k, m in ue:
-            term = term * images[k] ** m
-        out = out + term
-    return out
-
-
 def variational_derivative(h: "LocalFunctional | DiffPoly") -> DiffPoly:
     """Euler operator: delta/delta u = sum_k (-d/dx)^k (partial/partial u_k),
     evaluated by Horner as P_0 - d/dx(P_1 - d/dx(P_2 - ...)).
@@ -512,18 +488,6 @@ def miura_inverse_series(cvars: Iterable[VarSpec], G: int) -> DiffPoly:
     inverse is the reciprocal series 1/S read the same way.
     """
     return _derivative_series(tuple(cvars), inverse_series(sinc_half_series(2 * G + 1)))
-
-
-def miura_forward(p: DiffPoly, G: int) -> DiffPoly:
-    """Substitute the displayed triangular series for the dependent variable
-    (rewrites an expression against the transformed variable)."""
-    return substitute_u(p, miura_series(p.vars, G))
-
-
-def miura_inverse(p: DiffPoly, G: int) -> DiffPoly:
-    """Substitute the compositional inverse series; round-trips with
-    `miura_forward` up to h^G."""
-    return substitute_u(p, miura_inverse_series(p.vars, G))
 
 
 # -- integration and reconstruction -----------------------------------------------

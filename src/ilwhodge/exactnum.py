@@ -32,7 +32,7 @@ def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n, with B_1 = -1/2.
 
     Computed by the binomial recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0,
-    memoized; exact at every index.  Each step sums in integers over the lcm
+    cached; exact at every index.  Each step sums in integers over the lcm
     of the denominators and skips the odd B_k (k >= 3), which vanish.
     """
     if n < 0:

@@ -26,7 +26,6 @@ identity
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from fractions import Fraction
 from typing import Callable
 
@@ -89,22 +88,6 @@ class BracketTable:
         return "\n".join(lines) + "\n"
 
 
-# S and S~ depend on G alone.  The context of one `cli` verify call keeps them
-# here by (builder, G), built once per G; no other call or thread sees them.
-memo: ContextVar[dict | None] = ContextVar("memo", default=None)
-
-
-def _kept_per_call(build):
-    def series(G: int) -> MultiSeries:
-        kept = memo.get()
-        if kept is not None and (build, G) not in kept:
-            kept[build, G] = build(G)
-        return build(G) if kept is None else kept[build, G]
-
-    series.__name__, series.__doc__ = build.__name__, build.__doc__
-    return series
-
-
 def one_point_table(g_max: int) -> BracketTable:
     """One-point values <lambda_j tau_{3g-j-2}>_g for g <= g_max: the
     coefficient of h^g e^j in S."""
@@ -126,7 +109,6 @@ def sinc_factor_series(G: int) -> MultiSeries:
     return substitute_square(sinc_half_series(2 * G + 1), coeff_ring(G))
 
 
-@_kept_per_call
 def s_series(G: int) -> MultiSeries:
     """S(h, e) = ((t/2)/sin(t/2))^{k+1} at t^2 = h e, k = 1/e, that is
     exp((1 + 1/e) L) with L = log((t/2)/sin(t/2)).
@@ -141,7 +123,6 @@ def s_series(G: int) -> MultiSeries:
     return exp_series(MultiSeries(L.vars, exponent))
 
 
-@_kept_per_call
 def s_tilde_series(G: int) -> MultiSeries:
     """S~(h, e): S times the sine factor sin(sqrt(he)/2)/(sqrt(he)/2)."""
     return s_series(G) * sinc_factor_series(G)

@@ -4,6 +4,8 @@ Each checker runs `cases` independently generated instances from an
 explicitly seeded `random.Random`, asserting an exact identity for each.
 `he_group` reads one u-monomial's whole (h, e) coefficient for the unit tests,
 and `random_diffpoly` draws the small polynomials that the suites check.
+`miura_forward` and `miura_inverse` substitute the Miura series and its
+inverse for u (`substitute_u`), for the round-trip checks only.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from ilwhodge.diffalg import (
     coeff_ring,
     frechet_apply,
     integrate_x,
-    miura_forward,
-    miura_inverse,
+    miura_inverse_series,
+    miura_series,
     normalize,
     poisson_bracket,
     total_x_derivative,
@@ -238,6 +240,34 @@ def check_bracket_antisymmetry_jacobi(cases: int, seed: int) -> int:
         )
         assert jacobi.is_zero()
     return cases
+
+
+def substitute_u(p: DiffPoly, image: DiffPoly) -> DiffPoly:
+    """Replace the dependent variable: u_k goes to d^k/dx^k (image)."""
+    p._check_ring(image)
+    images = [image]
+    for _ in range(max((ue[-1][0] for ue, _, _ in p.terms if ue), default=0)):
+        images.append(total_x_derivative(images[-1]))
+    out = DiffPoly.zero(p.vars)
+    for (ue, a, b), coef in p.terms.items():
+        term = DiffPoly(p.vars, {((), a, b): coef})
+        for k, m in ue:
+            for _ in range(m):
+                term = term * images[k]
+        out = out + term
+    return out
+
+
+def miura_forward(p: DiffPoly, G: int) -> DiffPoly:
+    """Substitute the triangular series `miura_series` for the dependent
+    variable (rewrites an expression against the transformed variable)."""
+    return substitute_u(p, miura_series(p.vars, G))
+
+
+def miura_inverse(p: DiffPoly, G: int) -> DiffPoly:
+    """Substitute the compositional inverse series; round-trips with
+    `miura_forward` up to h^G."""
+    return substitute_u(p, miura_inverse_series(p.vars, G))
 
 
 def check_miura_roundtrip(cases: int, seed: int, G: int = 4) -> int:

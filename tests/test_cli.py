@@ -284,7 +284,7 @@ class TestPerturbationLoci:
 
 
 class TestSharedSeries:
-    def test_verify_all_builds_s_and_s_tilde_once(self, capsys, monkeypatch):
+    def test_verify_calls_keep_no_series(self, capsys, monkeypatch):
         from ilwhodge import hodge
 
         calls = {"log": 0, "exp": 0}
@@ -298,11 +298,11 @@ class TestSharedSeries:
         monkeypatch.setattr(hodge, "log_series", counted("log", hodge.log_series))
         monkeypatch.setattr(hodge, "exp_series", counted("exp", hodge.exp_series))
         assert main(["verify", "all", "--genus", "8"]) == 0
-        # one log for S; one exp for S and one for the ODE side of the reverse check
-        assert calls == {"log": 1, "exp": 2}
+        # each of the three Hodge checks builds S (one log, one exp); the
+        # reverse check adds one exp for its ODE side
+        assert calls == {"log": 3, "exp": 4}
         assert main(["verify", "all", "--genus", "8"]) == 0
-        assert calls == {"log": 2, "exp": 4}  # nothing is kept from the first call
-        assert hodge.memo.get() is None
+        assert calls == {"log": 6, "exp": 8}  # nothing is kept from the first call
         capsys.readouterr()
 
     def test_verify_calls_in_threads_keep_their_own_series(self, tmp_path):

@@ -19,8 +19,6 @@ from ilwhodge.diffalg import (
     coeff_ring,
     frechet_apply,
     integrate_x,
-    miura_forward,
-    miura_inverse,
     miura_inverse_series,
     miura_series,
     normalize,
@@ -44,6 +42,8 @@ from properties import (
     check_normalize_idempotent,
     check_one_pair_loop_at_field_width,
     he_group,
+    miura_forward,
+    miura_inverse,
     random_diffpoly,
 )
 
