@@ -29,8 +29,9 @@ paired median exceeds 1 plus the `wall_s` bound of BENCHMARK.json.  Runs
 that alternate between the trees pair up times taken in the same spell of a
 shared machine, whose speed drifts by more than that bound, and the median
 over pairs is not moved by one fast or slow run the way a minimum is.
-A usage error, such as a label the file lacks or `--runs` below 1, exits 2
-with one line on stderr.
+A usage error, such as a label the file lacks, `--runs` below 1, or an
+`--out` that is not JSON (or is missing under `--compare`), exits 2 with one
+line on stderr before any row is timed.
 """
 
 from __future__ import annotations
@@ -137,6 +138,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _load(parser: _Parser, path: Path, must_exist: bool) -> dict:
+    """The document in `path`, or an empty one when the file is absent and
+    need not exist; any other file that is not a JSON object of runs is a
+    usage error."""
+    if not must_exist and not path.exists():
+        if not path.parent.is_dir():
+            parser.error(f"--out {path}: no directory {path.parent}")
+        return {"runs": {}}
+    try:
+        doc = json.loads(path.read_text())
+    except OSError as exc:
+        parser.error(f"cannot read --out {path}: {exc.strerror}")
+    except ValueError as exc:
+        parser.error(f"--out {path} is not JSON: {exc}")
+    if not isinstance(doc, dict) or not isinstance(doc.get("runs"), dict):
+        parser.error(f"--out {path} has no \"runs\" object")
+    return doc
+
+
 def compare(doc: dict, a: str, b: str) -> int:
     """Print B's time over A's per shared row, as the median over pairs of
     runs; 1 when a row's paired median regressed past the `wall_s` bound."""
@@ -169,19 +189,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--runs", type=int, default=5)
     args = parser.parse_args(argv)
     if args.compare:
-        doc = json.loads(args.out.read_text())
+        doc = _load(parser, args.out, must_exist=True)
         missing = [label for label in args.compare if label not in doc["runs"]]
         if missing:
-            parser.error(f"{args.out} has no label {missing[0]!r}; it has {', '.join(doc['runs'])}")
+            labels = ", ".join(doc["runs"]) or "no labels"
+            parser.error(f"{args.out} has no label {missing[0]!r}; it has {labels}")
         return compare(doc, *args.compare)
     if not args.label:
         parser.error("--label is required unless --compare is given")
     if args.runs < 1:
         parser.error(f"--runs must be >= 1, got {args.runs}")
+    doc = _load(parser, args.out, must_exist=False)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
     rows = measure(args.runs, src)
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     entry = {
         "python": platform.python_version(),
         "nproc": os.cpu_count(),

@@ -25,7 +25,7 @@ _API = {
                "poisson_bracket total_x_derivative u_key variational_derivative",
     "hodge": "BracketTable HodgeConsistencyError extract_cg one_point_table s_series "
              "s_tilde_series verify_cg verify_linear_term_identity verify_one_point_reverse",
-    "ilw": "Hamiltonian InconsistentSystemError flow h1 hamiltonian higher_hamiltonian "
+    "ilw": "InconsistentSystemError flow h1 hamiltonian higher_hamiltonian "
            "verify_commutation verify_flow_t1 verify_flow_t2",
     "reports": "VerificationReport",
 }

@@ -255,7 +255,7 @@ def cmd_expression(cfg: dict, command: str, index: int, genus: int) -> int:
     """`hamiltonian` (the functional h_I) or `flow` (its flow), to order h^genus."""
     ham = ilw.hamiltonian(index, genus)
     if command == "hamiltonian":
-        expr, key, poly = ham.functional, "density", ham.functional.density
+        expr, key, poly = ham, "density", ham.density
     else:
         expr = poly = ilw.flow(ham)
         key = "flow"

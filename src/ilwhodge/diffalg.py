@@ -379,6 +379,9 @@ class LocalFunctional:
     def to_json_dict(self) -> list:
         return self.density.to_json_dict()
 
+    def __str__(self) -> str:
+        return self.pretty()
+
     def __repr__(self) -> str:
         return f"LocalFunctional({self.density.pretty()})"
 

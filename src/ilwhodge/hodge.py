@@ -29,13 +29,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from . import exactnum
+from . import exactnum, reports
 from .exactnum import rational_to_str
 from .mpseries import (
     MultiSeries, coeff_ring, divide_series, exp_series, log_series, sinc_half_series,
     substitute_square,
 )
-from .reports import VerificationReport, first_term_mismatch
 
 __all__ = [
     "HodgeConsistencyError", "BracketTable", "one_point_table", "sinc_factor_series", "s_series",
@@ -154,19 +153,19 @@ def extract_cg(G: int) -> list[Fraction]:
     return [quotient.coefficient((g - 1, g - 1)) for g in range(1, G + 1)]
 
 
-def verify_cg(G: int, cg_values: CgValues | None = None) -> VerificationReport:
+def verify_cg(G: int, cg_values: CgValues | None = None) -> reports.VerificationReport:
     """Compare the extracted constants against the Bernoulli closed form."""
     reference = cg_values or exactnum.c_g
-    mism = first_term_mismatch(
+    mism = reports.first_term_mismatch(
         {g: reference(g) for g in range(1, G + 1)}, dict(enumerate(extract_cg(G), 1)),
         lambda g: {"g": g}, "expected", "computed",
     )
-    return VerificationReport.of("cg", G, mism)
+    return reports.VerificationReport.of("cg", G, mism)
 
 
 def verify_linear_term_identity(
     G: int, cg_values: CgValues | None = None
-) -> VerificationReport:
+) -> reports.VerificationReport:
     """Check the linear-in-t coefficient identity between the dilaton
     expansion of the t_1 flow and its right-hand side.
 
@@ -179,22 +178,22 @@ def verify_linear_term_identity(
     st = s_tilde_series(G)
     q = MultiSeries(st.vars, {(g, g - 1): 2 * cg(g) for g in range(1, G + 1)})
     left = {(a, b): (1 + 2 * a) * c for (a, b), c in st.terms.items()}  # h d/dh scales by a
-    mism = first_term_mismatch(
+    mism = reports.first_term_mismatch(
         left, (st + q * st).terms,
         lambda k: {"h_exp": k[0], "e_exp": k[1], "t_label": 3 * k[0] - k[1]}, "left", "right",
     )
-    return VerificationReport.of("linear-term", G, mism)
+    return reports.VerificationReport.of("linear-term", G, mism)
 
 
 def verify_one_point_reverse(
     G: int, cg_values: CgValues | None = None
-) -> VerificationReport:
+) -> reports.VerificationReport:
     """Run the argument backwards: from the constants C_g, integrate the
     differential equation for S~, undo the sine factor, and compare the
     resulting S against S from the one-point formula, whose h^g e^j
     coefficient is the one-point table entry."""
     s_ode = divide_series(s_tilde_from_constants(G, cg_values), sinc_factor_series(G))
-    mism = first_term_mismatch(
+    mism = reports.first_term_mismatch(
         s_ode.terms, s_series(G).terms, lambda k: {"g": k[0], "j": k[1]}, "from_ode", "from_table"
     )
-    return VerificationReport.of("one-point-reverse", G, mism)
+    return reports.VerificationReport.of("one-point-reverse", G, mism)

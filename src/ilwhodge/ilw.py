@@ -26,17 +26,16 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Callable
 
-from . import exactnum
+from . import exactnum, reports
 from .diffalg import (
     DiffPoly, LocalFunctional, _decoded, _int_dx, _int_euler, _int_frechet, _Packing,
     _reduce, coeff_ring, differential_degree, monomial_sort_key, normalize, poisson_bracket,
     total_x_derivative, u_degree, u_key, u_monomial_pretty, variational_derivative,
 )
 from .mpseries import IntTerms, _content, _scaled
-from .reports import VerificationReport, first_term_mismatch
 
 __all__ = [
-    "Hamiltonian", "InconsistentSystemError", "h1", "hamiltonian", "higher_hamiltonian", "flow",
+    "InconsistentSystemError", "h1", "hamiltonian", "higher_hamiltonian", "flow",
     "t1_flow_rhs", "t2_flow_rhs", "verify_flow_t1", "verify_flow_t2", "verify_commutation",
     "check_grading", "first_diffpoly_mismatch",
 ]
@@ -56,28 +55,7 @@ class InconsistentSystemError(RuntimeError):
         super().__init__(f"h_{index} is not a conserved quantity of h_1 at h^{genus}")
 
 
-class Hamiltonian:
-    """A hierarchy Hamiltonian: its index, truncation order, and functional;
-    immutable by discipline, equal when all three are."""
-
-    __slots__ = ("index", "genus_order", "functional")
-
-    def __init__(self, index: int, genus_order: int, functional: LocalFunctional):
-        self.index = index
-        self.genus_order = genus_order
-        self.functional = functional
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Hamiltonian):
-            return NotImplemented
-        return (self.index, self.genus_order, self.functional) == (
-            other.index, other.genus_order, other.functional
-        )
-
-    __hash__ = None
-
-
-def h1(G: int, cg_values: CgValues | None = None) -> Hamiltonian:
+def h1(G: int, cg_values: CgValues | None = None) -> LocalFunctional:
     """The explicit first Hamiltonian, truncated at h^G."""
     if G < 0:
         raise ValueError(f"genus order must be >= 0, got {G}")
@@ -85,18 +63,17 @@ def h1(G: int, cg_values: CgValues | None = None) -> Hamiltonian:
     terms = {(u_key({0: 3}), 0, 0): Fraction(1, 6)}
     for g in range(1, G + 1):
         terms[(u_key({0: 1, 2 * g: 1}), g, g - 1)] = cg(g)
-    ham = Hamiltonian(1, G, normalize(DiffPoly(coeff_ring(G), terms)))
-    check_grading(ham)
+    ham = normalize(DiffPoly(coeff_ring(G), terms))
+    check_grading(1, ham)
     return ham
 
 
-def flow(h: Hamiltonian | LocalFunctional) -> DiffPoly:
+def flow(h: LocalFunctional) -> DiffPoly:
     """The flow generated by a Hamiltonian: d/dx (delta h / delta u)."""
-    functional = h.functional if isinstance(h, Hamiltonian) else h
-    return total_x_derivative(variational_derivative(functional))
+    return total_x_derivative(variational_derivative(h))
 
 
-def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Hamiltonian:
+def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> LocalFunctional:
     """The index-i Hamiltonian (i >= 2), built by the double-ramification
     recursion from g_{-1} = u.
 
@@ -116,11 +93,10 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
     if G < 0:
         raise ValueError(f"genus order must be >= 0, got {G}")
     cvars = coeff_ring(G)
-    h1_full = h1(G, cg_values)
     # the widest term is a step's product, of u-degree i + 3
     pack = _Packing(cvars, i + 3)
     w, mask = pack.width, pack.mask
-    d1, n1 = _scaled(h1_full.functional.density.terms, pack)
+    d1, n1 = _scaled(h1(G, cg_values).density.terms, pack)
     xdh1 = _int_dx(_int_euler(n1, pack), pack)  # the flow of h_1, over d1
 
     def step(den: int, density: IntTerms, phi: IntTerms | None = None) -> int:
@@ -140,29 +116,28 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
         den, density = _content(den * scale, {k: c * (scale // eigen[k]) for k, c in phi.items()})
 
     den, nums = _reduce(den, density, pack)
-    ham = Hamiltonian(i, G, LocalFunctional(_decoded(cvars, den, nums, pack)))
-    check_grading(ham)
+    ham = LocalFunctional(_decoded(cvars, den, nums, pack))
+    check_grading(i, ham)
     step(den, nums)  # {h_i, h_1} = 0 on the normal form of h_i
     return ham
 
 
-def hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Hamiltonian:
+def hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> LocalFunctional:
     """h_i at truncation order G (explicit for i = 1, by recursion for i >= 2)."""
     if i < 1:
         raise ValueError(f"hierarchy index must be >= 1, got {i}")
     return h1(G, cg_values) if i == 1 else higher_hamiltonian(i, G, cg_values)
 
 
-def check_grading(h: Hamiltonian) -> None:
-    """Assert the grading invariants on a constructed Hamiltonian.
+def check_grading(i: int, h: LocalFunctional) -> None:
+    """Assert the grading invariants on a constructed Hamiltonian h_i.
 
     Every monomial at h^g with u-degree n must carry e-exponent
     g - (index + 2 - n) and differential degree exactly 2g, and the h^0
     part must be u^{i+2}/(i+2)!.
     """
-    i = h.index
     lead = u_key({0: i + 2})
-    for (ue, g, j), val in h.functional.density.terms.items():
+    for (ue, g, j), val in h.density.terms.items():
         d = differential_degree(ue)
         if d != 2 * g:
             raise AssertionError(
@@ -178,7 +153,7 @@ def check_grading(h: Hamiltonian) -> None:
 
 def first_diffpoly_mismatch(computed: DiffPoly, expected: DiffPoly) -> dict | None:
     """First differing coefficient in scan order (h-exp, e-exp, monomial)."""
-    return first_term_mismatch(
+    return reports.first_term_mismatch(
         expected.terms, computed.terms,
         lambda k: {"monomial": u_monomial_pretty(k[0]), "h_exp": k[1], "e_exp": k[2]},
         "expected", "computed", key=lambda k: (k[1], k[2], monomial_sort_key(k[0])),
@@ -211,26 +186,24 @@ def t2_flow_rhs(G: int) -> DiffPoly:
     return DiffPoly(coeff_ring(G), terms)
 
 
-def verify_flow_t1(G: int, cg_values: CgValues | None = None) -> VerificationReport:
+def verify_flow_t1(G: int, cg_values: CgValues | None = None) -> reports.VerificationReport:
     """Compare flow(h_1(G)) with the displayed first flow, exactly."""
     mism = first_diffpoly_mismatch(flow(h1(G, cg_values)), t1_flow_rhs(G))
-    return VerificationReport.of("ilw-t1", G, mism)
+    return reports.VerificationReport.of("ilw-t1", G, mism)
 
 
-def verify_flow_t2(G: int, cg_values: CgValues | None = None) -> VerificationReport:
+def verify_flow_t2(G: int, cg_values: CgValues | None = None) -> reports.VerificationReport:
     """Compare flow(h_2(G)) with the displayed second flow, exactly."""
     mism = first_diffpoly_mismatch(flow(higher_hamiltonian(2, G, cg_values)), t2_flow_rhs(G))
-    return VerificationReport.of("ilw-t2", G, mism)
+    return reports.VerificationReport.of("ilw-t2", G, mism)
 
 
 def verify_commutation(
     i: int, j: int, G: int, cg_values: CgValues | None = None
-) -> VerificationReport:
+) -> reports.VerificationReport:
     """Reduce {h_i, h_j} to normal form and report whether it vanishes."""
-    hi = hamiltonian(i, G, cg_values)
-    hj = hamiltonian(j, G, cg_values)
-    bracket = poisson_bracket(hi.functional, hj.functional)
+    bracket = poisson_bracket(hamiltonian(i, G, cg_values), hamiltonian(j, G, cg_values))
     mism = first_diffpoly_mismatch(bracket.density, DiffPoly.zero(bracket.vars))
     if mism is not None:
         mism["bracket"] = f"{{h_{i}, h_{j}}}"
-    return VerificationReport.of(f"commute({i},{j})", G, mism)
+    return reports.VerificationReport.of(f"commute({i},{j})", G, mism)

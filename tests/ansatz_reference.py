@@ -17,6 +17,7 @@ from typing import Iterator
 
 from ilwhodge.diffalg import (
     DiffPoly,
+    LocalFunctional,
     UExps,
     coeff_ring,
     monomial_sort_key,
@@ -28,7 +29,7 @@ from ilwhodge.diffalg import (
     variational_derivative,
 )
 from ilwhodge.exactnum import rational_to_str
-from ilwhodge.ilw import CgValues, Hamiltonian, InconsistentSystemError, check_grading, h1
+from ilwhodge.ilw import CgValues, InconsistentSystemError, check_grading, h1
 from ilwhodge.linalg import solve_exact
 
 __all__ = ["UnderdeterminedSystemError", "ansatz_monomials", "higher_hamiltonian"]
@@ -80,7 +81,7 @@ def _h_slice(p: DiffPoly, g: int) -> dict[tuple[UExps, int], Fraction]:
     return {(ue, b): val for (ue, a, b), val in p.terms.items() if a == g}
 
 
-def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Hamiltonian:
+def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> LocalFunctional:
     """The index-i Hamiltonian (i >= 2) determined by commutation with h_1.
 
     Solves {candidate, h_1} = 0 coefficient-wise, one h-order at a time;
@@ -95,7 +96,7 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
         raise ValueError(f"genus order must be >= 0, got {G}")
     cvars = coeff_ring(G)
     h1_full = h1(G, cg_values)
-    xdh1_full = total_x_derivative(variational_derivative(h1_full.functional))
+    xdh1_full = total_x_derivative(variational_derivative(h1_full))
     # the h^0 flow generator u*u_1 of int u^3/6: all unknowns pair with it
     xdh1_zero = DiffPoly(cvars, {(u_key({0: 1, 1: 1}), 0, 0): 1})
 
@@ -142,9 +143,9 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Ham
         if g < G:
             known = known + normalize(variational_derivative(layer) * xdh1_full).density
 
-    ham = Hamiltonian(i, G, normalize(density))
-    check_grading(ham)
-    residual = poisson_bracket(ham.functional, h1_full.functional)
+    ham = normalize(density)
+    check_grading(i, ham)
+    residual = poisson_bracket(ham, h1_full)
     if not residual.is_zero():
         raise InconsistentSystemError(i, G)
     return ham

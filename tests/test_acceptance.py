@@ -115,7 +115,7 @@ def test_criterion_3_second_flow():
 
 def test_criterion_4_commutation():
     start = time.monotonic()
-    defining = poisson_bracket(higher_hamiltonian(2, 12).functional, h1(12).functional)
+    defining = poisson_bracket(higher_hamiltonian(2, 12), h1(12))
     pairs = [verify_commutation(3, 2, 12), verify_commutation(4, 3, 12)]
     elapsed = time.monotonic() - start
     _report(

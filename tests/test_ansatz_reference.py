@@ -67,7 +67,7 @@ class TestBothRoutes:
         outcomes = []
         for build in (higher_hamiltonian, ansatz_reference.higher_hamiltonian):
             try:
-                outcomes.append(build(i, 6, cg).functional)
+                outcomes.append(build(i, 6, cg))
             except InconsistentSystemError as exc:
                 outcomes.append(("inconsistent", exc.genus))
         assert outcomes[0] == outcomes[1]

@@ -48,3 +48,46 @@ def test_recorded_runs_of_an_unchanged_engine_pass(bench, capsys):
     # BENCH_20.json: the minimum of higher_hamiltonian(4, 20) went 0.654 -> 0.812 s
     assert bench.main(["--out", str(ROOT / "BENCH_20.json"), "--compare", "parent", "change"]) == 0
     assert "SLOWER" not in capsys.readouterr().out
+
+
+def _usage_error(bench, capsys, argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        bench.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("bench.py: error: ")
+    return err
+
+
+def _no_timing(*args):
+    raise AssertionError("a row was timed")
+
+
+def test_compare_on_a_missing_file_is_a_usage_error(bench, tmp_path, capsys):
+    argv = ["--out", str(tmp_path / "absent.json"), "--compare", "parent", "change"]
+    assert "cannot read --out" in _usage_error(bench, capsys, argv)
+
+
+@pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"rows": {}}'],
+                         ids=["text", "list", "no-runs"])
+@pytest.mark.parametrize("mode", [["--compare", "parent", "change"], ["--label", "change"]],
+                         ids=["compare", "label"])
+def test_an_out_that_is_no_runs_file_is_a_usage_error(bench, tmp_path, capsys, monkeypatch,
+                                                      text, mode):
+    monkeypatch.setattr(bench, "measure", _no_timing)
+    path = tmp_path / "bench.json"
+    path.write_text(text)
+    _usage_error(bench, capsys, ["--out", str(path), *mode])
+
+
+def test_an_out_in_no_directory_is_a_usage_error(bench, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bench, "measure", _no_timing)
+    argv = ["--out", str(tmp_path / "absent" / "bench.json"), "--label", "change"]
+    assert "no directory" in _usage_error(bench, capsys, argv)
+
+
+def test_a_file_with_no_labels_says_so(bench, tmp_path, capsys):
+    path = tmp_path / "bench.json"
+    path.write_text('{"runs": {}}')
+    err = _usage_error(bench, capsys, ["--out", str(path), "--compare", "parent", "change"])
+    assert err.endswith("has no label 'parent'; it has no labels\n")

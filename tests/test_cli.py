@@ -283,7 +283,7 @@ class TestPerturbationLoci:
         assert not target.exists()
 
 
-class TestSharedSeries:
+class TestVerifyKeepsNoState:
     def test_verify_calls_keep_no_series(self, capsys, monkeypatch):
         from ilwhodge import hodge
 
@@ -305,9 +305,9 @@ class TestSharedSeries:
         assert calls == {"log": 6, "exp": 8}  # nothing is kept from the first call
         capsys.readouterr()
 
-    def test_verify_calls_in_threads_keep_their_own_series(self, tmp_path):
-        # more threads than cores, switching every microsecond: each call's
-        # checks must see only its own call's S and S~, never another's or none
+    def test_concurrent_calls_agree_with_a_serial_call(self, tmp_path):
+        # more threads than cores, switching every microsecond: every call
+        # must give the exit code and the reports of one call made alone
         argv = ["verify", "cg", "--genus", "3", "--format", "json", "--output"]
         assert main([*argv, str(tmp_path / "serial.json")]) == 0
         expected = json.loads((tmp_path / "serial.json").read_text())["details"]
