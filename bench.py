@@ -64,7 +64,6 @@ CALLS = [
     ("higher_hamiltonian(4, 16)", "ilw", "higher_hamiltonian", (4, 16)),
     ("higher_hamiltonian(4, 20)", "ilw", "higher_hamiltonian", (4, 20)),
     ("higher_hamiltonian(6, 10)", "ilw", "higher_hamiltonian", (6, 10)),
-    ("verify_commutation(4, 3, 12)", "ilw", "verify_commutation", (4, 3, 12)),
 ]
 # the seed of the workloads' pass that gives the `cli:` rows
 CLI_SEED = 0
@@ -77,6 +76,13 @@ def _commit(src: Path) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return out.stdout.strip()
+
+
+def _commute_check(i: int, j: int, G: int):
+    """A `verify commute` check of {h_i, h_j} at G with both builds."""
+    from ilwhodge import ilw
+
+    return ilw.verify_commutation(i, j, ilw.hamiltonian(i, G), ilw.hamiltonian(j, G))
 
 
 def _library_call(fn, *args) -> float:
@@ -120,6 +126,8 @@ def measure(runs: int, src: Path) -> dict:
     calls = [(name, _library_call,
               (getattr(importlib.import_module(f"ilwhodge.{module}"), function), *args))
              for name, module, function, args in CALLS]
+    calls.append(("verify_commutation(4, 3, h_4(12), h_3(12))", _library_call,
+                  (_commute_check, 4, 3, 12)))
     calls.append((f"setup: {SETUP_CODE}", _setup_child, (src,)))
     calls += [(f"cli: {op.label}", _cli_child, (src, op))
               for w in workloads.WORKLOADS for op in workloads.pass_plan(w, CLI_SEED)(0)]

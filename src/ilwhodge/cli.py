@@ -19,6 +19,7 @@ success, 1 verification mismatch or engine error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,20 +35,21 @@ FORMATS = ("json", "csv", "latex", "pretty")
 
 # selector -> (report name, order cap, check) entries, in report order.  A
 # check runs at order min(G, cap) (G when the cap is None) and takes (order,
-# cg_values); it looks its engine function up when it runs, so a wrapper bound
-# to the module attribute later (a tracer, a test double) still sees the call.
+# cg_values, h), where h(i, order) is the call's h_i; it looks its engine
+# function up when it runs, so a wrapper bound to the module attribute later
+# (a tracer, a test double) still sees the call.
 VERIFY = {
-    "cg": [("cg", None, lambda G, cg: hodge.verify_cg(G, cg))],
-    "ilw-t1": [("ilw-t1", None, lambda G, cg: ilw.verify_flow_t1(G, cg))],
-    "ilw-t2": [("ilw-t2", None, lambda G, cg: ilw.verify_flow_t2(G, cg))],
+    "cg": [("cg", None, lambda G, cg, h: hodge.verify_cg(G, cg))],
+    "ilw-t1": [("ilw-t1", None, lambda G, cg, h: ilw.verify_flow_t1(h(1, G)))],
+    "ilw-t2": [("ilw-t2", None, lambda G, cg, h: ilw.verify_flow_t2(h(2, G)))],
     "commute": [
-        ("commute(2,1)", None, lambda G, cg: ilw.verify_commutation(2, 1, G, cg)),
-        ("commute(3,2)", 2, lambda G, cg: ilw.verify_commutation(3, 2, G, cg)),
+        ("commute(2,1)", None, lambda G, cg, h: ilw.verify_commutation(2, 1, h(2, G), h(1, G))),
+        ("commute(3,2)", 2, lambda G, cg, h: ilw.verify_commutation(3, 2, h(3, G), h(2, G))),
     ],
     "linear-term": [("linear-term", None,
-                     lambda G, cg: hodge.verify_linear_term_identity(G, cg))],
+                     lambda G, cg, h: hodge.verify_linear_term_identity(G, cg))],
     "one-point-reverse": [("one-point-reverse", None,
-                           lambda G, cg: hodge.verify_one_point_reverse(G, cg))],
+                           lambda G, cg, h: hodge.verify_one_point_reverse(G, cg))],
 }
 VERIFY["all"] = [check for checks in VERIFY.values() for check in checks]
 
@@ -293,10 +295,13 @@ def checks(which: str, G: int) -> list[tuple]:
 
 
 def _run_verifications(which: str, G: int, cg_values) -> list[reports.VerificationReport]:
+    # one build of each h_i per call; a build that raises is not cached, so
+    # each check that needs it reports the error at its own order
+    h = functools.cache(lambda i, order: ilw.hamiltonian(i, order, cg_values))
     results: list[reports.VerificationReport] = []
     for name, order, check in checks(which, G):
         try:
-            results.append(check(order, cg_values))
+            results.append(check(order, cg_values, h))
         except Exception as exc:  # surface engine failures as reports
             results.append(reports.VerificationReport(name, "error", order, {"error": str(exc)}))
     return results

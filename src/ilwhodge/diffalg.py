@@ -47,7 +47,7 @@ from .mpseries import (
 __all__ = [
     "DiffAlgError", "NotTotalDerivativeError", "UExps", "u_key", "u_monomial_pretty", "coeff_ring",
     "DiffPoly", "LocalFunctional", "total_x_derivative", "variational_derivative", "normalize",
-    "poisson_bracket", "miura_series", "miura_inverse_series", "integrate_x", "frechet_apply",
+    "poisson_bracket", "miura_series", "miura_inverse_series", "integrate_x",
 ]
 
 # ((derivative index, multiplicity), ...) sorted by index, multiplicities > 0
@@ -516,11 +516,3 @@ def integrate_x(q: DiffPoly) -> DiffPoly:
             f"leading monomial {name} has u_{top}^{mult}; input is not a total derivative"
         )
     return _decoded(q.vars, den, phi, pack)
-
-
-def frechet_apply(phi: DiffPoly, b: DiffPoly) -> DiffPoly:
-    """Frechet derivative of phi applied to b: sum_k (dphi/du_k) d^k/dx^k b."""
-    phi._check_ring(b)
-    pack = DiffPoly._packing(phi, b)
-    (dphi, nphi), (db, nb) = _scaled(phi.terms, pack), _scaled(b.terms, pack)
-    return _decoded(phi.vars, dphi * db, _int_frechet(nphi, nb, pack), pack)

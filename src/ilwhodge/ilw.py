@@ -186,24 +186,26 @@ def t2_flow_rhs(G: int) -> DiffPoly:
     return DiffPoly(coeff_ring(G), terms)
 
 
-def verify_flow_t1(G: int, cg_values: CgValues | None = None) -> reports.VerificationReport:
-    """Compare flow(h_1(G)) with the displayed first flow, exactly."""
-    mism = first_diffpoly_mismatch(flow(h1(G, cg_values)), t1_flow_rhs(G))
+def verify_flow_t1(h_1: LocalFunctional) -> reports.VerificationReport:
+    """Compare the flow of h_1 with the displayed first flow, exactly."""
+    G = h_1.vars[0].order - 1  # its ring is coeff_ring(G)
+    mism = first_diffpoly_mismatch(flow(h_1), t1_flow_rhs(G))
     return reports.VerificationReport.of("ilw-t1", G, mism)
 
 
-def verify_flow_t2(G: int, cg_values: CgValues | None = None) -> reports.VerificationReport:
-    """Compare flow(h_2(G)) with the displayed second flow, exactly."""
-    mism = first_diffpoly_mismatch(flow(higher_hamiltonian(2, G, cg_values)), t2_flow_rhs(G))
+def verify_flow_t2(h_2: LocalFunctional) -> reports.VerificationReport:
+    """Compare the flow of h_2 with the displayed second flow, exactly."""
+    G = h_2.vars[0].order - 1  # its ring is coeff_ring(G)
+    mism = first_diffpoly_mismatch(flow(h_2), t2_flow_rhs(G))
     return reports.VerificationReport.of("ilw-t2", G, mism)
 
 
 def verify_commutation(
-    i: int, j: int, G: int, cg_values: CgValues | None = None
+    i: int, j: int, h_i: LocalFunctional, h_j: LocalFunctional
 ) -> reports.VerificationReport:
     """Reduce {h_i, h_j} to normal form and report whether it vanishes."""
-    bracket = poisson_bracket(hamiltonian(i, G, cg_values), hamiltonian(j, G, cg_values))
+    bracket = poisson_bracket(h_i, h_j)
     mism = first_diffpoly_mismatch(bracket.density, DiffPoly.zero(bracket.vars))
     if mism is not None:
         mism["bracket"] = f"{{h_{i}, h_{j}}}"
-    return reports.VerificationReport.of(f"commute({i},{j})", G, mism)
+    return reports.VerificationReport.of(f"commute({i},{j})", bracket.vars[0].order - 1, mism)

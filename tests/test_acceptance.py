@@ -116,7 +116,9 @@ def test_criterion_3_second_flow():
 def test_criterion_4_commutation():
     start = time.monotonic()
     defining = poisson_bracket(higher_hamiltonian(2, 12), h1(12))
-    pairs = [verify_commutation(3, 2, 12), verify_commutation(4, 3, 12)]
+    # each pair builds both of its Hamiltonians at h^12
+    pairs = [verify_commutation(i, j, higher_hamiltonian(i, 12), higher_hamiltonian(j, 12))
+             for i, j in ((3, 2), (4, 3))]
     elapsed = time.monotonic() - start
     _report(
         4,

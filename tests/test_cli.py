@@ -218,7 +218,7 @@ class TestVerify:
     def test_engine_error_reports_the_order_its_check_ran_at(self, capsys, monkeypatch):
         from ilwhodge import ilw
 
-        def boom(i, j, G, cg_values=None):
+        def boom(i, j, h_i, h_j):
             raise RuntimeError(f"no bracket for h_{i}, h_{j}")
 
         monkeypatch.setattr(ilw, "verify_commutation", boom)
@@ -304,6 +304,34 @@ class TestVerifyKeepsNoState:
         assert main(["verify", "all", "--genus", "8"]) == 0
         assert calls == {"log": 6, "exp": 8}  # nothing is kept from the first call
         capsys.readouterr()
+
+    def test_verify_call_builds_each_hamiltonian_once(self, capsys, monkeypatch):
+        from ilwhodge import ilw
+
+        builds = []
+        build = ilw.higher_hamiltonian
+
+        def counted(i, G, cg_values=None):
+            builds.append((i, G))
+            return build(i, G, cg_values)
+
+        monkeypatch.setattr(ilw, "higher_hamiltonian", counted)
+        assert main(["verify", "all", "--genus", "8"]) == 0
+        # ilw-t2 and commute(2,1) share h_2(8); commute(3,2) runs at order 2
+        assert sorted(builds) == [(2, 2), (2, 8), (3, 2)]
+        assert main(["verify", "all", "--genus", "8"]) == 0
+        assert sorted(builds) == [(2, 2), (2, 2), (2, 8), (2, 8), (3, 2), (3, 2)]
+        capsys.readouterr()
+
+    def test_a_build_that_raises_is_reported_by_each_check_that_needs_it(self, capsys):
+        code, data = run_json(capsys, "verify", "all", "--genus", "6", "--perturb-cg", "2:1/3")
+        assert code == 1
+        by_name = {d["name"]: d for d in data["details"]}
+        t2, commute = by_name["ilw-t2"], by_name["commute(2,1)"]
+        assert t2["status"] == commute["status"] == "error"
+        assert t2["first_mismatch"] == commute["first_mismatch"] == {
+            "error": "h_2 is not a conserved quantity of h_1 at h^4"
+        }
 
     def test_concurrent_calls_agree_with_a_serial_call(self, tmp_path):
         # more threads than cores, switching every microsecond: every call

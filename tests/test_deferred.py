@@ -101,7 +101,7 @@ class TestWhatRuns:
             "touches = [\n"
             "    lambda: ilwhodge.extract_cg(3) == [ilwhodge.c_g(g) for g in (1, 2, 3)],\n"
             "    lambda: __import__('ilwhodge.hodge', fromlist=['verify_cg']).verify_cg(2).ok,\n"
-            "    lambda: ilwhodge.ilw.verify_flow_t1(2).ok,\n"
+            "    lambda: ilwhodge.ilw.verify_flow_t1(ilwhodge.h1(2)).ok,\n"
             "    lambda: 'u^3' in str(ilwhodge.h1(1)),\n"
             "    lambda: ilwhodge.linalg.solve_exact([[1, 2]], [3]).consistent,\n"
             "    lambda: ilwhodge.diffalg.u_key({1: 1}) == ((1, 1),),\n"

@@ -17,7 +17,6 @@ from ilwhodge.diffalg import (
     NotTotalDerivativeError,
     _Packing,
     coeff_ring,
-    frechet_apply,
     integrate_x,
     miura_inverse_series,
     miura_series,
@@ -41,6 +40,7 @@ from properties import (
     check_normalize_against_reference,
     check_normalize_idempotent,
     check_one_pair_loop_at_field_width,
+    frechet_apply,
     he_group,
     miura_forward,
     miura_inverse,

@@ -33,6 +33,13 @@ The digest of `verify all --genus 5 --perturb-cg 3:1/1000` was re-pinned when
 the engine error of the `h_2` recursion stopped naming a linear system that
 is no longer solved: its two error lines now read "h_2 is not a conserved
 quantity of h_1 at h^4", and nothing else in the output moved.
+
+The four `verify-suite` digests (`verify all --genus 8`, `verify commute
+--genus 9`, and `verify all --genus 6` with a shifted C_2 and C_6, all in
+JSON) were taken before the verifiers took the Hamiltonians they check
+instead of building them, and each `verify` call began to build each h_i
+once.  With C_2 shifted the h_2(6) build raises, and both checks that need
+it report the same error; with C_6 shifted it succeeds.
 """
 
 from __future__ import annotations
@@ -152,6 +159,16 @@ GOLDEN = {
         "ea6a1c36e7422c0fa1f47e4f64df8e35742d8d8604fda9c61bd6826d062b2ba2",
     ("one-point", "--max-genus", "40", "--format", "csv"):
         "84f2c67145826d10ed70fc35d1bf53e3aa57a6a21bce9d90b52db88e7f67c34b",
+    # the benchmark's verify-suite ops: every check at genus 8 and 9, and the
+    # h_2(6) build that raises (C_2 shifted) or succeeds (C_6 shifted)
+    ("verify", "all", "--genus", "8", "--format", "json"):
+        "e5ae0138d7535a51d40446b558e388ddcb864d5e5ecaef02ece3d1d1d5cdeca7",
+    ("verify", "commute", "--genus", "9", "--format", "json"):
+        "e84ba5479d39dcbc3daba2526d7130ed8eef0c29140bc69f687bf5ee203c0651",
+    ("verify", "all", "--genus", "6", "--perturb-cg", "2:5/7", "--format", "json"):
+        "a04752aa3ce3cf2bea95046de0d8075ef099dc622f78f99f4f5c96e14b78131a",
+    ("verify", "all", "--genus", "6", "--perturb-cg", "6:5/7", "--format", "json"):
+        "557fb504f9fef844bf1dc5a72d431a562354638e874bda74af89563b56a59705",
 }
 
 # Calls whose exit code is not 0: a perturbed run reports every mismatch
@@ -171,6 +188,10 @@ EXIT_CODE = {
         ("verify", "one-point-reverse", "--genus", "12", "--perturb-cg", f"{g0}:-37/123456",
          "--format", "json"): 1
         for g0 in (1, 6, 12)
+    },
+    **{
+        ("verify", "all", "--genus", "6", "--perturb-cg", f"{g0}:5/7", "--format", "json"): 1
+        for g0 in (2, 6)
     },
 }
 
