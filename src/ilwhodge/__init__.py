@@ -19,11 +19,11 @@ from importlib.util import find_spec, module_from_spec
 _API = {
     "exactnum": "Rational bernoulli c_g dispersion_coeff",
     "mpseries": "MultiSeries SeriesError VarSpec coeff_ring divide_series exp_series "
-                "inverse_series log_series sinc_half_series substitute_square",
+                "inverse_series log_series sinc_half_series",
     "diffalg": "DiffAlgError DiffPoly LocalFunctional NotTotalDerivativeError integrate_x "
                "miura_inverse_series miura_series normalize "
                "poisson_bracket total_x_derivative u_key variational_derivative",
-    "hodge": "BracketTable HodgeConsistencyError extract_cg one_point_table s_series "
+    "hodge": "HodgeConsistencyError extract_cg one_point_table s_series "
              "s_tilde_series verify_cg verify_linear_term_identity verify_one_point_reverse",
     "ilw": "InconsistentSystemError flow h1 hamiltonian higher_hamiltonian "
            "verify_commutation verify_flow_t1 verify_flow_t2",

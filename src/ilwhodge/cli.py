@@ -244,13 +244,27 @@ def cmd_constants(cfg: dict, g_max: int) -> int:
 
 
 def cmd_one_point(cfg: dict, g_max: int) -> int:
-    table = hodge.one_point_table(g_max)
+    table = sorted(hodge.one_point_table(g_max).items())
     if cfg["output_format"] == "latex":
-        text = table.to_latex()
+        text = _one_point_latex(table)
     else:
-        text = _render_rows("one-point", cfg, table.rows(), ["g", "j", "d", "value"])
+        rows = [{"g": g, "j": j, "d": list(d), "value": rational_to_str(v)}
+                for (g, j, d), v in table]
+        text = _render_rows("one-point", cfg, rows, ["g", "j", "d", "value"])
     _emit(cfg, text)
     return 0
+
+
+def _one_point_latex(table: list) -> str:
+    """The sorted one-point entries as a tabular with math-mode cells."""
+    lines = [r"\begin{tabular}{rrrl}", r"$g$ & $j$ & $d$ & value \\ \hline"]
+    for (g, j, d), v in table:
+        sign = "-" if v < 0 else ""
+        frac = rf"${sign}\frac{{{abs(v.numerator)}}}{{{v.denominator}}}$"
+        val = str(v) if v.denominator == 1 else frac
+        lines.append(f"{g} & {j} & $({','.join(map(str, d))})$ & {val} \\\\")
+    lines.append(r"\end{tabular}")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_expression(cfg: dict, command: str, index: int, genus: int) -> int:

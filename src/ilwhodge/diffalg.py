@@ -13,7 +13,7 @@ x-derivative, the variational (Euler) derivative, the Poisson bracket
 integration-by-parts reduction whose remainder is the normal form of a
 density and whose peeled terms are the x-antiderivative of a total
 derivative, and the series of the triangular Miura substitution
-(sin(z/2)/(z/2) of `mpseries` with z^2 read as h e d^2/dx^2) and of its
+(sin(t/2)/(t/2) of `mpseries` with t^2 read as h e d^2/dx^2) and of its
 inverse (the reciprocal series).
 
 The calculus runs on packed keys (`_Packing`): a key's u_k fields are read
@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Mapping
 from .exactnum import rational_to_str
 from .mpseries import (
     IntTerms, MultiSeries, Packing, TermMap, VarSpec, _int_product, _scaled, _unscale, coeff_ring,
-    inverse_series, join_signed, series_text, sinc_half_series, substitute_square, term_text,
+    inverse_series, join_signed, series_text, sinc_half_series, term_text,
 )
 
 __all__ = [
@@ -471,26 +471,28 @@ def poisson_bracket(
 
 
 def _derivative_series(cvars: tuple[VarSpec, ...], s: MultiSeries) -> DiffPoly:
-    """sum_m s_m h^m e^m u_{2m} for an even series sum_m s_m z^{2m}: the
-    operator s(sqrt(h e) d/dx) applied to u, truncated at the ring's orders."""
-    he = substitute_square(s, cvars)
-    return DiffPoly._make(cvars, {(((2 * m, 1),), m, m): c for (m, _), c in he.terms.items()})
+    """sum_m s_m h^m e^m u_{2m} for a series sum_m s_m (h e)^m: the operator
+    s(t) with t^2 read as h e d^2/dx^2, applied to u and truncated at the
+    orders of cvars."""
+    top = min(v.order for v in cvars)
+    return DiffPoly._make(cvars, {(((2 * m, 1),), m, m): c for (m, _), c in s.terms.items()
+                                  if m < top})
 
 
 def miura_series(cvars: Iterable[VarSpec], G: int) -> DiffPoly:
     """The substitution series of the triangular change of dependent variable:
     the image reads w + sum_{g>=1} (-1)^g/(2^{2g}(2g+1)!) h^g e^g w_{2g}, that
-    is sin(z/2)/(z/2) with z^2 read as h e d^2/dx^2, through h^G."""
-    return _derivative_series(tuple(cvars), sinc_half_series(2 * G + 1))
+    is sin(t/2)/(t/2) with t^2 read as h e d^2/dx^2, through h^G."""
+    return _derivative_series(tuple(cvars), sinc_half_series(G))
 
 
 def miura_inverse_series(cvars: Iterable[VarSpec], G: int) -> DiffPoly:
     """Compositional inverse of `miura_series` through h^G.
 
-    The substitution is the linear operator S(sqrt(h e) d/dx), so its
-    inverse is the reciprocal series 1/S read the same way.
+    The substitution is the linear operator S(t) at t^2 = h e d^2/dx^2, so
+    its inverse is the reciprocal series 1/S read the same way.
     """
-    return _derivative_series(tuple(cvars), inverse_series(sinc_half_series(2 * G + 1)))
+    return _derivative_series(tuple(cvars), inverse_series(sinc_half_series(G)))
 
 
 # -- integration and reconstruction -----------------------------------------------

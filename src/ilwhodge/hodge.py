@@ -30,16 +30,14 @@ from fractions import Fraction
 from typing import Callable
 
 from . import exactnum, reports
-from .exactnum import rational_to_str
 from .mpseries import (
     MultiSeries, coeff_ring, divide_series, exp_series, log_series, sinc_half_series,
-    substitute_square,
 )
 
 __all__ = [
-    "HodgeConsistencyError", "BracketTable", "one_point_table", "sinc_factor_series", "s_series",
-    "s_tilde_series", "s_tilde_from_constants", "extract_cg", "verify_cg",
-    "verify_linear_term_identity", "verify_one_point_reverse",
+    "HodgeConsistencyError", "one_point_table", "s_series", "s_tilde_series",
+    "s_tilde_from_constants", "extract_cg", "verify_cg", "verify_linear_term_identity",
+    "verify_one_point_reverse",
 ]
 
 CgValues = Callable[[int], Fraction]
@@ -51,61 +49,15 @@ class HodgeConsistencyError(RuntimeError):
     """The logarithmic h-derivative of S~ is not a function of h*e alone."""
 
 
-class BracketTable:
-    """Finite table of one-point bracket values keyed (genus, lambda-index,
-    tau-index tuple)."""
-
-    def __init__(self, entries: dict[TableKey, Fraction] | None = None):
-        self.entries = {} if entries is None else entries
-
-    def value(self, g: int, j: int, d: tuple[int, ...]) -> Fraction:
-        return self.entries.get((g, j, tuple(d)), Fraction(0))
-
-    def rows(self) -> list[dict]:
-        out = []
-        for (g, j, d) in sorted(self.entries):
-            out.append(
-                {"g": g, "j": j, "d": list(d), "value": rational_to_str(self.entries[(g, j, d)])}
-            )
-        return out
-
-    def to_latex(self) -> str:
-        lines = [
-            r"\begin{tabular}{rrrl}",
-            r"$g$ & $j$ & $d$ & value \\ \hline",
-        ]
-        for (g, j, d) in sorted(self.entries):
-            v = self.entries[(g, j, d)]
-            if v.denominator == 1:
-                val = str(v.numerator)
-            else:
-                sign = "-" if v < 0 else ""
-                val = rf"${sign}\frac{{{abs(v.numerator)}}}{{{v.denominator}}}$"
-            dd = ",".join(str(x) for x in d)
-            lines.append(f"{g} & {j} & $({dd})$ & {val} \\\\")
-        lines.append(r"\end{tabular}")
-        return "\n".join(lines) + "\n"
-
-
-def one_point_table(g_max: int) -> BracketTable:
-    """One-point values <lambda_j tau_{3g-j-2}>_g for g <= g_max: the
-    coefficient of h^g e^j in S."""
-    if g_max < 1:
-        raise ValueError(f"genus bound must be >= 1, got {g_max}")
-    return BracketTable(
-        {(g, j, (3 * g - j - 2,)): c for (g, j), c in s_series(g_max).terms.items() if g}
-    )
+def one_point_table(g_max: int) -> dict[TableKey, Fraction]:
+    """One-point values {(g, j, (3g-j-2,)): <lambda_j tau_{3g-j-2}>_g} for
+    g <= g_max: the coefficient of h^g e^j in S, re-keyed."""
+    return {(g, j, (3 * g - j - 2,)): c for (g, j), c in s_series(g_max).terms.items() if g}
 
 
 def _check_order(G: int) -> None:
     if G < 1:
         raise ValueError(f"order must be >= 1, got {G}")
-
-
-def sinc_factor_series(G: int) -> MultiSeries:
-    """sin(sqrt(h e)/2) / (sqrt(h e)/2) as a series in h, e (z^2 -> h e)."""
-    _check_order(G)
-    return substitute_square(sinc_half_series(2 * G + 1), coeff_ring(G))
 
 
 def s_series(G: int) -> MultiSeries:
@@ -117,14 +69,14 @@ def s_series(G: int) -> MultiSeries:
     L/e lowers the e-exponent by one and no Laurent term ever exists.
     """
     _check_order(G)
-    L = substitute_square(-log_series(sinc_half_series(2 * G + 1)), coeff_ring(G))
+    L = -log_series(sinc_half_series(G))
     exponent = {(a, b - s): c for (a, b), c in L.terms.items() for s in (0, 1)}
     return exp_series(MultiSeries(L.vars, exponent))
 
 
 def s_tilde_series(G: int) -> MultiSeries:
-    """S~(h, e): S times the sine factor sin(sqrt(he)/2)/(sqrt(he)/2)."""
-    return s_series(G) * sinc_factor_series(G)
+    """S~(h, e): S times the sine factor sin(t/2)/(t/2) at t^2 = h e."""
+    return s_series(G) * sinc_half_series(G)
 
 
 def s_tilde_from_constants(G: int, cg_values: CgValues | None = None) -> MultiSeries:
@@ -192,7 +144,7 @@ def verify_one_point_reverse(
     differential equation for S~, undo the sine factor, and compare the
     resulting S against S from the one-point formula, whose h^g e^j
     coefficient is the one-point table entry."""
-    s_ode = divide_series(s_tilde_from_constants(G, cg_values), sinc_factor_series(G))
+    s_ode = divide_series(s_tilde_from_constants(G, cg_values), sinc_half_series(G))
     mism = reports.first_term_mismatch(
         s_ode.terms, s_series(G).terms, lambda k: {"g": k[0], "j": k[1]}, "from_ode", "from_table"
     )

@@ -9,8 +9,9 @@ its own truncation order: an exclusive bound on the exponents retained.
 Every operation enforces the bounds, so equality of series is decidable and
 exact.
 
-Negative exponents are never allowed.  An argument of sqrt(h*eps) is
-realized by `substitute_square` (z^(2m) -> h^m e^m), keeping the ring total.
+Negative exponents are never allowed.  The sine series of the Hodge side is
+a series in t^2 alone and is built at t^2 = h e, so it never leaves the
+(h, e) ring of `coeff_ring`.
 
 `exp_series`, `log_series` and `divide_series` (with `inverse_series` as
 1 / a) share one graded recurrence (Brent & Kung, J. ACM 25, 1978).  A series
@@ -42,8 +43,8 @@ from .exactnum import rational_to_str
 
 __all__ = [
     "SeriesError", "VarSpec", "coeff_ring", "TermMap", "MultiSeries", "exp_series", "log_series",
-    "inverse_series", "divide_series", "sinc_half_series", "substitute_square", "series_text",
-    "term_text", "join_signed",
+    "inverse_series", "divide_series", "sinc_half_series", "series_text", "term_text",
+    "join_signed",
 ]
 
 Exponents = tuple[int, ...]
@@ -516,35 +517,9 @@ def _divide(num, den: MultiSeries, caller: str) -> MultiSeries:
     return _solve_graded(_components(num, grade), _components(den, grade), lambda d: c)
 
 
-def sinc_half_series(order: int) -> MultiSeries:
-    """Taylor series of sin(z/2)/(z/2) = sum_m (-1)^m z^{2m} / (4^m (2m+1)!)."""
-    if order < 1:
-        raise SeriesError(f"order must be >= 1, got {order}")
-    v = VarSpec("z", order)
-    terms: dict[Exponents, Fraction] = {}
-    m = 0
-    while 2 * m < order:
-        terms[(2 * m,)] = Fraction((-1) ** m, 4**m * factorial(2 * m + 1))
-        m += 1
-    return MultiSeries((v,), terms)
-
-
-def substitute_square(a: MultiSeries, target: tuple[VarSpec, VarSpec]) -> MultiSeries:
-    """Send z^{2m} to h^m e^m for an even univariate series.
-
-    This realizes an argument of sqrt(h*e) without ever materializing the
-    square root; odd coefficients must all vanish.
-    """
-    if len(a.vars) != 1:
-        raise SeriesError("substitute_square expects a univariate series")
-    hbar, eps = target
-    terms: dict[Exponents, Fraction] = {}
-    for (x,), c in a.terms.items():
-        if x % 2 != 0:
-            raise SeriesError(f"series is not even: z^{x} has coefficient {c}")
-        m = x // 2
-        if m >= hbar.order or m >= eps.order:
-            continue  # truncated away
-        terms[(m, m)] = c
-    return MultiSeries((hbar, eps), terms)
-
+def sinc_half_series(G: int) -> MultiSeries:
+    """sin(t/2)/(t/2) = sum_m (-1)^m t^{2m} / (4^m (2m+1)!) at t^2 = h e,
+    through (h e)^G, over `coeff_ring(G)`."""
+    return MultiSeries(coeff_ring(G), {
+        (m, m): Fraction((-1) ** m, 4**m * factorial(2 * m + 1)) for m in range(G + 1)
+    })

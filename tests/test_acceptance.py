@@ -28,7 +28,6 @@ from ilwhodge.hodge import (
     one_point_table,
     s_series,
     s_tilde_series,
-    sinc_factor_series,
     verify_linear_term_identity,
 )
 from ilwhodge.ilw import (
@@ -40,7 +39,7 @@ from ilwhodge.ilw import (
     t2_flow_rhs,
     verify_commutation,
 )
-from ilwhodge.mpseries import MultiSeries, exp_series
+from ilwhodge.mpseries import MultiSeries, exp_series, sinc_half_series
 from oracles import log_sinc_half_coeffs, one_point_oracle
 from properties import ALL_SUITES, he_group
 
@@ -132,16 +131,16 @@ def test_criterion_5_one_point_values():
     table = one_point_table(2)
     oracle = one_point_oracle(2)
     frozen = (
-        table.value(1, 1, (0,)) == Fraction(1, 24)
-        and table.value(1, 0, (1,)) == Fraction(1, 24)
-        and table.value(2, 2, (2,)) == Fraction(7, 5760)
-        and table.value(2, 0, (4,)) == Fraction(1, 1152)
+        table[(1, 1, (0,))] == Fraction(1, 24)
+        and table[(1, 0, (1,))] == Fraction(1, 24)
+        and table[(2, 2, (2,))] == Fraction(7, 5760)
+        and table[(2, 0, (4,))] == Fraction(1, 1152)
     )
     against_oracle = (
-        oracle[(1, 0)] == table.value(1, 1, (0,))
-        and oracle[(1, 1)] == table.value(1, 0, (1,))
-        and oracle[(2, 0)] == table.value(2, 2, (2,))
-        and oracle[(2, 2)] == table.value(2, 0, (4,))
+        oracle[(1, 0)] == table[(1, 1, (0,))]
+        and oracle[(1, 1)] == table[(1, 0, (1,))]
+        and oracle[(2, 0)] == table[(2, 2, (2,))]
+        and oracle[(2, 2)] == table[(2, 0, (4,))]
     )
     _report(
         5,
@@ -153,7 +152,7 @@ def test_criterion_5_one_point_values():
 def test_criterion_6_s_tilde_consistency():
     G = 8
     hv = coeff_ring(G)
-    path_a = s_series(G) * sinc_factor_series(G)
+    path_a = s_series(G) * sinc_half_series(G)
     exponent = {(g, g - 1): c for g, c in log_sinc_half_coeffs(G).items()}
     path_b = exp_series(MultiSeries(hv, exponent))
     internal = s_tilde_series(G)

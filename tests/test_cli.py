@@ -93,6 +93,25 @@ class TestOnePoint:
         assert lines[0] == "g,j,d,value"
         assert "1,0,1,1/24" in lines
 
+    def test_json_rows(self, capsys):
+        code, data = run_json(capsys, "one-point", "--max-genus", "1")
+        assert code == 0
+        assert data["details"] == [
+            {"g": 1, "j": 0, "d": [1], "value": "1/24"},
+            {"g": 1, "j": 1, "d": [0], "value": "1/24"},
+        ]
+
+    def test_latex_math_mode_table(self, capsys):
+        code, out = run(capsys, "one-point", "--max-genus", "1", "--format", "latex")
+        assert code == 0
+        assert out == (
+            "\\begin{tabular}{rrrl}\n"
+            "$g$ & $j$ & $d$ & value \\\\ \\hline\n"
+            "1 & 0 & $(1)$ & $\\frac{1}{24}$ \\\\\n"
+            "1 & 1 & $(0)$ & $\\frac{1}{24}$ \\\\\n"
+            "\\end{tabular}\n"
+        )
+
 
 class TestExpressions:
     def test_h1_density(self, capsys):

@@ -173,6 +173,12 @@ class TestMiura:
                 assert max(a for _, a, _ in wide.terms) == G
                 assert wide.terms == series(coeff_ring(G), G).terms
 
+    def test_series_stop_at_the_ring_order_on_a_narrower_ring(self):
+        # a ring that keeps only h^G truncates a series asked for through h^(G+2)
+        for G in range(7):
+            for series in (miura_series, miura_inverse_series):
+                assert series(coeff_ring(G), G + 2).terms == series(coeff_ring(G), G).terms
+
     def test_roundtrip_on_generator(self):
         assert miura_inverse(miura_forward(U, 2), 2) == U
 

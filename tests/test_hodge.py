@@ -10,19 +10,17 @@ import ilwhodge.hodge
 from ilwhodge import exactnum
 from ilwhodge.diffalg import coeff_ring
 from ilwhodge.hodge import (
-    BracketTable,
     HodgeConsistencyError,
     extract_cg,
     one_point_table,
     s_series,
     s_tilde_from_constants,
     s_tilde_series,
-    sinc_factor_series,
     verify_cg,
     verify_linear_term_identity,
     verify_one_point_reverse,
 )
-from ilwhodge.mpseries import MultiSeries, exp_series, inverse_series
+from ilwhodge.mpseries import MultiSeries, exp_series, inverse_series, sinc_half_series
 from ilwhodge.reports import VerificationReport, first_term_mismatch
 from oracles import (
     bernoulli_at,
@@ -55,24 +53,24 @@ class TestDimensionCheck:
 class TestOnePointTable:
     def test_frozen_values(self):
         table = one_point_table(2)
-        assert table.value(1, 1, (0,)) == Fraction(1, 24)
-        assert table.value(1, 0, (1,)) == Fraction(1, 24)
-        assert table.value(2, 2, (2,)) == Fraction(7, 5760)
-        assert table.value(2, 0, (4,)) == Fraction(1, 1152)
-        assert table.value(2, 1, (3,)) == Fraction(1, 480)
+        assert table[(1, 1, (0,))] == Fraction(1, 24)
+        assert table[(1, 0, (1,))] == Fraction(1, 24)
+        assert table[(2, 2, (2,))] == Fraction(7, 5760)
+        assert table[(2, 0, (4,))] == Fraction(1, 1152)
+        assert table[(2, 1, (3,))] == Fraction(1, 480)
 
     @pytest.mark.parametrize("g_max", [5, 12])
     def test_against_brute_force_oracle(self, g_max):
         table = one_point_table(g_max)
         oracle = one_point_oracle(g_max)
         for (g, i), want in oracle.items():
-            assert table.value(g, g - i, (2 * g - 2 + i,)) == want, (g, i)
+            assert table.get((g, g - i, (2 * g - 2 + i,)), 0) == want, (g, i)
         # and nothing extra
-        assert len(table.entries) == sum(1 for v in oracle.values() if v != 0)
+        assert len(table) == sum(1 for v in oracle.values() if v != 0)
 
     def test_entries_satisfy_dimension_constraint(self):
         table = one_point_table(3)
-        for (g, j, d) in table.entries:
+        for (g, j, d) in table:
             assert dimension_check(g, 1, j, d)
 
     def test_rejects_zero_bound(self):
@@ -94,7 +92,7 @@ class TestSSeries:
         table = one_point_table(G)
         for g in range(1, G + 1):
             for j in range(0, g + 1):
-                assert s.coefficient((g, j)) == table.value(g, j, (3 * g - j - 2,)), (g, j)
+                assert s.coefficient((g, j)) == table.get((g, j, (3 * g - j - 2,)), 0), (g, j)
 
 
 class TestSTilde:
@@ -117,7 +115,7 @@ class TestSTilde:
         G = 8
         exponent = {(g, g - 1): c for g, c in log_sinc_half_coeffs(G).items()}
         direct = exp_series(MultiSeries(coeff_ring(G), exponent))
-        assert s_series(G) * sinc_factor_series(G) == direct
+        assert s_series(G) * sinc_half_series(G) == direct
         assert s_tilde_series(G) == direct
 
     def test_tilde_table_keys(self):
@@ -200,7 +198,7 @@ class TestOnePointReverse:
 
     def test_reverse_consistency_with_s(self):
         G = 5
-        s_ode = s_tilde_from_constants(G) * inverse_series(sinc_factor_series(G))
+        s_ode = s_tilde_from_constants(G) * inverse_series(sinc_half_series(G))
         assert s_ode == s_series(G)
 
     def test_perturbation_detected(self):
@@ -212,7 +210,7 @@ class TestOnePointReverse:
 @pytest.mark.parametrize(
     "entry",
     [
-        sinc_factor_series, s_series, s_tilde_series, s_tilde_from_constants,
+        one_point_table, s_series, s_tilde_series, s_tilde_from_constants,
         extract_cg, verify_cg, verify_linear_term_identity, verify_one_point_reverse,
     ],
     ids=lambda f: f.__name__,
@@ -273,29 +271,6 @@ class TestConsistencyGuards:
             extract_cg(3)
 
 
-class TestBracketTableRendering:
-    def test_rows(self):
-        table = one_point_table(1)
-        rows = table.rows()
-        assert rows == [
-            {"g": 1, "j": 0, "d": [1], "value": "1/24"},
-            {"g": 1, "j": 1, "d": [0], "value": "1/24"},
-        ]
-
-    def test_latex(self):
-        latex = one_point_table(1).to_latex()
-        assert r"\frac{1}{24}" in latex
-        assert latex.startswith(r"\begin{tabular}")
-
-    def test_json(self):
-        assert len(one_point_table(1).rows()) == 2
-
-    def test_empty_tables_do_not_share_entries(self):
-        a, b = BracketTable(), BracketTable()
-        a.entries[(1, 0, (1,))] = Fraction(1, 24)
-        assert b.entries == {} and b.rows() == []
-
-
 def test_report_of_no_mismatch_is_ok_and_omits_the_key():
     report = VerificationReport.of("cg", 4, None)
     assert (report.name, report.status, report.order_checked) == ("cg", "ok", 4)
@@ -317,7 +292,7 @@ def test_sympy_oracle_one_point_and_bernoulli():
     x = sympy.expand(sympy.series((t / 2) / sympy.sin(t / 2), t, 0, 2 * G + 1).removeO() - 1)
     power = sum(sympy.ff(k + 1, n) / sympy.factorial(n) * x**n for n in range(G + 1))
     coeffs = sympy.Poly(sympy.expand(power), t, k).as_dict()
-    entries = one_point_table(G).entries
+    entries = one_point_table(G)
     for g in range(1, G + 1):
         for i in range(g + 1):
             want = entries.get((g, g - i, (2 * g - 2 + i,)), Fraction(0))

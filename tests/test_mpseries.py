@@ -19,9 +19,10 @@ from ilwhodge.mpseries import (
     inverse_series,
     log_series,
     sinc_half_series,
-    substitute_square,
 )
-from oracles import exp_power_sum, inverse_power_sum, log_power_sum, log_sinc_half_coeffs
+from oracles import (
+    exp_power_sum, inverse_power_sum, log_power_sum, log_sinc_half_coeffs, sinc_half_coeffs,
+)
 from properties import (
     check_exp_log_inversion,
     check_graded_solve_against_reference,
@@ -154,44 +155,29 @@ def test_exp_log_preconditions():
 
 
 def test_log_sinc_half_coefficients():
-    ls = -log_series(sinc_half_series(6))
-    assert ls.coefficient((2,)) == Fraction(1, 24)
-    assert ls.coefficient((4,)) == Fraction(1, 2880)
-    assert all(e[0] % 2 == 0 for e in ls.terms)
+    ls = -log_series(sinc_half_series(3))
+    assert ls.coefficient((1, 1)) == Fraction(1, 24)
+    assert ls.coefficient((2, 2)) == Fraction(1, 2880)
+    assert all(a == b for a, b in ls.terms)
     coeffs = log_sinc_half_coeffs(2)
     assert coeffs[1] == Fraction(1, 24) and coeffs[2] == Fraction(1, 2880)
     with pytest.raises(SeriesError):
-        sinc_half_series(0)
+        sinc_half_series(-1)
 
 
 def test_log_sinc_half_against_sine_composition():
-    # independent routes: -log(sin(z/2)/(z/2)) against |B_2g|/(2g (2g)!) from
-    # the Akiyama-Tanigawa Bernoulli numbers, through z^40
-    want = MultiSeries((VarSpec("z", 41),), {(2 * g,): c for g, c in log_sinc_half_coeffs(20).items()})
-    assert -log_series(sinc_half_series(41)) == want
+    # independent routes: -log(sin(t/2)/(t/2)) at t^2 = h e against
+    # |B_2g|/(2g (2g)!) from the Akiyama-Tanigawa Bernoulli numbers, through (h e)^20
+    want = MultiSeries(coeff_ring(20), {(g, g): c for g, c in log_sinc_half_coeffs(20).items()})
+    assert -log_series(sinc_half_series(20)) == want
 
 
-def test_substitute_square():
-    z = (VarSpec("z", 6),)
-    a = series(z, {(2,): 1})
-    h, e = VarSpec("h", 3), VarSpec("e", 3)
-    assert substitute_square(a, (h, e)) == series((h, e), {(1, 1): 1})
-    b = series(z, {(4,): (1, 2880)})
-    assert substitute_square(b, (h, e)) == series((h, e), {(2, 2): (1, 2880)})
-    c = series(z, {(2,): (1, 24), (4,): (1, 2880)})
-    assert substitute_square(c, (h, e)) == series((h, e), {(1, 1): (1, 24), (2, 2): (1, 2880)})
-    with pytest.raises(SeriesError):
-        substitute_square(series(z, {(3,): 1}), (h, e))
-
-
-def test_substitute_square_commutes_with_mul():
-    rng = random.Random(3)
-    z = (VarSpec("z", 9),)
-    h, e = VarSpec("h", 5), VarSpec("e", 5)
-    for _ in range(50):
-        a = MultiSeries(z, {(2 * rng.randrange(5),): Fraction(rng.randint(-5, 5)) for _ in range(3)})
-        b = MultiSeries(z, {(2 * rng.randrange(5),): Fraction(rng.randint(-5, 5)) for _ in range(3)})
-        assert substitute_square(a * b, (h, e)) == substitute_square(a, (h, e)) * substitute_square(b, (h, e))
+def test_sinc_half_series_is_the_sine_series_at_he():
+    # the t^{2m} coefficient of sin(t/2)/(t/2) sits at h^m e^m, over coeff_ring(G)
+    for G in range(21):
+        s = sinc_half_series(G)
+        assert s.vars == coeff_ring(G)
+        assert s.terms == {(x // 2, x // 2): c for x, c in enumerate(sinc_half_coeffs(2 * G)) if c}
 
 
 def test_coefficient_and_partial_derivative():
