@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, NoReturn
 
-from . import diffalg, exactnum, hodge, ilw, reports
+from . import diffalg, exactnum, hodge, ilw, mpseries, reports
 from .exactnum import rational_from_str, rational_to_str
 
 __all__ = ["main", "perturbed_cg"]
@@ -259,12 +259,17 @@ def _one_point_latex(table: list) -> str:
     """The sorted one-point entries as a tabular with math-mode cells."""
     lines = [r"\begin{tabular}{rrrl}", r"$g$ & $j$ & $d$ & value \\ \hline"]
     for (g, j, d), v in table:
-        sign = "-" if v < 0 else ""
-        frac = rf"${sign}\frac{{{abs(v.numerator)}}}{{{v.denominator}}}$"
-        val = str(v) if v.denominator == 1 else frac
+        val = _latex_rational(v) if v.denominator == 1 else f"${_latex_rational(v)}$"
         lines.append(f"{g} & {j} & $({','.join(map(str, d))})$ & {val} \\\\")
     lines.append(r"\end{tabular}")
     return "\n".join(lines) + "\n"
+
+
+def _latex_rational(c: Fraction) -> str:
+    """c in LaTeX: an integer as it is, else a signed fraction."""
+    if c.denominator == 1:
+        return str(c)
+    return ("-" if c < 0 else "") + rf"\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
 
 
 def cmd_expression(cfg: dict, command: str, index: int, genus: int) -> int:
@@ -279,9 +284,12 @@ def cmd_expression(cfg: dict, command: str, index: int, genus: int) -> int:
     if fmt == "pretty":
         text = expr.pretty() + "\n"
     elif fmt == "latex":
-        text = expr.latex() + "\n"
+        text = _density_latex(poly)
+        if command == "hamiltonian":
+            text = rf"\int\left({text}\right)\,dx"
+        text += "\n"
     elif fmt == "json":
-        payload = {"index": index, "genus": genus, key: expr.to_json_dict(), "pretty": expr.pretty()}
+        payload = {"index": index, "genus": genus, key: _density_json(poly), "pretty": expr.pretty()}
         text = _json(command, cfg, "ok", [payload])
     else:
         text = _render_rows(
@@ -289,6 +297,30 @@ def cmd_expression(cfg: dict, command: str, index: int, genus: int) -> int:
         )
     _emit(cfg, text)
     return 0
+
+
+def _density_json(poly: diffalg.DiffPoly) -> list:
+    """Per u-monomial in render order: its (h, e) coefficient and its factors."""
+    ring = [{"name": v.name, "order": v.order} for v in poly.vars]
+    return [{"coef": {"vars": ring, "terms": [{"exp": list(e), "coef": rational_to_str(c)}
+                                              for e, c in items]}, "u": [list(p) for p in ue]}
+            for ue, items in diffalg.by_monomial(poly)]
+
+
+def _density_latex(poly: diffalg.DiffPoly) -> str:
+    """One term per u-monomial, a coefficient of several (h, e) terms bracketed."""
+    join, term = mpseries.join_signed, mpseries.term_text
+    terms = []
+    for ue, items in diffalg.by_monomial(poly):
+        coef = join([term(_latex_rational(c), "".join(
+            sym if x == 1 else f"{sym}^{{{x}}}"
+            for sym, x in zip((r"\hbar", r"\varepsilon"), e) if x), "") for e, c in items])
+        if len(items) > 1:
+            coef = rf"\left({coef}\right)"
+        body = " ".join((f"u_{{{k}}}" if k else "u") + ("" if m == 1 else f"^{{{m}}}")
+                        for k, m in ue)
+        terms.append(term(coef, body, " "))
+    return join(terms)
 
 
 def _coefficient_rows(poly: diffalg.DiffPoly) -> list[dict]:
@@ -321,6 +353,13 @@ def _run_verifications(which: str, G: int, cg_values) -> list[reports.Verificati
     return results
 
 
+def _report_json(report: reports.VerificationReport) -> dict:
+    """The report's fields; "first_mismatch" only when it has one."""
+    found = {} if report.first_mismatch is None else {"first_mismatch": report.first_mismatch}
+    return {"name": report.name, "status": report.status, "order_checked": report.order_checked,
+            **found}
+
+
 def cmd_verify(cfg: dict, which: str, genus: int, perturb) -> int:
     if cfg["output_format"] not in ("pretty", "json"):
         _usage_error(f"verify renders only pretty and json, not {cfg['output_format']}")
@@ -342,7 +381,7 @@ def cmd_verify(cfg: dict, which: str, genus: int, perturb) -> int:
         lines.append(f"verify {which}: {status}")
         text = "\n".join(lines) + "\n"
     else:
-        text = _json("verify " + which, cfg, status, [r.to_json_dict() for r in results])
+        text = _json("verify " + which, cfg, status, [_report_json(r) for r in results])
     _emit(cfg, text)
     return 0 if all_ok else 1
 
@@ -368,7 +407,3 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         return cmd_verify(cfg, args.which, args.genus, args.perturb_cg)
     return cmd_expression(cfg, args.command, args.index, args.genus)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -6,8 +6,9 @@ deformation parameters h and e, truncated at each parameter's order.  It is
 the `mpseries.TermMap` keyed flat by (u-monomial, h-exponent, e-exponent),
 so it shares the ring code of `MultiSeries` and adds its own key check,
 render order and product; that map is the only coefficient shape it is
-built from, computed on and rendered from.  On top of the ring this module
-provides the total
+built from and computed on.  Its plain text (`pretty`) and the LaTeX and
+JSON forms that `cli` renders read one grouping of its sorted terms,
+`by_monomial`.  On top of the ring this module provides the total
 x-derivative, the variational (Euler) derivative, the Poisson bracket
 {f, g} = int (delta f/delta u) d/dx (delta g/delta u) dx, one
 integration-by-parts reduction whose remainder is the normal form of a
@@ -38,7 +39,6 @@ from itertools import groupby
 from math import lcm
 from typing import Iterable, Iterator, Mapping
 
-from .exactnum import rational_to_str
 from .mpseries import (
     IntTerms, MultiSeries, Packing, TermMap, VarSpec, _int_product, _scaled, _unscale, coeff_ring,
     inverse_series, join_signed, series_text, sinc_half_series, term_text,
@@ -46,8 +46,8 @@ from .mpseries import (
 
 __all__ = [
     "DiffAlgError", "NotTotalDerivativeError", "UExps", "u_key", "u_monomial_pretty", "coeff_ring",
-    "DiffPoly", "LocalFunctional", "total_x_derivative", "variational_derivative", "normalize",
-    "poisson_bracket", "miura_series", "miura_inverse_series", "integrate_x",
+    "by_monomial", "DiffPoly", "LocalFunctional", "total_x_derivative", "variational_derivative",
+    "normalize", "poisson_bracket", "miura_series", "miura_inverse_series", "integrate_x",
 ]
 
 # ((derivative index, multiplicity), ...) sorted by index, multiplicities > 0
@@ -104,8 +104,8 @@ class DiffPoly(TermMap):
     coefficient ring: a `TermMap` keyed flat by (u-monomial, a, b).
 
     The constructor canonicalizes each u-monomial with `u_key`, so a repeated
-    factor adds up, and rejects an (a, b) outside the ring; the renderers read
-    `sorted_terms`.
+    factor adds up, and rejects an (a, b) outside the ring; `pretty` reads
+    `sorted_terms` through `by_monomial`.
     """
 
     __slots__ = ()
@@ -150,23 +150,12 @@ class DiffPoly(TermMap):
 
     __rmul__ = __mul__
 
-    # -- serialization --------------------------------------------------------------
-
-    def to_json_dict(self) -> list:
-        ring = [{"name": v.name, "order": v.order} for v in self.vars]
-        out = []
-        for ue, items in _by_monomial(self):
-            terms = [{"exp": list(e), "coef": rational_to_str(c)} for e, c in items]
-            out.append({"coef": {"vars": ring, "terms": terms}, "u": [list(p) for p in ue]})
-        return out
+    # -- rendering -------------------------------------------------------------------
 
     def pretty(self) -> str:
         """Plain-text rendering, e.g. "u*u_1 + 1/12*h*u_3"."""
         return join_signed([_pretty_term(self.vars, ue, items)
-                            for ue, items in _by_monomial(self)])
-
-    def latex(self) -> str:
-        return join_signed([_latex_term(ue, items) for ue, items in _by_monomial(self)])
+                            for ue, items in by_monomial(self)])
 
     def __str__(self) -> str:
         return self.pretty()
@@ -186,7 +175,7 @@ def u_monomial_pretty(ue: Iterable[Iterable[int]]) -> str:
 CoefItems = list[tuple[tuple[int, int], Fraction]]
 
 
-def _by_monomial(p: DiffPoly) -> Iterator[tuple[UExps, CoefItems]]:
+def by_monomial(p: DiffPoly) -> Iterator[tuple[UExps, CoefItems]]:
     """`p.sorted_terms()` cut into runs that share a u-monomial."""
     for ue, run in groupby(p.sorted_terms(), key=lambda item: item[0][0]):
         yield ue, [((a, b), c) for (_, a, b), c in run]
@@ -197,34 +186,6 @@ def _pretty_term(cvars: tuple[VarSpec, ...], ue: UExps, items: CoefItems) -> str
     if len(items) > 1:
         text = f"({text})"
     return term_text(text, u_monomial_pretty(ue) if ue else "", "*")
-
-
-def _latex_coeff(items: CoefItems) -> str:
-    parts = []
-    for e, c in items:
-        body = "".join(
-            sym if x == 1 else f"{sym}^{{{x}}}"
-            for sym, x in zip((r"\hbar", r"\varepsilon"), e)
-            if x
-        )
-        if c.denominator == 1:
-            num = str(abs(c.numerator))
-        else:
-            num = rf"\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
-        parts.append(("-" if c < 0 else "") + term_text(num, body, ""))
-    return join_signed(parts)
-
-
-def _latex_term(ue: UExps, items: CoefItems) -> str:
-    ufacs = []
-    for k, mult in ue:
-        base = f"u_{{{k}}}" if k else "u"
-        ufacs.append(base if mult == 1 else f"{base}^{{{mult}}}")
-    body = " ".join(ufacs)
-    rendered = _latex_coeff(items)
-    if len(items) > 1:
-        rendered = rf"\left({rendered}\right)"
-    return term_text(rendered, body, " ")
 
 
 # -- calculus ---------------------------------------------------------------------
@@ -372,12 +333,6 @@ class LocalFunctional:
 
     def pretty(self) -> str:
         return f"int({self.density.pretty()}) dx"
-
-    def latex(self) -> str:
-        return rf"\int\left({self.density.latex()}\right)\,dx"
-
-    def to_json_dict(self) -> list:
-        return self.density.to_json_dict()
 
     def __str__(self) -> str:
         return self.pretty()

@@ -1,4 +1,4 @@
-"""Verification reports and the one scan that localizes a mismatch."""
+"""Verification reports, which `cli` renders, and the one scan that localizes a mismatch."""
 
 from __future__ import annotations
 
@@ -33,16 +33,6 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "status": self.status,
-            "order_checked": self.order_checked,
-        }
-        if self.first_mismatch is not None:
-            out["first_mismatch"] = self.first_mismatch
-        return out
 
 
 def first_term_mismatch(

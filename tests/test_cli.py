@@ -62,6 +62,15 @@ def rational_to_str_roundtrip(s):
     return rational_to_str(rational_from_str(s))
 
 
+    def test_negative_max_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bernoulli", "--max", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "ilwhodge: error: argument --max: must be >= 0, got -1\n"
+        assert captured.out == ""
+
+
 class TestConstants:
     def test_values(self, capsys):
         code, data = run_json(capsys, "constants", "--max-genus", "3")

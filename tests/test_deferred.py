@@ -81,10 +81,14 @@ class TestWhatRuns:
         assert modules_run(code) == {"cli", "exactnum", "reports", "mpseries", "diffalg", "ilw"}
 
     @pytest.mark.parametrize("argv, engine", [
-        (["one-point", "--max-genus", "3"], {"mpseries", "hodge"}),
-        (["hamiltonian", "--genus", "3"], {"mpseries", "diffalg", "ilw"}),
-        (["flow", "--genus", "3"], {"mpseries", "diffalg", "ilw"}),
-    ], ids=["one-point", "hamiltonian", "flow"])
+        pytest.param([*argv, *fmt], engine, id="-".join([argv[0], *fmt[1:]]))
+        for argv, engine in (
+            (["one-point", "--max-genus", "3"], {"mpseries", "hodge"}),
+            (["hamiltonian", "--genus", "3"], {"mpseries", "diffalg", "ilw"}),
+            (["flow", "--genus", "3"], {"mpseries", "diffalg", "ilw"}),
+        )
+        for fmt in ([], ["--format", "latex"], ["--format", "json"])
+    ])
     def test_commands_that_verify_nothing_run_no_reports(self, argv, engine):
         code = f"from ilwhodge.cli import main; main({argv!r})"
         assert modules_run(code) == {"cli", "exactnum", *engine}

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from homotopy_reference import NotSelfAdjointError, reconstruct_functional_from_flow
-from ilwhodge.cli import _coefficient_rows
+from ilwhodge.cli import _coefficient_rows, _density_json, _density_latex
 from ilwhodge.diffalg import (
     DiffAlgError,
     DiffPoly,
@@ -278,6 +278,13 @@ MULTI = DiffPoly(
 )
 
 
+def test_u_key_rejects_a_negative_index_or_multiplicity():
+    with pytest.raises(DiffAlgError, match="derivative index must be >= 0, got -1"):
+        u_key({-1: 1})
+    with pytest.raises(DiffAlgError, match="multiplicity must be >= 0, got -1"):
+        u_key({0: -1})
+
+
 class TestConstructor:
     def test_repeated_factor_adds_up(self):
         p = DiffPoly(CV, {(((0, 1), (0, 1)), 0, 0): 1})
@@ -306,24 +313,24 @@ def test_pretty_and_latex():
     cv = coeff_ring(1)
     p = DiffPoly(cv, {(u_key({0: 1, 1: 1}), 0, 0): 1, (u_key({3: 1}), 1, 0): Fraction(1, 12)})
     assert p.pretty() == "u*u_1 + 1/12*h*u_3"
-    assert r"\frac{1}{12}\hbar u_{3}" in p.latex()
+    assert r"\frac{1}{12}\hbar u_{3}" in _density_latex(p)
     # several (h, e) terms on one u-monomial render as one bracketed coefficient
     assert MULTI.pretty() == "u^2 + (1/2*e + h)*u_1"
-    assert MULTI.latex() == r"u^{2} + \left(\frac{1}{2}\varepsilon + \hbar\right) u_{1}"
+    assert _density_latex(MULTI) == r"u^{2} + \left(\frac{1}{2}\varepsilon + \hbar\right) u_{1}"
 
 
 def test_json_schema():
     p = dp({((0, 1), (2, 1)): (1, 24)})
-    data = p.to_json_dict()
+    data = _density_json(p)
     assert data[0]["u"] == [[0, 1], [2, 1]]
     assert data[0]["coef"]["terms"][0]["coef"] == "1/24"
     # one u-monomial's (h, e) terms are listed graded-lex: total degree first
     coef = {(2, 1): Fraction(7, 5760), (0, 0): 1, (1, 0): Fraction(-1, 24), (0, 2): 3}
     graded = DiffPoly(coeff_ring(3), {(u_key({1: 1}), a, b): c for (a, b), c in coef.items()})
-    exps = [tuple(t["exp"]) for t in graded.to_json_dict()[0]["coef"]["terms"]]
+    exps = [tuple(t["exp"]) for t in _density_json(graded)[0]["coef"]["terms"]]
     assert exps == [(0, 0), (1, 0), (0, 2), (2, 1)]
     ring = {"vars": [{"name": "h", "order": 2}, {"name": "e", "order": 2}]}
-    assert MULTI.to_json_dict() == [
+    assert _density_json(MULTI) == [
         {"coef": {**ring, "terms": [{"exp": [0, 0], "coef": "1"}]}, "u": [[0, 2]]},
         {"coef": {**ring, "terms": [{"exp": [0, 1], "coef": "1/2"},
                                     {"exp": [1, 0], "coef": "1"}]},
@@ -415,7 +422,7 @@ def _render_digest() -> tuple[str, int]:
                             max_udeg=2, max_terms=6, with_params=True)
         per_monomial = Counter(ue for ue, _, _ in p.terms)
         multi += any(n > 1 for n in per_monomial.values())
-        for text in (p.pretty(), p.latex(), json.dumps(p.to_json_dict()),
+        for text in (p.pretty(), _density_latex(p), json.dumps(_density_json(p)),
                      normalize(p).pretty(), json.dumps(_coefficient_rows(p))):
             sha.update(text.encode() + b"\n")
     return sha.hexdigest(), multi

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from homotopy_reference import reconstruct_functional_from_flow
 from ilwhodge import exactnum
 from ilwhodge.diffalg import (
     DiffPoly,
+    LocalFunctional,
     coeff_ring,
     normalize,
     poisson_bracket,
@@ -61,6 +63,10 @@ class TestH1:
     def test_grading(self):
         check_grading(1, h1(4))
 
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="genus order must be >= 0, got -1"):
+            h1(-1)
+
 
 class TestFlow:
     def test_h1_flow_matches_theorem(self):
@@ -100,9 +106,29 @@ class TestHigherHamiltonian:
         with pytest.raises(ValueError):
             higher_hamiltonian(1, 2)
 
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="genus order must be >= 0, got -1"):
+            higher_hamiltonian(2, -1)
+
     def test_grading(self):
         check_grading(2, higher_hamiltonian(2, 3))
         check_grading(3, higher_hamiltonian(3, 2))
+
+
+class TestCheckGrading:
+    """The density of h_2 to h^2, edited to break one invariant at a time."""
+
+    @pytest.mark.parametrize("edit, message", [
+        ({(u_key({0: 2, 3: 1}), 1, 0): 1}, "u^2*u_3 at h^1 has differential degree 3"),
+        ({(u_key({0: 1, 1: 2}), 1, 1): 1}, "u*u_1^2 at h^1 has e-exponent 1"),
+        ({(u_key({0: 4}), 0, 0): Fraction(1, 12)}, "h^0 part is not u^(i+2)/(i+2)!"),
+    ], ids=["differential-degree", "e-exponent", "h0-part"])
+    def test_an_edited_density_fails(self, edit, message):
+        h = higher_hamiltonian(2, 2)
+        check_grading(2, h)
+        edited = LocalFunctional(DiffPoly(h.vars, {**h.density.terms, **edit}))
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            check_grading(2, edited)
 
 
 class TestTheorem1:

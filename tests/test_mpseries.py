@@ -105,6 +105,13 @@ def test_constructor_rejects_out_of_range():
         MultiSeries(T3, {(-1,): Fraction(1)})
 
 
+def test_constructor_rejects_duplicate_names_and_a_wrong_arity():
+    with pytest.raises(SeriesError, match="duplicate variable names"):
+        MultiSeries((VarSpec("h", 2), VarSpec("h", 3)), {})
+    with pytest.raises(SeriesError, match="wrong arity"):
+        MultiSeries(HE, {(1,): 1})
+
+
 def test_constructor_checks_the_key_of_a_zero_coefficient():
     # a zero coefficient is dropped only after its exponent is checked
     for exps in ((5,), (-1,)):
@@ -189,6 +196,8 @@ def test_coefficient_and_partial_derivative():
     he = (VarSpec("h", 4), VarSpec("e", 4))
     b = series(he, {(2, 1): 1})
     assert b.partial_derivative("h") == series(he, {(1, 1): 2})
+    with pytest.raises(SeriesError, match="no variable named 'z'"):
+        b.partial_derivative("z")
 
 
 def test_partial_derivative_chain_rule_truncated():
