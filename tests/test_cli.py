@@ -55,13 +55,6 @@ class TestBernoulli:
             "output_path",
         }
 
-
-def rational_to_str_roundtrip(s):
-    from ilwhodge.exactnum import rational_to_str
-
-    return rational_to_str(rational_from_str(s))
-
-
     def test_negative_max_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bernoulli", "--max", "-1"])
@@ -69,6 +62,12 @@ def rational_to_str_roundtrip(s):
         captured = capsys.readouterr()
         assert captured.err == "ilwhodge: error: argument --max: must be >= 0, got -1\n"
         assert captured.out == ""
+
+
+def rational_to_str_roundtrip(s):
+    from ilwhodge.exactnum import rational_to_str
+
+    return rational_to_str(rational_from_str(s))
 
 
 class TestConstants:
