@@ -34,7 +34,6 @@ per class, so equality of functionals is a dictionary comparison.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import groupby
 from math import lcm
 from typing import Iterable, Iterator, Mapping
@@ -200,8 +199,8 @@ class _Packing(Packing):
     """Packed `DiffPoly` keys: e, h and the u-degree in fields 0, 1 and 2, then
     u_k in field k + 3.  The u-degree bounds every multiplicity, so no u
     field can carry.  Compared as integers, keys order by top derivative
-    index, then multiplicities from the top down, then h and e: the
-    integration-by-parts order of `_reduce`."""
+    index, then multiplicities from the top down, then h and e; that order
+    only picks the monomial `integrate_x` names."""
 
     __slots__ = ("base",)
     error = DiffAlgError
@@ -354,58 +353,52 @@ def normalize(p: DiffPoly) -> LocalFunctional:
 def _reduce(den: int, nums: IntTerms, pack: _Packing,
             antiderivative: IntTerms | None = None) -> tuple[int, IntTerms]:
     """(den', rest): the normal-form remainder of nums / den as rest / den',
-    filled greatest monomial first in integration-by-parts order.
+    reached in one sweep over levels, the level of a monomial being the
+    index N of its top factor u_N.
 
     A monomial c*R*u_{N-1}^j*u_N with u_N linear and strictly top reduces to
     -c/(j+1) * dx(R) * u_{N-1}^{j+1}: the usual step int Q u_N = -int (dx Q)
     u_{N-1}, with the self-reproducing part (dx raising a u_{N-1} of Q back
     to u_N) already solved for.  The peeled c/(j+1) * R * u_{N-1}^{j+1}, whose
     x-derivative is the monomial minus its reduction, goes into
-    `antiderivative` (over den') when one is given.  Every produced monomial
-    has strictly lower top index, so the loop terminates; pure c*u_N terms
-    come out as zero.  A reduction keeps the u-degree and divides by at most
-    the largest u-degree d, so scaling by lcm(1..d)^(top index) once makes
-    every division exact.  Keys pop as integers, their h and e fields
-    flipped so that the smallest (h, e) of a monomial comes first.
+    `antiderivative` (over den') when one is given.  Every monomial a
+    reduction produces lies on level N - 1, so the levels are swept from the
+    top down: each normal monomial is filed in the remainder, and the
+    x-derivatives of the level's peeled terms are subtracted into the level
+    below, less their level-N terms, which are the monomials just reduced.
+    Pure c*u_N terms come out as zero.  A reduction keeps the u-degree and
+    divides by at most the largest u-degree d, so scaling by
+    lcm(1..d)^(top index) once makes every division exact.
     """
     w, mask, base = pack.width, pack.mask, pack.base
-    flip = (1 << 2 * w) - 1  # the h and e fields
     top = (max(nums, default=0).bit_length() - 1 - base) // w
     scale = lcm(*range(1, max((k >> 2 * w & mask for k in nums), default=0) + 1)) ** max(top, 0)
-    work = {key: c * scale for key, c in nums.items()}
-    heap = [-(key ^ flip) for key in work]
-    heapify(heap)
-    rest: IntTerms = {}
-    while heap:
-        key = -heappop(heap) ^ flip
-        coef = work.pop(key)
-        if not coef:
-            continue
+    levels: dict[int, IntTerms] = {}  # by the field shift of the top u_N
+    for key, c in nums.items():
         s = key.bit_length() - 1
-        s -= (s - base) % w  # the shift of the top u_N
-        if s <= base or key >> s >= 2:  # already normal
-            rest[key] = coef
-            continue
-        peeled = key - (1 << s) + (1 << (s - w))  # R * u_{N-1}^{j+1}
-        coef, r = divmod(coef, peeled >> (s - w) & mask)  # by j + 1
-        if r:
-            raise DiffAlgError("a term is not divisible by j + 1 in the scaled worklist")
-        if antiderivative is not None:
-            # distinct for distinct popped monomials: u_N -> u_{N-1} is injective
-            antiderivative[peeled] = coef
-        # d/dx(peeled) is j+1 times the popped monomial plus the reduction.
-        # Reductions only produce monomials below the one being reduced, so a
-        # term enters the heap once, the first time it is seen; a sum that
-        # cancels stays in `work` as zero until it is popped.
-        for fs, m in pack.factors(peeled):
-            k = peeled + (1 << (fs + w)) - (1 << fs)
-            if k == key:
+        levels.setdefault(s - (s - base) % w, {})[key] = c * scale
+    rest: IntTerms = {}
+    for s in range(base + top * w, base, -w):
+        peeled: IntTerms = {}
+        for key, coef in levels.pop(s, {}).items():
+            if not coef:
                 continue
-            if k in work:
-                work[k] -= m * coef
-            else:
-                work[k] = -m * coef
-                heappush(heap, -(k ^ flip))
+            if key >> s >= 2:  # u_N not linear: already normal
+                rest[key] = coef
+                continue
+            p = key - (1 << s) + (1 << (s - w))  # R * u_{N-1}^{j+1}
+            coef, r = divmod(coef, p >> (s - w) & mask)  # by j + 1
+            if r:
+                raise DiffAlgError("a term is not divisible by j + 1 in the scaled worklist")
+            peeled[p] = coef
+        lower = levels.setdefault(s - w, {})
+        for k, c in _int_dx(peeled, pack).items():
+            if not k >> s:
+                lower[k] = lower.get(k, 0) - c
+        if antiderivative is not None:
+            antiderivative.update(peeled)
+    for level in levels.values():  # level 0 and the constants
+        rest.update((k, c) for k, c in level.items() if c)
     return den * scale, rest
 
 
@@ -464,7 +457,8 @@ def integrate_x(q: DiffPoly) -> DiffPoly:
     phi: IntTerms = {}
     den, rest = _reduce(den, nums, pack, phi)
     if rest:
-        ue, a, b = pack.decode(next(iter(rest)))
+        flip = (1 << 2 * pack.width) - 1  # the h and e fields: smallest (h, e) first
+        ue, a, b = pack.decode(max(rest, key=lambda k: k ^ flip))
         top, mult = ue[-1] if ue else (0, 0)
         name = f"{u_monomial_pretty(ue)} at h^{a} e^{b}"
         if top == 0:

@@ -25,7 +25,7 @@ truncated product done pair by pair in `Fraction` arithmetic on plain
 `normalize_reference` and `integrate_x_reference` are the integration-by-
 parts normal form and the x-antiderivative by a full max-scan of the
 worklist on every step, over plain {(u-exps, (h, e)): Fraction} maps; they
-are the reference for the engine's heap-ordered versions.
+are the reference for the engine's versions on packed keys.
 `multiply_reference` and `dx_reference` are the product (truncated at given
 h and e orders) and the total x-derivative on the same plain maps, a
 reference for the engine's flat differential-polynomial ring.

@@ -476,6 +476,12 @@ def check_packed_kernels_at_field_width(cases: int, seed: int) -> int:
         phi: dict = {}
         den, rest = _reduce(dp, _int_dx(np, pack), pack, phi)
         assert not rest and _flat_packed(den, phi, pack) == integrate_x_reference(dx_reference(fp))
+        # the same terms in reversed insertion order reduce to the same result
+        backward = dict(reversed(np.items()))
+        assert _reduce(dp, backward, pack) == _reduce(dp, np, pack)
+        phi_back: dict = {}
+        assert _reduce(dp, _int_dx(backward, pack), pack, phi_back) == (den, rest)
+        assert phi_back == phi
         full += any(sum(m for _, m in ua + ub) == WIDTH_TOP for ua, _, _ in p.terms
                     for ub, _, _ in q.terms)
         past += any(a1 + a2 == h_order or b1 + b2 == e_order

@@ -212,6 +212,14 @@ class TestIntegrateX:
                            match=r"monomial u\*u_3\^2 at h\^0 e\^1 has u_3\^2;"):
             integrate_x(q)
 
+    def test_names_the_greatest_monomial_whatever_the_insertion_order(self):
+        # both monomials are normal on level 1; the lesser u_1^2 comes first
+        q = DiffPoly._make(CV, {(((1, 2),), 0, 0): Fraction(1),
+                                (((0, 1), (1, 2)), 0, 0): Fraction(1)})
+        with pytest.raises(NotTotalDerivativeError,
+                           match=r"leading monomial u\*u_1\^2 at h\^0 e\^0 has u_1\^2;"):
+            integrate_x(q)
+
     def test_randomized_right_inverse(self):
         rng = random.Random(31)
         for _ in range(100):
