@@ -395,7 +395,7 @@ def _reduce(den: int, nums: IntTerms, pack: _Packing,
         for k, c in _int_dx(peeled, pack).items():
             if not k >> s:
                 lower[k] = lower.get(k, 0) - c
-        if antiderivative is not None:
+        if antiderivative is not None:  # new keys: each level peels onto its own
             antiderivative.update(peeled)
     for level in levels.values():  # level 0 and the constants
         rest.update((k, c) for k, c in level.items() if c)
