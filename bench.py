@@ -6,17 +6,19 @@
 
 Each row is one library call, timed `--runs` times in this process; the row
 keeps every time and their median.  The rows go under `runs[label]`, next to
-the Python version, the CPU count and the commit of the timed source tree;
+the Python version, the number of CPUs this process may run on (as
+`perfbench/run.py` records it) and the commit of the timed source tree;
 other labels already in the file are kept, so two trees measured on the
 same machine can share one file.  A second call with the same label, commit,
 Python version and CPU count adds its times to the label's rows instead, so
 two trees can be timed in alternation, a few runs at a time, on a machine
 whose speed drifts.  These rows leave out interpreter start-up and exit.
 The `setup:` and `cli:` rows keep them: each run is a fresh child, run with
-`PYTHONPATH=<--src>` and the caller's environment otherwise unchanged, and
-timed from its start to its exit, as `perfbench/` times an op.  The `setup:`
-row's child is the set-up child of `perfbench/run.py`, which imports the CLI
-and builds its parser.  A `cli:` row's child is a `python -m ilwhodge` call
+the environment of a `perfbench/run.py` child (the caller's, less every
+ILWHODGE_* variable) but with `PYTHONPATH=<--src>`, and timed from its start
+to its exit, as `perfbench/` times an op.  The `setup:` row's child is the
+set-up child of `perfbench/run.py`, which imports the CLI and builds its
+parser.  A `cli:` row's child is a `python -m ilwhodge` call
 of one op of the benchmark's workloads (the ops of the first pass that
 `perfbench/workloads.py` plans for each workload at a fixed seed); its exit
 code and output go through the op's own check, untimed.  A failed child or
@@ -49,7 +51,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent / "perfbench"))
 
 import workloads  # noqa: E402
-from run import SETUP_CODE  # noqa: E402
+from run import SETUP_CODE, _child_env  # noqa: E402
 
 # (row name, module, function, arguments)
 CALLS = [
@@ -96,7 +98,7 @@ def _child(src: Path, *args: str) -> tuple[float, subprocess.CompletedProcess]:
     # directory
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, *args], cwd=src,
-                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True)
+                          env={**_child_env(), "PYTHONPATH": str(src)}, capture_output=True)
     return time.perf_counter() - t0, proc
 
 
@@ -213,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     rows = measure(args.runs, src)
     entry = {
         "python": platform.python_version(),
-        "nproc": os.cpu_count(),
+        "nproc": len(os.sched_getaffinity(0)),
         "commit": args.commit or _commit(args.src),
         "runs_per_row": args.runs,
         "rows": rows,

@@ -20,7 +20,7 @@ _API = {
     "exactnum": "Rational bernoulli c_g dispersion_coeff",
     "mpseries": "MultiSeries SeriesError VarSpec coeff_ring divide_series exp_series "
                 "inverse_series log_series sinc_half_series",
-    "diffalg": "DiffAlgError DiffPoly LocalFunctional NotTotalDerivativeError integrate_x "
+    "diffalg": "DiffAlgError DiffPoly NotTotalDerivativeError integrate_x "
                "miura_inverse_series miura_series normalize "
                "poisson_bracket total_x_derivative u_key variational_derivative",
     "hodge": "HodgeConsistencyError extract_cg one_point_table s_series "

@@ -129,7 +129,7 @@ def _perturbation(text: str):
         g0, delta = int(g_text), rational_from_str(delta_text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"expected G:P/Q (e.g. 2:1/1000000), got {text!r}"
+            f"expected G:P/Q (e.g. 2:1/1000000), got {text!r}: {exc}"
         ) from exc
     if delta == 0:
         raise argparse.ArgumentTypeError(f"a zero shift injects no fault, got {text!r}")
@@ -273,28 +273,31 @@ def _latex_rational(c: Fraction) -> str:
 
 
 def cmd_expression(cfg: dict, command: str, index: int, genus: int) -> int:
-    """`hamiltonian` (the functional h_I) or `flow` (its flow), to order h^genus."""
-    ham = ilw.hamiltonian(index, genus)
-    if command == "hamiltonian":
-        expr, key, poly = ham, "density", ham.density
-    else:
-        expr = poly = ilw.flow(ham)
-        key = "flow"
+    """`hamiltonian` (the functional h_I, written int(density) dx) or `flow`
+    (its flow), to order h^genus."""
+    poly = ilw.hamiltonian(index, genus)
+    if command == "flow":
+        poly = ilw.flow(poly)
     fmt = cfg["output_format"]
-    if fmt == "pretty":
-        text = expr.pretty() + "\n"
-    elif fmt == "latex":
+    if fmt == "latex":
         text = _density_latex(poly)
         if command == "hamiltonian":
             text = rf"\int\left({text}\right)\,dx"
         text += "\n"
-    elif fmt == "json":
-        payload = {"index": index, "genus": genus, key: _density_json(poly), "pretty": expr.pretty()}
-        text = _json(command, cfg, "ok", [payload])
-    else:
+    elif fmt == "csv":
         text = _render_rows(
             command, cfg, _coefficient_rows(poly), ["monomial", "h_exp", "e_exp", "coefficient"]
         )
+    else:
+        pretty = poly.pretty()
+        if command == "hamiltonian":
+            pretty = f"int({pretty}) dx"
+        if fmt == "pretty":
+            text = pretty + "\n"
+        else:
+            key = "density" if command == "hamiltonian" else "flow"
+            payload = {"index": index, "genus": genus, key: _density_json(poly), "pretty": pretty}
+            text = _json(command, cfg, "ok", [payload])
     _emit(cfg, text)
     return 0
 

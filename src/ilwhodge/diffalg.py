@@ -24,11 +24,12 @@ sum is what certifies a Hamiltonian build in `ilw`; `poisson_bracket` is
 the only code that multiplies a variational derivative by a flow, so the
 Euler route is a second route to {h_i, h_1} = 0.
 
-A `LocalFunctional` is the class of a density modulo total x-derivatives,
-stored in a canonical normal form: no monomial keeps a factor u_N (N >= 1)
-that is linear and strictly above every other derivative index in that
-monomial.  Together with dropping pure c*u_N terms this picks one density
-per class, so equality of functionals is a dictionary comparison.
+A local functional int(h) dx, the class of a density modulo total
+x-derivatives, is the `DiffPoly` of its canonical normal form: no monomial
+keeps a factor u_N (N >= 1) that is linear and strictly above every other
+derivative index in that monomial.  Together with dropping pure c*u_N terms
+this picks one density per class, so equality of functionals is equality of
+normal forms.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .mpseries import (
 
 __all__ = [
     "DiffAlgError", "NotTotalDerivativeError", "UExps", "u_key", "u_monomial_pretty", "coeff_ring",
-    "by_monomial", "DiffPoly", "LocalFunctional", "total_x_derivative", "variational_derivative",
+    "by_monomial", "DiffPoly", "total_x_derivative", "variational_derivative",
     "normalize", "poisson_bracket", "miura_series", "miura_inverse_series", "integrate_x",
 ]
 
@@ -291,63 +292,28 @@ def total_x_derivative(p: DiffPoly) -> DiffPoly:
     return _decoded(p.vars, den, _int_dx(nums, pack), pack)
 
 
-def variational_derivative(h: "LocalFunctional | DiffPoly") -> DiffPoly:
+def variational_derivative(h: DiffPoly) -> DiffPoly:
     """Euler operator: delta/delta u = sum_k (-d/dx)^k (partial/partial u_k),
     evaluated by Horner as P_0 - d/dx(P_1 - d/dx(P_2 - ...)).
 
     Representative-independent: total x-derivatives are killed.
     """
-    f = h.density if isinstance(h, LocalFunctional) else h
-    pack, den, nums = _encoded(f)
-    return _decoded(f.vars, den, _int_euler(nums, pack), pack)
+    pack, den, nums = _encoded(h)
+    return _decoded(h.vars, den, _int_euler(nums, pack), pack)
 
 
 # -- normal form -------------------------------------------------------------------
 
 
-class LocalFunctional:
-    """int(density) dx modulo total x-derivatives, density in normal form.
-
-    Build through `normalize`; the constructor trusts its input.
-    """
-
-    __slots__ = ("density",)
-
-    def __init__(self, density: DiffPoly):
-        self.density = density
-
-    @property
-    def vars(self) -> tuple[VarSpec, ...]:
-        return self.density.vars
-
-    def is_zero(self) -> bool:
-        return self.density.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LocalFunctional):
-            return NotImplemented
-        return self.density == other.density
-
-    __hash__ = None
-
-    def pretty(self) -> str:
-        return f"int({self.density.pretty()}) dx"
-
-    def __str__(self) -> str:
-        return self.pretty()
-
-    def __repr__(self) -> str:
-        return f"LocalFunctional({self.density.pretty()})"
-
-
-def normalize(p: DiffPoly) -> LocalFunctional:
-    """Integration-by-parts normal form of int(p) dx.
+def normalize(p: DiffPoly) -> DiffPoly:
+    """The integration-by-parts normal form of p, the density that stands
+    for int(p) dx.
 
     The remainder of `_reduce`: the projection onto the complement of
     im(d/dx), hence idempotent and independent of reduction order.
     """
     pack, den, nums = _encoded(p)
-    return LocalFunctional(_decoded(p.vars, *_reduce(den, nums, pack), pack))
+    return _decoded(p.vars, *_reduce(den, nums, pack), pack)
 
 
 def _reduce(den: int, nums: IntTerms, pack: _Packing,
@@ -402,17 +368,14 @@ def _reduce(den: int, nums: IntTerms, pack: _Packing,
     return den * scale, rest
 
 
-def poisson_bracket(
-    h: "LocalFunctional | DiffPoly", f: "LocalFunctional | DiffPoly"
-) -> LocalFunctional:
-    """{h, f} = int (delta h/delta u) d/dx (delta f/delta u) dx, normalized."""
-    dh, df = (x.density if isinstance(x, LocalFunctional) else x for x in (h, f))
-    dh._check_ring(df)
-    pack = DiffPoly._packing(dh, df)
-    (hden, hnums), (fden, fnums) = _scaled(dh.terms, pack), _scaled(df.terms, pack)
+def poisson_bracket(h: DiffPoly, f: DiffPoly) -> DiffPoly:
+    """{h, f} = int (delta h/delta u) d/dx (delta f/delta u) dx, in normal form."""
+    h._check_ring(f)
+    pack = DiffPoly._packing(h, f)
+    (hden, hnums), (fden, fnums) = _scaled(h.terms, pack), _scaled(f.terms, pack)
     xf = _int_dx(_int_euler(fnums, pack), pack)  # the flow of f
     density = _int_product([(1, list(_int_euler(hnums, pack).items()), list(xf.items()))], pack)
-    return LocalFunctional(_decoded(dh.vars, *_reduce(hden * fden, density, pack), pack))
+    return _decoded(h.vars, *_reduce(hden * fden, density, pack), pack)
 
 
 # -- Miura substitution ---------------------------------------------------------

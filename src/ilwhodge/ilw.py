@@ -17,7 +17,8 @@ int g_i dx.  Each step is an exact x-antiderivative followed by a division.
 The antiderivative exists exactly when {h_d, h_1} = 0, so a step certifies
 the density it starts from, and one more step on g_i certifies h_i.  The
 bracket itself, by the Euler route of `diffalg.poisson_bracket`, is the
-second route that `verify_commutation` runs.
+second route that `verify_commutation` runs.  A Hamiltonian int(h) dx is
+passed and returned as the `DiffPoly` of its normal form (`normalize`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable
 
 from . import exactnum, reports
 from .diffalg import (
-    DiffPoly, LocalFunctional, _decoded, _int_dx, _int_euler, _int_frechet, _Packing,
+    DiffPoly, _decoded, _int_dx, _int_euler, _int_frechet, _Packing,
     _reduce, coeff_ring, differential_degree, monomial_sort_key, normalize, poisson_bracket,
     total_x_derivative, u_degree, u_key, u_monomial_pretty, variational_derivative,
 )
@@ -55,8 +56,8 @@ class InconsistentSystemError(RuntimeError):
         super().__init__(f"h_{index} is not a conserved quantity of h_1 at h^{genus}")
 
 
-def h1(G: int, cg_values: CgValues | None = None) -> LocalFunctional:
-    """The explicit first Hamiltonian, truncated at h^G."""
+def h1(G: int, cg_values: CgValues | None = None) -> DiffPoly:
+    """The explicit first Hamiltonian, truncated at h^G, in normal form."""
     if G < 0:
         raise ValueError(f"genus order must be >= 0, got {G}")
     cg = cg_values or exactnum.c_g
@@ -68,12 +69,12 @@ def h1(G: int, cg_values: CgValues | None = None) -> LocalFunctional:
     return ham
 
 
-def flow(h: LocalFunctional) -> DiffPoly:
+def flow(h: DiffPoly) -> DiffPoly:
     """The flow generated by a Hamiltonian: d/dx (delta h / delta u)."""
     return total_x_derivative(variational_derivative(h))
 
 
-def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> LocalFunctional:
+def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> DiffPoly:
     """The index-i Hamiltonian (i >= 2), built by the double-ramification
     recursion from g_{-1} = u.
 
@@ -96,7 +97,7 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Loc
     # the widest term is a step's product, of u-degree i + 3
     pack = _Packing(cvars, i + 3)
     w, mask = pack.width, pack.mask
-    d1, n1 = _scaled(h1(G, cg_values).density.terms, pack)
+    d1, n1 = _scaled(h1(G, cg_values).terms, pack)
     xdh1 = _int_dx(_int_euler(n1, pack), pack)  # the flow of h_1, over d1
 
     def step(den: int, density: IntTerms, phi: IntTerms | None = None) -> int:
@@ -116,20 +117,20 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Loc
         den, density = _content(den * scale, {k: c * (scale // eigen[k]) for k, c in phi.items()})
 
     den, nums = _reduce(den, density, pack)
-    ham = LocalFunctional(_decoded(cvars, den, nums, pack))
+    ham = _decoded(cvars, den, nums, pack)
     check_grading(i, ham)
     step(den, nums)  # {h_i, h_1} = 0 on the normal form of h_i
     return ham
 
 
-def hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> LocalFunctional:
+def hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> DiffPoly:
     """h_i at truncation order G (explicit for i = 1, by recursion for i >= 2)."""
     if i < 1:
         raise ValueError(f"hierarchy index must be >= 1, got {i}")
     return h1(G, cg_values) if i == 1 else higher_hamiltonian(i, G, cg_values)
 
 
-def check_grading(i: int, h: LocalFunctional) -> None:
+def check_grading(i: int, h: DiffPoly) -> None:
     """Assert the grading invariants on a constructed Hamiltonian h_i.
 
     Every monomial at h^g with u-degree n must carry e-exponent
@@ -137,7 +138,7 @@ def check_grading(i: int, h: LocalFunctional) -> None:
     part must be u^{i+2}/(i+2)!.
     """
     lead = u_key({0: i + 2})
-    for (ue, g, j), val in h.density.terms.items():
+    for (ue, g, j), val in h.terms.items():
         d = differential_degree(ue)
         if d != 2 * g:
             raise AssertionError(
@@ -186,26 +187,24 @@ def t2_flow_rhs(G: int) -> DiffPoly:
     return DiffPoly(coeff_ring(G), terms)
 
 
-def verify_flow_t1(h_1: LocalFunctional) -> reports.VerificationReport:
+def verify_flow_t1(h_1: DiffPoly) -> reports.VerificationReport:
     """Compare the flow of h_1 with the displayed first flow, exactly."""
     G = h_1.vars[0].order - 1  # its ring is coeff_ring(G)
     mism = first_diffpoly_mismatch(flow(h_1), t1_flow_rhs(G))
     return reports.VerificationReport.of("ilw-t1", G, mism)
 
 
-def verify_flow_t2(h_2: LocalFunctional) -> reports.VerificationReport:
+def verify_flow_t2(h_2: DiffPoly) -> reports.VerificationReport:
     """Compare the flow of h_2 with the displayed second flow, exactly."""
     G = h_2.vars[0].order - 1  # its ring is coeff_ring(G)
     mism = first_diffpoly_mismatch(flow(h_2), t2_flow_rhs(G))
     return reports.VerificationReport.of("ilw-t2", G, mism)
 
 
-def verify_commutation(
-    i: int, j: int, h_i: LocalFunctional, h_j: LocalFunctional
-) -> reports.VerificationReport:
+def verify_commutation(i: int, j: int, h_i: DiffPoly, h_j: DiffPoly) -> reports.VerificationReport:
     """Reduce {h_i, h_j} to normal form and report whether it vanishes."""
     bracket = poisson_bracket(h_i, h_j)
-    mism = first_diffpoly_mismatch(bracket.density, DiffPoly.zero(bracket.vars))
+    mism = first_diffpoly_mismatch(bracket, DiffPoly.zero(bracket.vars))
     if mism is not None:
         mism["bracket"] = f"{{h_{i}, h_{j}}}"
     return reports.VerificationReport.of(f"commute({i},{j})", bracket.vars[0].order - 1, mism)

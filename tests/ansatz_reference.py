@@ -17,7 +17,6 @@ from typing import Iterator
 
 from ilwhodge.diffalg import (
     DiffPoly,
-    LocalFunctional,
     UExps,
     coeff_ring,
     monomial_sort_key,
@@ -81,7 +80,7 @@ def _h_slice(p: DiffPoly, g: int) -> dict[tuple[UExps, int], Fraction]:
     return {(ue, b): val for (ue, a, b), val in p.terms.items() if a == g}
 
 
-def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> LocalFunctional:
+def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> DiffPoly:
     """The index-i Hamiltonian (i >= 2) determined by commutation with h_1.
 
     Solves {candidate, h_1} = 0 coefficient-wise, one h-order at a time;
@@ -101,13 +100,13 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Loc
     xdh1_zero = DiffPoly(cvars, {(u_key({0: 1, 1: 1}), 0, 0): 1})
 
     density = DiffPoly.u_power(cvars, 0, i + 2, Fraction(1, factorial(i + 2)))
-    known = normalize(variational_derivative(density) * xdh1_full).density
+    known = normalize(variational_derivative(density) * xdh1_full)
     for g in range(1, G + 1):
         basis = ansatz_monomials(i, g)
         columns: list[dict[tuple[UExps, int], Fraction]] = []
         for ue, j in basis:
             mono = DiffPoly(cvars, {(ue, 0, 0): 1})
-            bracket = normalize(variational_derivative(mono) * xdh1_zero).density
+            bracket = normalize(variational_derivative(mono) * xdh1_zero)
             col = {
                 (row_ue, j): val
                 for (row_ue, b0), val in _h_slice(bracket, 0).items()
@@ -141,7 +140,7 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Loc
         )
         density = density + layer
         if g < G:
-            known = known + normalize(variational_derivative(layer) * xdh1_full).density
+            known = known + normalize(variational_derivative(layer) * xdh1_full)
 
     ham = normalize(density)
     check_grading(i, ham)

@@ -13,7 +13,6 @@ from fractions import Fraction
 from ilwhodge.diffalg import (
     DiffAlgError,
     DiffPoly,
-    LocalFunctional,
     NotTotalDerivativeError,
     integrate_x,
     normalize,
@@ -28,8 +27,9 @@ class NotSelfAdjointError(DiffAlgError):
     """The integrated flow is not a variational gradient."""
 
 
-def reconstruct_functional_from_flow(q: DiffPoly) -> LocalFunctional:
-    """Recover h with d/dx (delta h/delta u) = q via the homotopy formula.
+def reconstruct_functional_from_flow(q: DiffPoly) -> DiffPoly:
+    """Recover h with d/dx (delta h/delta u) = q via the homotopy formula,
+    as the normal form of its density.
 
     Integrates q to phi, which fails unless q is a total x-derivative with no
     u-free part (with none, delta q/delta u = 0 exactly when `integrate_x`

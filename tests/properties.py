@@ -34,6 +34,7 @@ from ilwhodge.diffalg import (
     u_key,
     variational_derivative,
 )
+from ilwhodge.ilw import h1, higher_hamiltonian
 from ilwhodge.mpseries import (
     MultiSeries,
     Packing,
@@ -233,13 +234,13 @@ def check_bracket_antisymmetry_jacobi(cases: int, seed: int) -> int:
         h = normalize(random_diffpoly(cvars, rng, max_index=2, max_udeg=3, max_terms=2))
         f = normalize(random_diffpoly(cvars, rng, max_index=2, max_udeg=3, max_terms=2))
         g = normalize(random_diffpoly(cvars, rng, max_index=1, max_udeg=3, max_terms=2))
-        assert (poisson_bracket(h, f).density + poisson_bracket(f, h).density).is_zero()
-        jacobi = (
-            poisson_bracket(h, poisson_bracket(f, g)).density
-            + poisson_bracket(f, poisson_bracket(g, h)).density
-            + poisson_bracket(g, poisson_bracket(h, f)).density
-        )
-        assert jacobi.is_zero()
+        hf, fg, gh = poisson_bracket(h, f), poisson_bracket(f, g), poisson_bracket(g, h)
+        assert (hf + poisson_bracket(f, h)).is_zero()
+        jacobi = [poisson_bracket(h, fg), poisson_bracket(f, gh), poisson_bracket(g, hf)]
+        assert sum(jacobi, DiffPoly.zero(cvars)).is_zero()
+        # a bracket is returned in normal form
+        for bracket in (hf, fg, gh, *jacobi):
+            assert normalize(bracket) == bracket
     return cases
 
 
@@ -288,9 +289,23 @@ def check_normalize_idempotent(cases: int, seed: int) -> int:
     for _ in range(cases):
         p = random_diffpoly(cvars, rng, with_params=rng.random() < 0.5)
         nf = normalize(p)
-        assert normalize(nf.density) == nf
+        assert normalize(nf) == nf
         # class preservation: the Euler derivative cannot see the reduction
-        assert variational_derivative(nf.density) == variational_derivative(p)
+        assert variational_derivative(nf) == variational_derivative(p)
+    return cases
+
+
+def check_hamiltonians_in_normal_form(cases: int, seed: int) -> int:
+    """h1 at drawn orders and drawn constants c_g, and h_i (i = 2..4) at
+    drawn orders, each returned in normal form."""
+    rng = random.Random(seed)
+    for _ in range(cases):
+        G = rng.randint(0, 6)
+        cg = {g: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for g in range(1, G + 1)}
+        ham = h1(G, cg.__getitem__)
+        assert normalize(ham) == ham
+        ham = higher_hamiltonian(rng.randint(2, 4), rng.randint(0, 4))
+        assert normalize(ham) == ham
     return cases
 
 
@@ -311,7 +326,7 @@ def check_normalize_against_reference(cases: int, seed: int) -> int:
     cvars = coeff_ring(2)
     for n in range(cases):
         p = random_diffpoly(cvars, rng, max_index=6, max_udeg=4, with_params=n % 2 == 1)
-        assert _flat(normalize(p).density) == normalize_reference(_flat(p))
+        assert _flat(normalize(p)) == normalize_reference(_flat(p))
         q = total_x_derivative(p)
         assert _flat(integrate_x(q)) == integrate_x_reference(_flat(q))
         # on a density that is usually not a total derivative both must agree
@@ -405,7 +420,7 @@ def check_calculus_kernel_against_reference(cases: int, seed: int) -> int:
         product = multiply_reference(fp, fq, h_order, e_order)
         assert _flat(p * q) == product
         truncated += product != multiply_reference(fp, fq, 2 * h_order, 2 * e_order)
-        assert _flat(normalize(p).density) == normalize_reference(fp)
+        assert _flat(normalize(p)) == normalize_reference(fp)
         dp = total_x_derivative(p)
         assert _flat(integrate_x(dp)) == integrate_x_reference(_flat(dp))
         assert (_integrate_or_error(lambda x: _flat(integrate_x(x)), p)
@@ -630,6 +645,7 @@ ALL_SUITES = [
     ("bracket antisymmetry + Jacobi", check_bracket_antisymmetry_jacobi),
     ("Miura roundtrip", check_miura_roundtrip),
     ("normalize idempotence", check_normalize_idempotent),
+    ("Hamiltonians in normal form", check_hamiltonians_in_normal_form),
     ("Frechet pairing by parts", check_frechet_pairing_by_parts),
     ("normal form vs max-scan reference", check_normalize_against_reference),
     ("flat ring vs reference", check_diffpoly_ring_against_reference),

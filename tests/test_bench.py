@@ -91,3 +91,25 @@ def test_a_file_with_no_labels_says_so(bench, tmp_path, capsys):
     path.write_text('{"runs": {}}')
     err = _usage_error(bench, capsys, ["--out", str(path), "--compare", "parent", "change"])
     assert err.endswith("has no label 'parent'; it has no labels\n")
+
+
+def test_cli_children_ignore_the_callers_ilwhodge_variables(bench, tmp_path, monkeypatch):
+    # with ILWHODGE_OUTPUT passed on, the op's JSON would go to the file and
+    # its check would read an empty stdout
+    target = tmp_path / "out.json"
+    monkeypatch.setenv("ILWHODGE_OUTPUT", str(target))
+    workloads = bench.workloads
+    op = workloads.Op(("verify", "linear-term", "--genus", "3", "--format", "json"), 0,
+                      workloads.check_verify({"linear-term"}))
+    assert bench._cli_child(ROOT / "src", op) > 0
+    assert not target.exists()
+
+
+def test_nproc_counts_the_cpus_the_process_may_run_on(bench, tmp_path, monkeypatch):
+    # as perfbench/run.py records it: under `taskset -c 0` on a 2-CPU machine, 1
+    monkeypatch.setattr(bench, "measure", lambda runs, src: {})
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0})
+    path = tmp_path / "bench.json"
+    assert bench.main(["--out", str(path), "--label", "change", "--commit", "abc"]) == 0
+    assert json.loads(path.read_text())["runs"]["change"]["nproc"] == 1

@@ -206,6 +206,19 @@ class TestVerify:
         assert exc.value.code == 2
         assert capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize("spec, reason", [
+        ("2:1/0", "denominator must be positive in '1/0'"),
+        ("x:1/3", "invalid literal for int() with base 10: 'x'"),
+    ], ids=["zero-denominator", "bad-locus"])
+    def test_bad_perturbation_spec_gives_its_reason(self, capsys, spec, reason):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "cg", "--perturb-cg", spec])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"ilwhodge: error: argument --perturb-cg: expected G:P/Q "
+                                f"(e.g. 2:1/1000000), got {spec!r}: {reason}\n")
+
     def test_zero_shift_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "cg", "--genus", "3", "--perturb-cg", "2:0"])

@@ -25,7 +25,7 @@ EXPORTS = {
     "exactnum": ["Rational", "bernoulli", "c_g", "dispersion_coeff"],
     "mpseries": ["MultiSeries", "SeriesError", "VarSpec", "divide_series", "exp_series",
                  "inverse_series", "log_series", "sinc_half_series"],
-    "diffalg": ["DiffAlgError", "DiffPoly", "LocalFunctional", "NotTotalDerivativeError",
+    "diffalg": ["DiffAlgError", "DiffPoly", "NotTotalDerivativeError",
                 "coeff_ring", "integrate_x", "miura_inverse_series", "miura_series",
                 "normalize", "poisson_bracket", "total_x_derivative", "u_key",
                 "variational_derivative"],
@@ -158,4 +158,7 @@ class TestPublicApi:
             ilwhodge.extract  # noqa: B018
         with pytest.raises(ImportError):
             exec("from ilwhodge import extract", {})
+        # a local functional is the DiffPoly of its normal form, with no type of its own
+        with pytest.raises(AttributeError, match="has no attribute 'LocalFunctional'"):
+            ilwhodge.LocalFunctional  # noqa: B018
 

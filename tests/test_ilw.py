@@ -9,7 +9,6 @@ from homotopy_reference import reconstruct_functional_from_flow
 from ilwhodge import exactnum
 from ilwhodge.diffalg import (
     DiffPoly,
-    LocalFunctional,
     coeff_ring,
     normalize,
     poisson_bracket,
@@ -30,7 +29,7 @@ from ilwhodge.ilw import (
     verify_flow_t1,
     verify_flow_t2,
 )
-from properties import he_group
+from properties import check_hamiltonians_in_normal_form, he_group
 
 
 def perturbed(g0, delta=Fraction(1, 1000000)):
@@ -56,7 +55,7 @@ class TestH1:
 
     def test_normal_form_coefficients(self):
         # int u u_{2g} = (-1)^g int u_g^2, so the stored density alternates sign
-        density = h1(2).density
+        density = h1(2)
         assert he_group(density, {1: 2}) == {(1, 0): Fraction(-1, 24)}
         assert he_group(density, {2: 2}) == {(2, 1): Fraction(1, 1440)}
 
@@ -100,7 +99,7 @@ class TestHigherHamiltonian:
                 (u_key({0: 1, 1: 2}), 1, 0): Fraction(-1, 24),
             },
         )
-        assert higher_hamiltonian(2, 1).density == expected
+        assert higher_hamiltonian(2, 1) == expected
 
     def test_rejects_low_index(self):
         with pytest.raises(ValueError):
@@ -126,7 +125,7 @@ class TestCheckGrading:
     def test_an_edited_density_fails(self, edit, message):
         h = higher_hamiltonian(2, 2)
         check_grading(2, h)
-        edited = LocalFunctional(DiffPoly(h.vars, {**h.density.terms, **edit}))
+        edited = DiffPoly(h.vars, {**h.terms, **edit})
         with pytest.raises(AssertionError, match=re.escape(message)):
             check_grading(2, edited)
 
@@ -245,3 +244,7 @@ def test_hamiltonian_dispatch():
     assert hamiltonian(3, 1) == higher_hamiltonian(3, 1)
     with pytest.raises(ValueError):
         hamiltonian(0, 2)
+
+
+def test_hamiltonians_are_returned_in_normal_form():
+    check_hamiltonians_in_normal_form(200, 2034)
