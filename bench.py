@@ -1,39 +1,36 @@
-"""In-process timings of the engine at fixed orders, written to BENCH_<n>.json.
+"""Timings of the engine at fixed orders, each in a fresh child, written to BENCH_<n>.json.
 
-    python3 bench.py --out BENCH_17.json --label change
-    python3 bench.py --out BENCH_17.json --label parent --src ../parent/src --commit <sha>
-    python3 bench.py --out BENCH_17.json --compare parent change
+    python3 bench.py --out ab.json --src parent=../parent/src --src change=src
+    python3 bench.py --out ab.json --compare parent change
 
-Each row is one library call, timed `--runs` times in this process; the row
-keeps every time and their median.  The rows go under `runs[label]`, next to
-the Python version, the number of CPUs this process may run on (as
-`perfbench/run.py` records it) and the commit of the timed source tree;
-other labels already in the file are kept, so two trees measured on the
-same machine can share one file.  A second call with the same label, commit,
-Python version and CPU count adds its times to the label's rows instead, so
-two trees can be timed in alternation, a few runs at a time, on a machine
-whose speed drifts.  These rows leave out interpreter start-up and exit.
-The `setup:` and `cli:` rows keep them: each run is a fresh child, run with
-the environment of a `perfbench/run.py` child (the caller's, less every
-ILWHODGE_* variable) but with `PYTHONPATH=<--src>`, and timed from its start
-to its exit, as `perfbench/` times an op.  The `setup:` row's child is the
-set-up child of `perfbench/run.py`, which imports the CLI and builds its
-parser.  A `cli:` row's child is a `python -m ilwhodge` call
-of one op of the benchmark's workloads (the ops of the first pass that
-`perfbench/workloads.py` plans for each workload at a fixed seed); its exit
-code and output go through the op's own check, untimed.  A failed child or
-check stops the run.
+One call times every row `--runs` times on each `--src LABEL=PATH` tree.  In
+run k of a row the trees take turns, starting with tree k mod their number,
+so each run's times come from one spell of a machine whose speed drifts.
+Each run is a fresh child, started in PATH with the environment of a
+`perfbench/run.py` child (the caller's, less every ILWHODGE_* variable) but
+`PYTHONPATH=PATH`.  A library row's child imports one engine module's public
+names, then times the one call (with any engine module it loads) and prints
+that time.  The `setup:` and `cli:` rows time the child from start to exit,
+as `perfbench/` times an op: the set-up child of `perfbench/run.py`, which
+imports the CLI and builds its parser, and a `python -m ilwhodge` call of
+each op of the first pass that `perfbench/workloads.py` plans for each
+workload at a fixed seed, whose exit code and output go through the op's own
+check, untimed.  A failed child or check stops the call.
 
-`--compare A B` times nothing: it prints, for each row that labels A and B
-of the file share, both medians and the median over pairs of B's i-th time
-over A's i-th time (below 1 when B is faster), and exits 1 when some row's
-paired median exceeds 1 plus the `wall_s` bound of BENCHMARK.json.  Runs
-that alternate between the trees pair up times taken in the same spell of a
-shared machine, whose speed drifts by more than that bound, and the median
-over pairs is not moved by one fast or slow run the way a minimum is.
-A usage error, such as a label the file lacks, `--runs` below 1, or an
-`--out` that is not JSON (or is missing under `--compare`), exits 2 with one
-line on stderr before any row is timed.
+Each tree's rows, with every time and their median, go under `runs[LABEL]`,
+next to the Python version, the number of CPUs this process may run on (as
+`perfbench/run.py` records it), the runs per row and the commit that
+`git -C PATH rev-parse HEAD` names (null outside a git checkout).  The
+file's other labels are kept.
+
+`--compare A B` times nothing: for each row that labels A and B share, it
+prints both medians and the median over pairs of B's i-th time over A's
+(below 1 when B is faster), and exits 1 when some row's paired median
+exceeds 1 plus the `wall_s` bound of BENCHMARK.json; unlike a minimum, that
+median is not moved by one fast or slow run.  A usage error exits 2 with one
+line on stderr before any row is timed or compared: a bad `--src`, `--runs`
+or `--out`, a label the file lacks, or labels that share no row or share
+one with unequal run counts.
 """
 
 from __future__ import annotations
@@ -53,20 +50,26 @@ sys.path.insert(0, str(Path(__file__).resolve().parent / "perfbench"))
 import workloads  # noqa: E402
 from run import SETUP_CODE, _child_env  # noqa: E402
 
-# (row name, module, function, arguments)
+# (module, call): a library row is named by its call
 CALLS = [
-    ("extract_cg(80)", "hodge", "extract_cg", (80,)),
-    ("one_point_table(60)", "hodge", "one_point_table", (60,)),
+    ("hodge", "extract_cg(80)"),
+    ("hodge", "one_point_table(60)"),
     # the engine calls of the benchmark's hodge-series workload, at its orders
-    ("extract_cg(24)", "hodge", "extract_cg", (24,)),
-    ("one_point_table(24)", "hodge", "one_point_table", (24,)),
-    ("verify_one_point_reverse(20)", "hodge", "verify_one_point_reverse", (20,)),
-    ("verify_linear_term_identity(20)", "hodge", "verify_linear_term_identity", (20,)),
-    ("higher_hamiltonian(2, 30)", "ilw", "higher_hamiltonian", (2, 30)),
-    ("higher_hamiltonian(4, 16)", "ilw", "higher_hamiltonian", (4, 16)),
-    ("higher_hamiltonian(4, 20)", "ilw", "higher_hamiltonian", (4, 20)),
-    ("higher_hamiltonian(6, 10)", "ilw", "higher_hamiltonian", (6, 10)),
+    ("hodge", "extract_cg(24)"),
+    ("hodge", "one_point_table(24)"),
+    ("hodge", "verify_one_point_reverse(20)"),
+    ("hodge", "verify_linear_term_identity(20)"),
+    ("ilw", "higher_hamiltonian(2, 30)"),
+    ("ilw", "higher_hamiltonian(4, 16)"),
+    ("ilw", "higher_hamiltonian(4, 20)"),
+    ("ilw", "higher_hamiltonian(6, 10)"),
+    # a `verify commute` check of {h_4, h_3} at G = 12, both builds included
+    ("ilw", "verify_commutation(4, 3, hamiltonian(4, 12), hamiltonian(3, 12))"),
 ]
+CALL_CODE = ("from ilwhodge.{module} import *; import time; "
+             "t0 = time.perf_counter(); {call}; print(time.perf_counter() - t0)")
+# the set-up child exits 0 and prints nothing to check
+SETUP_OP = workloads.Op(("-c", SETUP_CODE), 0, None)
 # the seed of the workloads' pass that gives the `cli:` rows
 CLI_SEED = 0
 
@@ -80,66 +83,58 @@ def _commit(src: Path) -> str | None:
     return out.stdout.strip()
 
 
-def _commute_check(i: int, j: int, G: int):
-    """A `verify commute` check of {h_i, h_j} at G with both builds."""
-    from ilwhodge import ilw
+def rows() -> list[tuple]:
+    """Every row as (name, the child's arguments, the op whose exit code and
+    output check its child; None for a library row)."""
+    out = [(call, ["-c", CALL_CODE.format(module=module, call=call)], None)
+           for module, call in CALLS]
+    out.append((f"setup: {SETUP_CODE}", [*SETUP_OP.argv], SETUP_OP))
+    out += [(f"cli: {op.label}", ["-m", "ilwhodge", *op.argv], op)
+            for w in workloads.WORKLOADS for op in workloads.pass_plan(w, CLI_SEED)(0)]
+    return out
 
-    return ilw.verify_commutation(i, j, ilw.hamiltonian(i, G), ilw.hamiltonian(j, G))
 
-
-def _library_call(fn, *args) -> float:
+def _child(src: Path, argv: list[str], op: workloads.Op | None) -> float:
+    """One run of a row on the tree `src` in a fresh child: the time that a
+    library row's child prints, else the child's time from start to exit,
+    once its exit code and any output check of `op` pass."""
+    # cwd is the tree, so that `-m` finds no other tree's package in the caller's cwd
     t0 = time.perf_counter()
-    fn(*args)
-    return time.perf_counter() - t0
-
-
-def _child(src: Path, *args: str) -> tuple[float, subprocess.CompletedProcess]:
-    # cwd is --src, so that `-m` finds no other tree's package in the caller's
-    # directory
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, *args], cwd=src,
+    proc = subprocess.run([sys.executable, *argv], cwd=src,
                           env={**_child_env(), "PYTHONPATH": str(src)}, capture_output=True)
-    return time.perf_counter() - t0, proc
-
-
-def _setup_child(src: Path) -> float:
-    elapsed, proc = _child(src, "-c", SETUP_CODE)
-    if proc.returncode:
-        sys.exit(f"bench.py: set-up child exited {proc.returncode}: "
-                 f"{proc.stderr.decode(errors='replace').strip()}")
-    return elapsed
-
-
-def _cli_child(src: Path, op: workloads.Op) -> float:
-    elapsed, proc = _child(src, "-m", "ilwhodge", *op.argv)
-    try:
-        if proc.returncode != op.exit_code:
-            tail = proc.stderr.decode(errors="replace").strip().splitlines()[-1:]
-            raise workloads.CheckFailed(f"exited {proc.returncode}, want {op.exit_code} {tail}")
+    elapsed = time.perf_counter() - t0
+    want = op.exit_code if op else 0
+    if proc.returncode != want:
+        tail = proc.stderr.decode(errors="replace").strip().splitlines()[-1:]
+        raise workloads.CheckFailed(f"exited {proc.returncode}, want {want} {tail}")
+    if not op:
+        return float(proc.stdout)
+    if op.check:
         op.check(json.loads(proc.stdout))
-    except (workloads.CheckFailed, ValueError, KeyError, TypeError) as exc:
-        sys.exit(f"bench.py: {op.label}: {exc}")
     return elapsed
 
 
-def measure(runs: int, src: Path) -> dict:
-    import importlib
-
-    calls = [(name, _library_call,
-              (getattr(importlib.import_module(f"ilwhodge.{module}"), function), *args))
-             for name, module, function, args in CALLS]
-    calls.append(("verify_commutation(4, 3, h_4(12), h_3(12))", _library_call,
-                  (_commute_check, 4, 3, 12)))
-    calls.append((f"setup: {SETUP_CODE}", _setup_child, (src,)))
-    calls += [(f"cli: {op.label}", _cli_child, (src, op))
-              for w in workloads.WORKLOADS for op in workloads.pass_plan(w, CLI_SEED)(0)]
-    width = max(len(name) for name, _, _ in calls)
-    rows = {}
-    for name, fn, args in calls:
-        times = [round(fn(*args), 6) for _ in range(runs)]
-        rows[name] = {"median_s": statistics.median(times), "times_s": times}
-        print(f"{name:{width}s} {rows[name]['median_s']:.3f} s", file=sys.stderr)
-    return rows
+def measure(runs: int, trees: dict[str, Path]) -> dict[str, dict]:
+    """Each tree's rows; run k of a row takes the trees in turn, starting
+    with tree k mod len(trees)."""
+    labels = list(trees)
+    table = rows()
+    width = max(len(name) for name, _, _ in table)
+    out = {label: {} for label in labels}
+    for name, argv, op in table:
+        times = {label: [] for label in labels}
+        for k in range(runs):
+            for label in labels[k % len(labels):] + labels[:k % len(labels)]:
+                try:
+                    times[label].append(round(_child(trees[label], argv, op), 6))
+                except (workloads.CheckFailed, ValueError, KeyError, TypeError) as exc:
+                    sys.exit(f"bench.py: {name} on {label}: {exc}")
+        for label in labels:
+            out[label][name] = {"median_s": statistics.median(times[label]),
+                                "times_s": times[label]}
+        medians = "  ".join(f"{label} {out[label][name]['median_s']:.3f} s" for label in labels)
+        print(f"{name:{width}s} {medians}", file=sys.stderr)
+    return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,15 +162,34 @@ def _load(parser: _Parser, path: Path, must_exist: bool) -> dict:
     return doc
 
 
-def compare(doc: dict, a: str, b: str) -> int:
+def _trees(parser: _Parser, values: list[str]) -> dict[str, Path]:
+    """The `--src LABEL=PATH` trees by label, in the order given."""
+    trees = {}
+    for value in values:
+        label, eq, path = value.partition("=")
+        if not eq or not label or label in trees:
+            parser.error(f"--src {value!r} is not LABEL=PATH with a label not given before")
+        src = Path(path).resolve()
+        if not (src / "ilwhodge" / "__init__.py").is_file():
+            parser.error(f"--src {value!r}: {src} holds no ilwhodge package")
+        trees[label] = src
+    return trees
+
+
+def compare(parser: _Parser, doc: dict, a: str, b: str) -> int:
     """Print B's time over A's per shared row, as the median over pairs of
     runs; 1 when a row's paired median regressed past the `wall_s` bound."""
     spec = json.loads((Path(__file__).resolve().parent / "BENCHMARK.json").read_text())
     bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "wall_s")
     rows_a, rows_b = doc["runs"][a]["rows"], doc["runs"][b]["rows"]
-    slower = []
     shared = [n for n in rows_a if n in rows_b]
-    width = max(map(len, shared), default=0)
+    if not shared:
+        parser.error(f"labels {a!r} and {b!r} share no row")
+    uneven = [n for n in shared if len(rows_a[n]["times_s"]) != len(rows_b[n]["times_s"])]
+    if uneven:
+        parser.error(f"row {uneven[0]!r} has unequal run counts under {a!r} and {b!r}")
+    slower = []
+    width = max(map(len, shared))
     for name in shared:
         ratio = statistics.median(
             tb / ta for ta, tb in zip(rows_a[name]["times_s"], rows_b[name]["times_s"]))
@@ -191,11 +205,10 @@ def compare(doc: dict, a: str, b: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--label")
+    parser.add_argument("--src", action="append", default=[], metavar="LABEL=PATH",
+                        help="a source tree to time under LABEL; repeat for each tree")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="compare the rows of labels A and B of --out; time nothing")
-    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent / "src")
-    parser.add_argument("--commit", help="commit of --src when it is not a git checkout")
     parser.add_argument("--runs", type=int, default=5)
     args = parser.parse_args(argv)
     if args.compare:
@@ -204,31 +217,17 @@ def main(argv: list[str] | None = None) -> int:
         if missing:
             labels = ", ".join(doc["runs"]) or "no labels"
             parser.error(f"{args.out} has no label {missing[0]!r}; it has {labels}")
-        return compare(doc, *args.compare)
-    if not args.label:
-        parser.error("--label is required unless --compare is given")
+        return compare(parser, doc, *args.compare)
+    if not args.src:
+        parser.error("--src is required unless --compare is given")
+    trees = _trees(parser, args.src)
     if args.runs < 1:
         parser.error(f"--runs must be >= 1, got {args.runs}")
     doc = _load(parser, args.out, must_exist=False)
-    src = args.src.resolve()
-    sys.path.insert(0, str(src))
-    rows = measure(args.runs, src)
-    entry = {
-        "python": platform.python_version(),
-        "nproc": len(os.sched_getaffinity(0)),
-        "commit": args.commit or _commit(args.src),
-        "runs_per_row": args.runs,
-        "rows": rows,
-    }
-    old = doc["runs"].get(args.label)
-    if old and all(old[k] == entry[k] for k in ("python", "nproc", "commit")):
-        # the same tree again: its times accumulate, so that two trees timed
-        # in alternation share the machine's slow and fast spells
-        entry["runs_per_row"] += old["runs_per_row"]
-        for name, row in rows.items():
-            row["times_s"] = old["rows"].get(name, {"times_s": []})["times_s"] + row["times_s"]
-            row["median_s"] = statistics.median(row["times_s"])
-    doc["runs"][args.label] = entry
+    python, nproc = platform.python_version(), len(os.sched_getaffinity(0))
+    for label, rows_of_tree in measure(args.runs, trees).items():
+        doc["runs"][label] = {"python": python, "nproc": nproc, "commit": _commit(trees[label]),
+                              "runs_per_row": args.runs, "rows": rows_of_tree}
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

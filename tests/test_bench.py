@@ -1,8 +1,10 @@
-"""`bench.py --compare` on synthetic runs and on a recorded A/B file."""
+"""`bench.py`: `--compare` on synthetic runs and recorded A/B files, the
+checks of its arguments, and the order in which one call times two trees."""
 
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import json
 import statistics
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +53,11 @@ def test_recorded_runs_of_an_unchanged_engine_pass(bench, capsys):
     assert "SLOWER" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_every_recorded_file_pairs_equal_run_counts(bench, path):
+    assert bench.main(["--out", str(path), "--compare", "parent", "change"]) == 0
+
+
 def _usage_error(bench, capsys, argv) -> str:
     with pytest.raises(SystemExit) as exc:
         bench.main(argv)
@@ -70,7 +78,7 @@ def test_compare_on_a_missing_file_is_a_usage_error(bench, tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"rows": {}}'],
                          ids=["text", "list", "no-runs"])
-@pytest.mark.parametrize("mode", [["--compare", "parent", "change"], ["--label", "change"]],
+@pytest.mark.parametrize("mode", [["--compare", "parent", "change"], ["--src", f"change={SRC}"]],
                          ids=["compare", "label"])
 def test_an_out_that_is_no_runs_file_is_a_usage_error(bench, tmp_path, capsys, monkeypatch,
                                                       text, mode):
@@ -82,7 +90,7 @@ def test_an_out_that_is_no_runs_file_is_a_usage_error(bench, tmp_path, capsys, m
 
 def test_an_out_in_no_directory_is_a_usage_error(bench, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(bench, "measure", _no_timing)
-    argv = ["--out", str(tmp_path / "absent" / "bench.json"), "--label", "change"]
+    argv = ["--out", str(tmp_path / "absent" / "bench.json"), "--src", f"change={SRC}"]
     assert "no directory" in _usage_error(bench, capsys, argv)
 
 
@@ -101,15 +109,86 @@ def test_cli_children_ignore_the_callers_ilwhodge_variables(bench, tmp_path, mon
     workloads = bench.workloads
     op = workloads.Op(("verify", "linear-term", "--genus", "3", "--format", "json"), 0,
                       workloads.check_verify({"linear-term"}))
-    assert bench._cli_child(ROOT / "src", op) > 0
+    assert bench._child(SRC, ["-m", "ilwhodge", *op.argv], op) > 0
     assert not target.exists()
 
 
 def test_nproc_counts_the_cpus_the_process_may_run_on(bench, tmp_path, monkeypatch):
     # as perfbench/run.py records it: under `taskset -c 0` on a 2-CPU machine, 1
-    monkeypatch.setattr(bench, "measure", lambda runs, src: {})
+    monkeypatch.setattr(bench, "measure", lambda runs, trees: {label: {} for label in trees})
     monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0})
     path = tmp_path / "bench.json"
-    assert bench.main(["--out", str(path), "--label", "change", "--commit", "abc"]) == 0
+    assert bench.main(["--out", str(path), "--src", f"change={SRC}"]) == 0
     assert json.loads(path.read_text())["runs"]["change"]["nproc"] == 1
+
+
+def test_labels_that_share_no_row_are_a_usage_error(bench, tmp_path, capsys):
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps({"runs": {
+        "parent": {"rows": {"old row": {"median_s": 1.0, "times_s": [1.0]}}},
+        "change": {"rows": {"new row": {"median_s": 1.0, "times_s": [1.0]}}},
+    }}))
+    err = _usage_error(bench, capsys, ["--out", str(path), "--compare", "parent", "change"])
+    assert "'parent' and 'change' share no row" in err
+
+
+def test_unequal_run_counts_are_a_usage_error(bench, tmp_path, capsys):
+    # zip would pair the first three runs and drop the parent's last two
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps({"runs": {
+        "parent": {"rows": {"row": {"median_s": 1.0, "times_s": TIMES[:5]}}},
+        "change": {"rows": {"row": {"median_s": 1.0, "times_s": TIMES[:3]}}},
+    }}))
+    err = _usage_error(bench, capsys, ["--out", str(path), "--compare", "parent", "change"])
+    assert "row 'row' has unequal run counts under 'parent' and 'change'" in err
+
+
+@pytest.mark.parametrize("srcs", [
+    ["change"],
+    [f"={SRC}"],
+    [f"change={SRC}", f"change={SRC}"],
+    ["change={tmp}"],
+], ids=["no-equals", "empty-label", "repeated-label", "no-package"])
+def test_a_bad_src_is_a_usage_error(bench, tmp_path, capsys, monkeypatch, srcs):
+    monkeypatch.setattr(bench, "measure", _no_timing)
+    argv = ["--out", str(tmp_path / "bench.json")]
+    for value in srcs:
+        argv += ["--src", value.format(tmp=tmp_path)]
+    assert "--src" in _usage_error(bench, capsys, argv)
+    assert not (tmp_path / "bench.json").exists()
+
+
+def test_one_call_alternates_the_trees_per_run(bench, tmp_path, monkeypatch):
+    other = tmp_path / "other"
+    (other / "ilwhodge").mkdir(parents=True)
+    (other / "ilwhodge" / "__init__.py").write_text("")
+    trees = [SRC, other]
+    calls = []
+    clock = itertools.count(1)
+
+    def child(src, argv, op):
+        calls.append((tuple(argv), src))
+        return float(next(clock))
+
+    monkeypatch.setattr(bench, "_child", child)
+    path = tmp_path / "bench.json"
+    runs = 3
+    assert bench.main(["--out", str(path), "--src", f"parent={SRC}", "--src", f"change={other}",
+                       "--runs", str(runs)]) == 0
+    doc = json.loads(path.read_text())["runs"]
+    names = [name for name, _, _ in bench.rows()]
+    for label in ("parent", "change"):
+        assert doc[label]["runs_per_row"] == runs
+        assert list(doc[label]["rows"]) == names
+        assert all(len(row["times_s"]) == runs for row in doc[label]["rows"].values())
+    by_row = {}
+    for argv, src in calls:
+        by_row.setdefault(argv, []).append(src)
+    assert len(by_row) == len(names)
+    for order in by_row.values():
+        assert order == [trees[(k + i) % 2] for k in range(runs) for i in range(2)]
+    # every recorded time is one the stubbed child returned: nothing else timed a row
+    recorded = sorted(t for label in doc for row in doc[label]["rows"].values()
+                      for t in row["times_s"])
+    assert recorded == [float(t) for t in range(1, len(calls) + 1)]

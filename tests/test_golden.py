@@ -197,9 +197,7 @@ EXIT_CODE = {
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
-def test_stdout_digest(capsys, monkeypatch, argv):
-    for name in ("FORMAT", "OUTPUT", "GENUS", "INDEX"):
-        monkeypatch.delenv(f"ILWHODGE_{name}", raising=False)
+def test_stdout_digest(capsys, argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     assert code == EXIT_CODE.get(argv, 0)
