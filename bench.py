@@ -27,7 +27,8 @@ file's other labels are kept.
 prints both medians and the median over pairs of B's i-th time over A's
 (below 1 when B is faster), and exits 1 when some row's paired median
 exceeds 1 plus the `wall_s` bound of BENCHMARK.json; unlike a minimum, that
-median is not moved by one fast or slow run.  A usage error exits 2 with one
+median is not moved by one fast or slow run.  A row that only one of the
+labels has gets one line that says so, and does not change the exit code.  A usage error exits 2 with one
 line on stderr before any row is timed or compared: a bad `--src`, `--runs`
 or `--out`, a label the file lacks, or labels that share no row or share
 one with unequal run counts.
@@ -59,6 +60,10 @@ CALLS = [
     ("hodge", "one_point_table(24)"),
     ("hodge", "verify_one_point_reverse(20)"),
     ("hodge", "verify_linear_term_identity(20)"),
+    # the builds of the benchmark's hierarchy workload, at its orders
+    ("ilw", "higher_hamiltonian(2, 10)"),
+    ("ilw", "higher_hamiltonian(3, 7)"),
+    ("ilw", "higher_hamiltonian(4, 6)"),
     ("ilw", "higher_hamiltonian(2, 30)"),
     ("ilw", "higher_hamiltonian(4, 16)"),
     ("ilw", "higher_hamiltonian(4, 20)"),
@@ -178,7 +183,8 @@ def _trees(parser: _Parser, values: list[str]) -> dict[str, Path]:
 
 def compare(parser: _Parser, doc: dict, a: str, b: str) -> int:
     """Print B's time over A's per shared row, as the median over pairs of
-    runs; 1 when a row's paired median regressed past the `wall_s` bound."""
+    runs, and name each row that only one label has; 1 when a row's paired
+    median regressed past the `wall_s` bound."""
     spec = json.loads((Path(__file__).resolve().parent / "BENCHMARK.json").read_text())
     bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "wall_s")
     rows_a, rows_b = doc["runs"][a]["rows"], doc["runs"][b]["rows"]
@@ -199,6 +205,10 @@ def compare(parser: _Parser, doc: dict, a: str, b: str) -> int:
             flag = f"  SLOWER by more than {bound:.0%}"
         print(f"{name:{width}s} median {rows_a[name]['median_s']:8.4f} s -> "
               f"{rows_b[name]['median_s']:8.4f} s  paired {ratio:5.3f}{flag}")
+    for label, rows, other in ((a, rows_a, rows_b), (b, rows_b, rows_a)):
+        for name in rows:
+            if name not in other:
+                print(f"{name}: only under {label!r}, not compared")
     return 1 if slower else 0
 
 

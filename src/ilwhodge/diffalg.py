@@ -20,7 +20,9 @@ inverse (the reciprocal series).
 The calculus runs on packed keys (`_Packing`): a key's u_k fields are read
 off it each time, and every product, the Frechet sum included, is one call
 of `mpseries._int_product`, the one pair loop of the package.  The Frechet
-sum is what certifies a Hamiltonian build in `ilw`; `poisson_bracket` is
+sum is what certifies a Hamiltonian build in `ilw`; it reads the
+x-derivatives of its second factor from a list that the caller may keep
+across calls, so a build takes each of them once.  `poisson_bracket` is
 the only code that multiplies a variational derivative by a flow, so the
 Euler route is a second route to {h_i, h_1} = 0.
 
@@ -276,13 +278,18 @@ def _int_euler(nums: IntTerms, pack: _Packing) -> IntTerms:
     return acc
 
 
-def _int_frechet(nphi: IntTerms, nb: IntTerms, pack: _Packing) -> IntTerms:
-    """sum_k (dphi/du_k) d^k/dx^k b, as one `_int_product` accumulation."""
+def _int_frechet(nphi: IntTerms, derivs: list[list[tuple[int, int]]],
+                 pack: _Packing) -> IntTerms:
+    """sum_k (dphi/du_k) d^k/dx^k b, as one `_int_product` accumulation.
+
+    derivs[k] is d^k/dx^k b as (packed key, numerator) pairs, derivs[0] = b;
+    a call appends the derivatives it needs and the list lacks, so a caller
+    that keeps the list takes each x-derivative of b once."""
     parts, products = _int_partials(nphi, pack), []
-    for s in range(pack.base, max(parts, default=0) + 1, pack.width):
-        if s > pack.base:
-            nb = _int_dx(nb, pack)
-        products.append((1, list(parts.get(s, {}).items()), list(nb.items())))
+    for k, s in enumerate(range(pack.base, max(parts, default=0) + 1, pack.width)):
+        if k == len(derivs):
+            derivs.append(list(_int_dx(dict(derivs[-1]), pack).items()))
+        products.append((1, list(parts.get(s, {}).items()), derivs[k]))
     return _int_product(products, pack)
 
 
@@ -329,12 +336,12 @@ def _reduce(den: int, nums: IntTerms, pack: _Packing,
     x-derivative is the monomial minus its reduction, goes into
     `antiderivative` (over den') when one is given.  Every monomial a
     reduction produces lies on level N - 1, so the levels are swept from the
-    top down: each normal monomial is filed in the remainder, and the
-    x-derivatives of the level's peeled terms are subtracted into the level
-    below, less their level-N terms, which are the monomials just reduced.
-    Pure c*u_N terms come out as zero.  A reduction keeps the u-degree and
-    divides by at most the largest u-degree d, so scaling by
-    lcm(1..d)^(top index) once makes every division exact.
+    top down: each normal monomial is filed in the remainder, and each
+    reduction -c/(j+1) * dx(R) * u_{N-1}^{j+1} is subtracted straight into
+    the level below, one raised factor of R at a time; raising a u_{N-2} of
+    R gives u_{N-1}^{j+2}.  Pure c*u_N terms come out as zero.  A reduction
+    keeps the u-degree and divides by at most the largest u-degree d, so
+    scaling by lcm(1..d)^(top index) once makes every division exact.
     """
     w, mask, base = pack.width, pack.mask, pack.base
     top = (max(nums, default=0).bit_length() - 1 - base) // w
@@ -344,8 +351,10 @@ def _reduce(den: int, nums: IntTerms, pack: _Packing,
         s = key.bit_length() - 1
         levels.setdefault(s - (s - base) % w, {})[key] = c * scale
     rest: IntTerms = {}
+    factors = pack.factors
     for s in range(base + top * w, base, -w):
-        peeled: IntTerms = {}
+        # key & below drops u_{N-1} and u_N, leaving R's fields for `factors`
+        lower, below = levels.setdefault(s - w, {}), (1 << (s - w)) - 1
         for key, coef in levels.pop(s, {}).items():
             if not coef:
                 continue
@@ -356,13 +365,11 @@ def _reduce(den: int, nums: IntTerms, pack: _Packing,
             coef, r = divmod(coef, p >> (s - w) & mask)  # by j + 1
             if r:
                 raise DiffAlgError("a term is not divisible by j + 1 in the scaled worklist")
-            peeled[p] = coef
-        lower = levels.setdefault(s - w, {})
-        for k, c in _int_dx(peeled, pack).items():
-            if not k >> s:
-                lower[k] = lower.get(k, 0) - c
-        if antiderivative is not None:  # new keys: each level peels onto its own
-            antiderivative.update(peeled)
+            if antiderivative is not None:  # a new key: each level peels onto its own
+                antiderivative[p] = coef
+            for f, m in factors(key & below):  # raise each factor of R
+                k = p + (1 << (f + w)) - (1 << f)
+                lower[k] = lower.get(k, 0) - m * coef
     for level in levels.values():  # level 0 and the constants
         rest.update((k, c) for k, c in level.items() if c)
     return den * scale, rest

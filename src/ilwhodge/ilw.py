@@ -85,9 +85,10 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Dif
     form, so a step's remainder is zero exactly when the bracket
     {int g_d, h_1} is; a remainder raises `InconsistentSystemError` at its
     lowest h-order.  The normal form of g_i is checked for grading and
-    certified by one more step.  The whole build runs on packed keys, as
-    integer numerators over one denominator; a `Fraction` is built only for
-    h_i itself.
+    certified by one more step.  Every step reads d^s/dx^s flow(h_1) from
+    one list, so each such x-derivative is taken once per build.  The whole
+    build runs on packed keys, as integer numerators over one denominator; a
+    `Fraction` is built only for h_i itself.
     """
     if i < 2:
         raise ValueError(f"higher Hamiltonian index must be >= 2, got {i}")
@@ -98,11 +99,12 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Dif
     pack = _Packing(cvars, i + 3)
     w, mask = pack.width, pack.mask
     d1, n1 = _scaled(h1(G, cg_values).terms, pack)
-    xdh1 = _int_dx(_int_euler(n1, pack), pack)  # the flow of h_1, over d1
+    # the flow of h_1 and its x-derivatives so far, over d1, shared by every step
+    flows = [list(_int_dx(_int_euler(n1, pack), pack).items())]
 
     def step(den: int, density: IntTerms, phi: IntTerms | None = None) -> int:
         # the t_1-derivative of density / den, integrated into phi when given
-        den, rest = _reduce(den * d1, _int_frechet(density, xdh1, pack), pack, phi)
+        den, rest = _reduce(den * d1, _int_frechet(density, flows, pack), pack, phi)
         if rest:  # the obstruction's lowest h-order, read off the h field
             raise InconsistentSystemError(i, min(k >> w & mask for k in rest))
         return den

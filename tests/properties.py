@@ -321,9 +321,34 @@ def _integrate_or_error(integrate, p):
         return "no antiderivative"
 
 
+# the two shapes of a peeled R * u_{N-1}^{j+1} that every seeded reduction
+# suite must meet: raising a u_{N-2} of R gives u_{N-1}^{j+2}, and j >= 1
+PEEL_SHAPES = {"R holds u_{N-2}", "j >= 1"}
+
+
+def _top_peels(flat: dict) -> set[str]:
+    """The `PEEL_SHAPES` among the monomials R * u_{N-1}^j * u_N, u_N linear,
+    on the top level N >= 1 of a {(u-exps, (h, e)): c} map: nothing lands on
+    that level, so a reduction peels each of them as given."""
+    top = max((ue[-1][0] for ue, _ in flat if ue), default=0)
+    shapes = set()
+    for ue, _ in flat:
+        if top and ue and ue[-1] == (top, 1):
+            exps = dict(ue)
+            if top - 2 in exps:
+                shapes.add("R holds u_{N-2}")
+            if top - 1 in exps:
+                shapes.add("j >= 1")
+    return shapes
+
+
 def check_normalize_against_reference(cases: int, seed: int) -> int:
+    """`normalize` and `integrate_x` against the max-scan references, on
+    cases that peel both `PEEL_SHAPES`, in the normal form and in the
+    antiderivative."""
     rng = random.Random(seed)
     cvars = coeff_ring(2)
+    normal_peels, integral_peels = set(), set()
     for n in range(cases):
         p = random_diffpoly(cvars, rng, max_index=6, max_udeg=4, with_params=n % 2 == 1)
         assert _flat(normalize(p)) == normalize_reference(_flat(p))
@@ -333,6 +358,10 @@ def check_normalize_against_reference(cases: int, seed: int) -> int:
         # on whether an antiderivative exists, and on it when it does
         got = _integrate_or_error(lambda x: _flat(integrate_x(x)), p)
         assert got == _integrate_or_error(integrate_x_reference, _flat(p))
+        normal_peels |= _top_peels(_flat(p))
+        integral_peels |= _top_peels(_flat(q))
+    assert normal_peels == PEEL_SHAPES, f"no normal form peeled {PEEL_SHAPES - normal_peels}"
+    assert integral_peels == PEEL_SHAPES, f"no antiderivative peeled {PEEL_SHAPES - integral_peels}"
     return cases
 
 
@@ -341,7 +370,41 @@ def frechet_apply(phi: DiffPoly, b: DiffPoly) -> DiffPoly:
     phi._check_ring(b)
     pack = DiffPoly._packing(phi, b)
     (dphi, nphi), (db, nb) = _scaled(phi.terms, pack), _scaled(b.terms, pack)
-    return _decoded(phi.vars, dphi * db, _int_frechet(nphi, nb, pack), pack)
+    return _decoded(phi.vars, dphi * db, _int_frechet(nphi, [list(nb.items())], pack), pack)
+
+
+def check_shared_derivative_list(cases: int, seed: int) -> int:
+    """One list [b, b_x, ...] passed to four successive `_int_frechet` calls
+    whose top derivative index goes up, then down, then up again, as the
+    steps of a Hamiltonian build share the derivatives of flow(h_1): each
+    sum equals `frechet_reference`, the list grows only to the deepest index
+    asked for so far, and afterwards entry k of it is still d^k b."""
+    rng = random.Random(seed)
+    cvars = coeff_ring(3)
+    h_order, e_order = (v.order for v in cvars)
+    pack = _Packing(cvars, 7)  # phi of u-degree up to 4 times b of up to 3
+    for _ in range(cases):
+        b = random_diffpoly(cvars, rng, max_udeg=3, with_params=rng.random() < 0.5)
+        db, nb = _scaled(b.terms, pack)
+        derivs = [list(nb.items())]
+        first = rng.randint(0, 2)
+        second = rng.randint(first + 1, 4)
+        tops = (first, second, rng.randint(0, second - 1), rng.randint(second + 1, 6))
+        for n, top in enumerate(tops):
+            # a factor u_top makes top the phi's top derivative index; a draw
+            # whose terms all cancel has none
+            phi = DiffPoly.zero(cvars)
+            while phi.is_zero():
+                phi = random_diffpoly(cvars, rng, max_index=top) * DiffPoly.u_power(cvars, top)
+            dphi, nphi = _scaled(phi.terms, pack)
+            assert (_flat_packed(dphi * db, _int_frechet(nphi, derivs, pack), pack)
+                    == frechet_reference(_flat(phi), _flat(b), h_order, e_order))
+            assert len(derivs) == max(tops[:n + 1]) + 1
+        bk = _flat(b)
+        for k, entry in enumerate(derivs):
+            assert _flat_packed(db, dict(entry), pack) == bk
+            bk = dx_reference(bk)
+    return cases
 
 
 def check_frechet_pairing_by_parts(cases: int, seed: int) -> int:
@@ -474,10 +537,13 @@ def check_packed_kernels_at_field_width(cases: int, seed: int) -> int:
     assert (pack.width, series_pack.width) == (4, 5)
     h_order, e_order = (v.order for v in WIDTH_RING)
     full = past = 0
+    normal_peels, integral_peels = set(), set()
     for n in range(cases):
         d = rng.randint(0, WIDTH_TOP)
         p, q = _wide_diffpoly(rng, d), _wide_diffpoly(rng, WIDTH_TOP - d)
         fp, fq = _flat(p), _flat(q)
+        normal_peels |= _top_peels(fp)
+        integral_peels |= _top_peels(dx_reference(fp))
         (dp, np), (dq, nq) = _scaled(p.terms, pack), _scaled(q.terms, pack)
         product = _int_product([(1, list(np.items()), list(nq.items()))], pack)
         assert (_flat_packed(dp * dq, product, pack)
@@ -511,6 +577,8 @@ def check_packed_kernels_at_field_width(cases: int, seed: int) -> int:
                                                    lambda d: sign * (d + 2), bounds)
     assert full, "no product filled the u-degree field"
     assert past, "no product went one step past the h or e order"
+    assert normal_peels == PEEL_SHAPES, f"no normal form peeled {PEEL_SHAPES - normal_peels}"
+    assert integral_peels == PEEL_SHAPES, f"no antiderivative peeled {PEEL_SHAPES - integral_peels}"
     return cases
 
 
@@ -571,7 +639,7 @@ def check_one_pair_loop_at_field_width(cases: int, seed: int) -> int:
         d = rng.randint(0, WIDTH_TOP - 1)
         phi, b = _wide_diffpoly(rng, d + 1), _wide_diffpoly(rng, WIDTH_TOP - d)
         (dphi, nphi), (db, nb) = _scaled(phi.terms, pack), _scaled(b.terms, pack)
-        assert (_flat_packed(dphi * db, _int_frechet(nphi, nb, pack), pack)
+        assert (_flat_packed(dphi * db, _int_frechet(nphi, [list(nb.items())], pack), pack)
                 == frechet_reference(_flat(phi), _flat(b), h_order, e_order))
         full[1] += any(_degree(ua) - 1 + _degree(ub) == WIDTH_TOP
                        for ua, _, _ in phi.terms for ub, _, _ in b.terms)
@@ -647,6 +715,7 @@ ALL_SUITES = [
     ("normalize idempotence", check_normalize_idempotent),
     ("Hamiltonians in normal form", check_hamiltonians_in_normal_form),
     ("Frechet pairing by parts", check_frechet_pairing_by_parts),
+    ("Frechet sums on one derivative list", check_shared_derivative_list),
     ("normal form vs max-scan reference", check_normalize_against_reference),
     ("flat ring vs reference", check_diffpoly_ring_against_reference),
     ("calculus kernel vs reference", check_calculus_kernel_against_reference),

@@ -133,6 +133,23 @@ def test_labels_that_share_no_row_are_a_usage_error(bench, tmp_path, capsys):
     assert "'parent' and 'change' share no row" in err
 
 
+@pytest.mark.parametrize("factor, code", [(1.0, 0), (1.3, 1)], ids=["even", "slower"])
+def test_rows_that_one_label_lacks_are_named(bench, tmp_path, capsys, factor, code):
+    # an older file lacks the rows added since; the exit code reads the shared rows only
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps({"runs": {
+        "parent": {"rows": {"row": {"median_s": 1.0, "times_s": TIMES},
+                            "old row": {"median_s": 1.0, "times_s": TIMES}}},
+        "change": {"rows": {"row": {"median_s": 1.0, "times_s": [factor * t for t in TIMES]},
+                            "new row": {"median_s": 9.0, "times_s": [9.0] * len(TIMES)}}},
+    }}))
+    assert bench.main(["--out", str(path), "--compare", "parent", "change"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["old row: only under 'parent', not compared",
+                         "new row: only under 'change', not compared"]
+    assert lines[0].startswith("row ")
+
+
 def test_unequal_run_counts_are_a_usage_error(bench, tmp_path, capsys):
     # zip would pair the first three runs and drop the parent's last two
     path = tmp_path / "bench.json"

@@ -35,6 +35,7 @@ from properties import (
     check_dx_derivation,
     check_euler_kills_dx,
     check_frechet_pairing_by_parts,
+    check_shared_derivative_list,
     check_miura_roundtrip,
     check_normalize_against_reference,
     check_normalize_idempotent,
@@ -375,6 +376,10 @@ def test_normalize_idempotent_and_class_preserving():
 
 def test_frechet_pairing_equals_euler_pairing():
     check_frechet_pairing_by_parts(200, 2033)
+
+
+def test_frechet_sums_share_one_derivative_list():
+    check_shared_derivative_list(200, 2034)
 
 
 def test_normal_form_matches_max_scan_reference():
