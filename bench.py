@@ -28,10 +28,10 @@ prints both medians and the median over pairs of B's i-th time over A's
 (below 1 when B is faster), and exits 1 when some row's paired median
 exceeds 1 plus the `wall_s` bound of BENCHMARK.json; unlike a minimum, that
 median is not moved by one fast or slow run.  A row that only one of the
-labels has gets one line that says so, and does not change the exit code.  A usage error exits 2 with one
-line on stderr before any row is timed or compared: a bad `--src`, `--runs`
-or `--out`, a label the file lacks, or labels that share no row or share
-one with unequal run counts.
+labels has gets one line that says so, and does not change the exit code.
+A usage error exits 2 with one line on stderr before any row is timed or
+compared: a bad `--src`, `--runs` or `--out`, a label the file lacks, or
+labels that share no row or share one with unequal run counts.
 """
 
 from __future__ import annotations
