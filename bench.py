@@ -68,6 +68,8 @@ CALLS = [
     ("ilw", "higher_hamiltonian(4, 16)"),
     ("ilw", "higher_hamiltonian(4, 20)"),
     ("ilw", "higher_hamiltonian(6, 10)"),
+    # the flow of h_6 at G = 10, its build included
+    ("ilw", "flow(hamiltonian(6, 10))"),
     # a `verify commute` check of {h_4, h_3} at G = 12, both builds included
     ("ilw", "verify_commutation(4, 3, hamiltonian(4, 12), hamiltonian(3, 12))"),
 ]

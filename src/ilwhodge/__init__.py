@@ -17,7 +17,7 @@ from importlib.util import find_spec, module_from_spec
 
 # module -> the public names it defines, each reachable as ilwhodge.<name>
 _API = {
-    "exactnum": "Rational bernoulli c_g dispersion_coeff",
+    "exactnum": "bernoulli c_g dispersion_coeff",
     "mpseries": "MultiSeries SeriesError VarSpec coeff_ring divide_series exp_series "
                 "inverse_series log_series sinc_half_series",
     "diffalg": "DiffAlgError DiffPoly NotTotalDerivativeError integrate_x "

@@ -123,6 +123,12 @@ def _pos_int(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty path")
+    return text
+
+
 def _perturbation(text: str):
     try:
         g_text, _, delta_text = text.partition(":")
@@ -145,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     _env_option(common, "--format", "FORMAT", "pretty", choices=FORMATS,
                 help="output format (default pretty; json is the canonical encoding)")
-    _env_option(common, "--output", "OUTPUT", None,
+    _env_option(common, "--output", "OUTPUT", None, type=_path,
                 help="write the rendered output to this path instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -289,7 +295,7 @@ def cmd_expression(cfg: dict, command: str, index: int, genus: int) -> int:
             command, cfg, _coefficient_rows(poly), ["monomial", "h_exp", "e_exp", "coefficient"]
         )
     else:
-        pretty = poly.pretty()
+        pretty = str(poly)
         if command == "hamiltonian":
             pretty = f"int({pretty}) dx"
         if fmt == "pretty":

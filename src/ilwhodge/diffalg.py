@@ -6,7 +6,7 @@ deformation parameters h and e, truncated at each parameter's order.  It is
 the `mpseries.TermMap` keyed flat by (u-monomial, h-exponent, e-exponent),
 so it shares the ring code of `MultiSeries` and adds its own key check,
 render order and product; that map is the only coefficient shape it is
-built from and computed on.  Its plain text (`pretty`) and the LaTeX and
+built from and computed on.  Its plain text (`str`) and the LaTeX and
 JSON forms that `cli` renders read one grouping of its sorted terms,
 `by_monomial`.  On top of the ring this module provides the total
 x-derivative, the variational (Euler) derivative, the Poisson bracket
@@ -42,12 +42,12 @@ from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 from .mpseries import (
-    IntTerms, MultiSeries, Packing, TermMap, VarSpec, _int_product, _scaled, _unscale, coeff_ring,
+    IntTerms, MultiSeries, Packing, TermMap, VarSpec, _int_product, _scaled, _unscale,
     inverse_series, join_signed, series_text, sinc_half_series, term_text,
 )
 
 __all__ = [
-    "DiffAlgError", "NotTotalDerivativeError", "UExps", "u_key", "u_monomial_pretty", "coeff_ring",
+    "DiffAlgError", "NotTotalDerivativeError", "UExps", "u_key", "u_monomial_pretty",
     "by_monomial", "DiffPoly", "total_x_derivative", "variational_derivative",
     "normalize", "poisson_bracket", "miura_series", "miura_inverse_series", "integrate_x",
 ]
@@ -106,7 +106,7 @@ class DiffPoly(TermMap):
     coefficient ring: a `TermMap` keyed flat by (u-monomial, a, b).
 
     The constructor canonicalizes each u-monomial with `u_key`, so a repeated
-    factor adds up, and rejects an (a, b) outside the ring; `pretty` reads
+    factor adds up, and rejects an (a, b) outside the ring; `str` reads
     `sorted_terms` through `by_monomial`.
     """
 
@@ -154,16 +154,17 @@ class DiffPoly(TermMap):
 
     # -- rendering -------------------------------------------------------------------
 
-    def pretty(self) -> str:
-        """Plain-text rendering, e.g. "u*u_1 + 1/12*h*u_3"."""
-        return join_signed([_pretty_term(self.vars, ue, items)
-                            for ue, items in by_monomial(self)])
-
     def __str__(self) -> str:
-        return self.pretty()
+        """Plain-text rendering, e.g. "u*u_1 + 1/12*h*u_3"."""
+        terms = []
+        for ue, items in by_monomial(self):
+            coef = series_text(self.vars, items)
+            coef = f"({coef})" if len(items) > 1 else coef
+            terms.append(term_text(coef, u_monomial_pretty(ue) if ue else "", "*"))
+        return join_signed(terms)
 
     def __repr__(self) -> str:
-        return f"DiffPoly({self.pretty()})"
+        return f"DiffPoly({self})"
 
 
 def u_monomial_pretty(ue: Iterable[Iterable[int]]) -> str:
@@ -181,13 +182,6 @@ def by_monomial(p: DiffPoly) -> Iterator[tuple[UExps, CoefItems]]:
     """`p.sorted_terms()` cut into runs that share a u-monomial."""
     for ue, run in groupby(p.sorted_terms(), key=lambda item: item[0][0]):
         yield ue, [((a, b), c) for (_, a, b), c in run]
-
-
-def _pretty_term(cvars: tuple[VarSpec, ...], ue: UExps, items: CoefItems) -> str:
-    text = series_text(cvars, items)
-    if len(items) > 1:
-        text = f"({text})"
-    return term_text(text, u_monomial_pretty(ue) if ue else "", "*")
 
 
 # -- calculus ---------------------------------------------------------------------

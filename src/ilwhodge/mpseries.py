@@ -131,9 +131,6 @@ class TermMap:
     def zero(cls, vars: Iterable[VarSpec]):
         return cls._make(tuple(vars), {})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

@@ -18,7 +18,6 @@ from typing import Iterator
 from ilwhodge.diffalg import (
     DiffPoly,
     UExps,
-    coeff_ring,
     monomial_sort_key,
     normalize,
     poisson_bracket,
@@ -30,6 +29,7 @@ from ilwhodge.diffalg import (
 from ilwhodge.exactnum import rational_to_str
 from ilwhodge.ilw import CgValues, InconsistentSystemError, check_grading, h1
 from ilwhodge.linalg import solve_exact
+from ilwhodge.mpseries import coeff_ring
 
 __all__ = ["UnderdeterminedSystemError", "ansatz_monomials", "higher_hamiltonian"]
 
@@ -145,6 +145,6 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Dif
     ham = normalize(density)
     check_grading(i, ham)
     residual = poisson_bracket(ham, h1_full)
-    if not residual.is_zero():
+    if residual:
         raise InconsistentSystemError(i, G)
     return ham

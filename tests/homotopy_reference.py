@@ -49,9 +49,9 @@ def reconstruct_functional_from_flow(q: DiffPoly) -> DiffPoly:
         for (ue, a, b), coef in phi.terms.items()
     }))
     defect = variational_derivative(h) - phi
-    if not defect.is_zero():
+    if defect:
         raise NotSelfAdjointError(
             "integrated flow is not a variational gradient; "
-            f"delta h/delta u - phi = {defect.pretty()}"
+            f"delta h/delta u - phi = {defect}"
         )
     return h

@@ -184,7 +184,7 @@ def _power_sum(x, coeff):
     acc = type(x).zero(x.vars)
     power = type(x).constant(x.vars, 1)
     n = 0
-    while not power.is_zero():
+    while power:
         acc = acc + power * coeff(n)
         power = power * x
         n += 1

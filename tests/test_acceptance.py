@@ -18,7 +18,6 @@ from ilwhodge import exactnum
 from ilwhodge.cli import main as cli_main
 from ilwhodge.diffalg import (
     DiffPoly,
-    coeff_ring,
     poisson_bracket,
     total_x_derivative,
     u_key,
@@ -39,7 +38,7 @@ from ilwhodge.ilw import (
     t2_flow_rhs,
     verify_commutation,
 )
-from ilwhodge.mpseries import MultiSeries, exp_series, sinc_half_series
+from ilwhodge.mpseries import MultiSeries, coeff_ring, exp_series, sinc_half_series
 from oracles import log_sinc_half_coeffs, one_point_oracle
 from properties import ALL_SUITES, he_group
 
@@ -121,7 +120,7 @@ def test_criterion_4_commutation():
     elapsed = time.monotonic() - start
     _report(
         4,
-        defining.is_zero() and all(r.ok for r in pairs) and elapsed < 10.0,
+        not defining and all(r.ok for r in pairs) and elapsed < 10.0,
         "{h2, h1} = 0 up to h^12; {h3, h2} = 0 up to h^12; {h4, h3} = 0 up to h^12 "
         f"in {elapsed:.2f}s (reported)",
     )

@@ -420,6 +420,15 @@ class TestPlumbing:
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1 and "--output" in captured.err
 
+    @pytest.mark.parametrize("argv", [["--output", ""], ["--output="]])
+    def test_empty_output_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--max-genus", "2", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--output" in captured.err
+
     def test_non_integer_env_genus_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("ILWHODGE_GENUS", "abc")
         with pytest.raises(SystemExit) as exc:
@@ -435,6 +444,7 @@ class TestPlumbing:
             ("INDEX", "0", ["hamiltonian", "--genus", "2"]),
             ("GENUS", "-3", ["verify", "cg"]),
             ("FORMAT", "xml", ["constants"]),
+            ("OUTPUT", "", ["constants"]),
         ],
     )
     def test_env_value_is_checked_like_its_flag(self, capsys, monkeypatch, name, value, argv):

@@ -10,7 +10,6 @@ import pytest
 import ilwhodge.hodge
 from ilwhodge import exactnum
 from ilwhodge.cli import _report_json, main
-from ilwhodge.diffalg import coeff_ring
 from ilwhodge.exactnum import rational_to_str
 from ilwhodge.hodge import (
     HodgeConsistencyError,
@@ -23,7 +22,9 @@ from ilwhodge.hodge import (
     verify_linear_term_identity,
     verify_one_point_reverse,
 )
-from ilwhodge.mpseries import MultiSeries, exp_series, inverse_series, sinc_half_series
+from ilwhodge.mpseries import (
+    MultiSeries, coeff_ring, exp_series, inverse_series, sinc_half_series,
+)
 from ilwhodge.reports import VerificationReport, first_term_mismatch
 from oracles import (
     bernoulli_at,
