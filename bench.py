@@ -6,9 +6,14 @@
 One call times every row `--runs` times on each `--src LABEL=PATH` tree.  In
 run k of a row the trees take turns, starting with tree k mod their number,
 so each run's times come from one spell of a machine whose speed drifts.
-Each run is a fresh child, started in PATH with the environment of a
-`perfbench/run.py` child (the caller's, less every ILWHODGE_* variable) but
-`PYTHONPATH=PATH`.  A library row's child imports one engine module's public
+Each run is a fresh child with the environment of a `perfbench/run.py`
+child (the caller's, less every ILWHODGE_* variable), started in a
+temporary directory made for that run that holds only a copy of PATH's
+`ilwhodge` package without its `__pycache__`, and is the child's
+`PYTHONPATH`.  With `PYTHONDONTWRITEBYTECODE=1` the copy gains no cache, so
+every tree compiles from source, as on the benchmark's machine, while the
+standard library reads its installed bytecode; a cache that PATH holds is
+never read.  A library row's child imports one engine module's public
 names, then times the one call (with any engine module it loads) and prints
 that time.  The `setup:` and `cli:` rows time the child from start to exit,
 as `perfbench/` times an op: the set-up child of `perfbench/run.py`, which
@@ -40,9 +45,11 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -105,11 +112,15 @@ def _child(src: Path, argv: list[str], op: workloads.Op | None) -> float:
     """One run of a row on the tree `src` in a fresh child: the time that a
     library row's child prints, else the child's time from start to exit,
     once its exit code and any output check of `op` pass."""
-    # cwd is the tree, so that `-m` finds no other tree's package in the caller's cwd
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, *argv], cwd=src,
-                          env={**_child_env(), "PYTHONPATH": str(src)}, capture_output=True)
-    elapsed = time.perf_counter() - t0
+    with tempfile.TemporaryDirectory() as tmp:
+        # a stale `__pycache__` in the tree would spare its child the compile
+        shutil.copytree(src / "ilwhodge", Path(tmp) / "ilwhodge",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**_child_env(), "PYTHONPATH": tmp, "PYTHONDONTWRITEBYTECODE": "1"}
+        # cwd is the copy, so that `-m` finds no other tree's package in the caller's cwd
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, *argv], cwd=tmp, env=env, capture_output=True)
+        elapsed = time.perf_counter() - t0
     want = op.exit_code if op else 0
     if proc.returncode != want:
         tail = proc.stderr.decode(errors="replace").strip().splitlines()[-1:]

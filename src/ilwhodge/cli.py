@@ -24,10 +24,10 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, NoReturn
+from typing import Callable, NamedTuple, NoReturn
 
 from . import diffalg, exactnum, hodge, ilw, mpseries, reports
-from .exactnum import rational_from_str, rational_to_str
+from .exactnum import rational_from_str
 
 __all__ = ["main", "perturbed_cg"]
 
@@ -76,14 +76,13 @@ class _Parser(argparse.ArgumentParser):
         _usage_error(message)
 
 
-class _FromEnv:
+class _FromEnv(NamedTuple):
     """Default of an option that ILWHODGE_<name> may set; see `_env_option`."""
 
-    def __init__(self, name: str, fallback, type: Callable | None, choices: tuple | None):
-        self.name = name
-        self.fallback = fallback
-        self.type = type
-        self.choices = choices
+    name: str
+    fallback: object
+    type: Callable | None
+    choices: tuple | None
 
     def resolve(self):
         text = os.environ.get(f"ILWHODGE_{self.name}")
@@ -225,11 +224,11 @@ def _emit(cfg: dict, text: str) -> None:
 
 def cmd_bernoulli(cfg: dict, max_n: int) -> int:
     rows = [
-        {"kind": "B", "index": n, "value": rational_to_str(exactnum.bernoulli(n))}
+        {"kind": "B", "index": n, "value": str(exactnum.bernoulli(n))}
         for n in range(max_n + 1)
     ]
     rows += [
-        {"kind": "C", "index": g, "value": rational_to_str(exactnum.c_g(g))}
+        {"kind": "C", "index": g, "value": str(exactnum.c_g(g))}
         for g in range(1, max_n // 2 + 1)
     ]
     _emit(cfg, _render_rows("bernoulli", cfg, rows, ["kind", "index", "value"]))
@@ -240,8 +239,8 @@ def cmd_constants(cfg: dict, g_max: int) -> int:
     rows = [
         {
             "g": g,
-            "c_g": rational_to_str(exactnum.c_g(g)),
-            "dispersion": rational_to_str(exactnum.dispersion_coeff(g)),
+            "c_g": str(exactnum.c_g(g)),
+            "dispersion": str(exactnum.dispersion_coeff(g)),
         }
         for g in range(1, g_max + 1)
     ]
@@ -254,7 +253,7 @@ def cmd_one_point(cfg: dict, g_max: int) -> int:
     if cfg["output_format"] == "latex":
         text = _one_point_latex(table)
     else:
-        rows = [{"g": g, "j": j, "d": list(d), "value": rational_to_str(v)}
+        rows = [{"g": g, "j": j, "d": list(d), "value": str(v)}
                 for (g, j, d), v in table]
         text = _render_rows("one-point", cfg, rows, ["g", "j", "d", "value"])
     _emit(cfg, text)
@@ -311,7 +310,7 @@ def cmd_expression(cfg: dict, command: str, index: int, genus: int) -> int:
 def _density_json(poly: diffalg.DiffPoly) -> list:
     """Per u-monomial in render order: its (h, e) coefficient and its factors."""
     ring = [{"name": v.name, "order": v.order} for v in poly.vars]
-    return [{"coef": {"vars": ring, "terms": [{"exp": list(e), "coef": rational_to_str(c)}
+    return [{"coef": {"vars": ring, "terms": [{"exp": list(e), "coef": str(c)}
                                               for e, c in items]}, "u": [list(p) for p in ue]}
             for ue, items in diffalg.by_monomial(poly)]
 
@@ -338,7 +337,7 @@ def _coefficient_rows(poly: diffalg.DiffPoly) -> list[dict]:
             "monomial": diffalg.u_monomial_pretty(ue),
             "h_exp": a,
             "e_exp": b,
-            "coefficient": rational_to_str(value),
+            "coefficient": str(value),
         }
         for (ue, a, b), value in poly.sorted_terms()
     ]

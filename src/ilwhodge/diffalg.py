@@ -140,11 +140,6 @@ class DiffPoly(TermMap):
     def constant(cls, cvars: Iterable[VarSpec], coef: int | Fraction) -> "DiffPoly":
         return cls(cvars, {((), 0, 0): coef})
 
-    @classmethod
-    def u_power(cls, cvars: Iterable[VarSpec], index: int = 0, mult: int = 1,
-                coef: int | Fraction = 1) -> "DiffPoly":
-        return cls(cvars, {(u_key({index: mult}), 0, 0): coef})
-
     # -- arithmetic --------------------------------------------------------------
 
     def __mul__(self, other) -> "DiffPoly":

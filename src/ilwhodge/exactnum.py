@@ -16,10 +16,12 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import comb, factorial, lcm
+from typing import Callable
 
-__all__ = [
-    "bernoulli", "c_g", "dispersion_coeff", "rational_to_str", "rational_from_str",
-]
+__all__ = ["bernoulli", "c_g", "dispersion_coeff", "rational_from_str", "CgValues"]
+
+# the constants c_g as a builder or verifier takes them, `c_g` when None
+CgValues = Callable[[int], Fraction]
 
 # B_0, B_1, ... computed so far; guarded for concurrent use.
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
@@ -59,15 +61,8 @@ def dispersion_coeff(g: int) -> Fraction:
     return 2 * c_g(g)
 
 
-def rational_to_str(x: Fraction) -> str:
-    """Wire encoding: "p/q" with the sign on the numerator, or "p" when q = 1."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def rational_from_str(s: str) -> Fraction:
-    """Parse the "p/q" / "p" wire encoding back into a Fraction."""
+    """Parse "p/q" or "p", as `str` prints a Fraction, back into a Fraction."""
     text = s.strip()
     if "/" in text:
         num, _, den = text.partition("/")

@@ -27,9 +27,9 @@ identity
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
 
 from . import exactnum, reports
+from .exactnum import CgValues
 from .mpseries import (
     MultiSeries, coeff_ring, divide_series, exp_series, log_series, sinc_half_series,
 )
@@ -39,8 +39,6 @@ __all__ = [
     "s_tilde_from_constants", "extract_cg", "verify_cg", "verify_linear_term_identity",
     "verify_one_point_reverse",
 ]
-
-CgValues = Callable[[int], Fraction]
 
 TableKey = tuple[int, int, tuple[int, ...]]
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Callable
 
 from . import exactnum, reports
 from .diffalg import (
@@ -33,6 +32,7 @@ from .diffalg import (
     differential_degree, monomial_sort_key, normalize, poisson_bracket, u_degree, u_key,
     u_monomial_pretty,
 )
+from .exactnum import CgValues
 from .mpseries import IntTerms, _content, _scaled, coeff_ring
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "t1_flow_rhs", "t2_flow_rhs", "verify_flow_t1", "verify_flow_t2", "verify_commutation",
     "check_grading", "first_diffpoly_mismatch",
 ]
-
-CgValues = Callable[[int], Fraction]
 
 
 class InconsistentSystemError(RuntimeError):

@@ -34,12 +34,11 @@ denominator.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import lshift
 from typing import Iterable, Mapping
-
-from .exactnum import rational_to_str
 
 __all__ = [
     "SeriesError", "VarSpec", "coeff_ring", "TermMap", "MultiSeries", "exp_series", "log_series",
@@ -54,27 +53,18 @@ class SeriesError(ValueError):
     """An operation violated a series precondition (bounds, variables, ...)."""
 
 
-class VarSpec:
+class VarSpec(namedtuple("VarSpec", "name order")):
     """A formal variable with its truncation order (exclusive exponent bound);
-    immutable by discipline, equal and hashed by (name, order)."""
+    a named tuple, so immutable and equal and hashed by (name, order)."""
 
-    __slots__ = ("name", "order")
+    __slots__ = ()
 
-    def __init__(self, name: str, order: int):
+    def __new__(cls, name: str, order: int):
         if not name:
             raise SeriesError("variable name must be non-empty")
         if order < 0:
             raise SeriesError(f"truncation order must be >= 0, got {order}")
-        self.name = name
-        self.order = order
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VarSpec):
-            return NotImplemented
-        return self.name == other.name and self.order == other.order
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.order))
+        return super().__new__(cls, name, order)
 
 
 def coeff_ring(G: int) -> tuple[VarSpec, VarSpec]:
@@ -236,7 +226,9 @@ class MultiSeries(TermMap):
 
     @staticmethod
     def _key(vs: tuple[VarSpec, ...], exps) -> Exponents:
-        e = _exponents(exps)
+        e = tuple(exps)
+        if not all(isinstance(x, int) for x in e):
+            raise SeriesError(f"exponents must be integers, got {e}")
         if len(e) != len(vs):
             raise SeriesError(f"exponent vector {e} has wrong arity for {[v.name for v in vs]}")
         for x, v in zip(e, vs):
@@ -285,7 +277,10 @@ class MultiSeries(TermMap):
 
     def partial_derivative(self, name: str) -> "MultiSeries":
         """Formal d/d(name): the exponent-weighted shift."""
-        idx = _var_index(self.vars, name)
+        names = [v.name for v in self.vars]
+        if name not in names:
+            raise SeriesError(f"no variable named {name!r} in {names}")
+        idx = names.index(name)
         terms: dict[Exponents, Fraction] = {}
         for e, c in self.terms.items():
             k = e[idx]
@@ -301,13 +296,6 @@ class MultiSeries(TermMap):
     def __repr__(self) -> str:
         names = ",".join(v.name for v in self.vars)
         return f"MultiSeries[{names}]({self})"
-
-
-def _exponents(exps: Iterable[int]) -> Exponents:
-    e = tuple(exps)
-    if not all(isinstance(x, int) for x in e):
-        raise SeriesError(f"exponents must be integers, got {e}")
-    return e
 
 
 def join_signed(parts: list[str]) -> str:
@@ -338,15 +326,8 @@ def series_text(vars: tuple[VarSpec, ...], items: Iterable[tuple[Exponents, Frac
             for v, x in zip(vars, e)
             if x > 0
         ]
-        parts.append(term_text(rational_to_str(c), "*".join(factors), "*"))
+        parts.append(term_text(str(c), "*".join(factors), "*"))
     return join_signed(parts)
-
-
-def _var_index(vs: tuple[VarSpec, ...], name: str) -> int:
-    for i, v in enumerate(vs):
-        if v.name == name:
-            return i
-    raise SeriesError(f"no variable named {name!r} in {[v.name for v in vs]}")
 
 
 def _grading(a: MultiSeries):

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Mapping
-
-from .exactnum import rational_to_str
+from typing import Callable, Mapping, NamedTuple
 
 __all__ = ["VerificationReport", "first_term_mismatch"]
 
 
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one identity check.
 
     `status` is "ok" or "mismatch"; a mismatch carries the first differing
@@ -18,12 +15,10 @@ class VerificationReport:
     always localized.
     """
 
-    def __init__(self, name: str, status: str, order_checked: int,
-                 first_mismatch: dict | None = None):
-        self.name = name
-        self.status = status
-        self.order_checked = order_checked
-        self.first_mismatch = first_mismatch
+    name: str
+    status: str
+    order_checked: int
+    first_mismatch: dict | None = None
 
     @classmethod
     def of(cls, name: str, order: int, mismatch: dict | None) -> VerificationReport:
@@ -43,9 +38,8 @@ def first_term_mismatch(
     `sorted(..., key=key)` order with an absent key read as 0: `locus(k)`
     followed by both values in p/q form under `x_label` and `y_label`; None
     if every key agrees."""
-    zero = Fraction(0)
     for k in sorted(x.keys() | y.keys(), key=key):
-        xv, yv = x.get(k, zero), y.get(k, zero)
+        xv, yv = x.get(k, 0), y.get(k, 0)
         if xv != yv:
-            return {**locus(k), x_label: rational_to_str(xv), y_label: rational_to_str(yv)}
+            return {**locus(k), x_label: str(xv), y_label: str(yv)}
     return None

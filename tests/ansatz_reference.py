@@ -26,10 +26,10 @@ from ilwhodge.diffalg import (
     u_monomial_pretty,
     variational_derivative,
 )
-from ilwhodge.exactnum import rational_to_str
 from ilwhodge.ilw import CgValues, InconsistentSystemError, check_grading, h1
 from ilwhodge.linalg import solve_exact
 from ilwhodge.mpseries import coeff_ring
+from properties import u_power
 
 __all__ = ["UnderdeterminedSystemError", "ansatz_monomials", "higher_hamiltonian"]
 
@@ -99,7 +99,7 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Dif
     # the h^0 flow generator u*u_1 of int u^3/6: all unknowns pair with it
     xdh1_zero = DiffPoly(cvars, {(u_key({0: 1, 1: 1}), 0, 0): 1})
 
-    density = DiffPoly.u_power(cvars, 0, i + 2, Fraction(1, factorial(i + 2)))
+    density = u_power(cvars, 0, i + 2, Fraction(1, factorial(i + 2)))
     known = normalize(variational_derivative(density) * xdh1_full)
     for g in range(1, G + 1):
         basis = ansatz_monomials(i, g)
@@ -127,7 +127,7 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Dif
         if result.free_directions:
             pretty = [
                 " + ".join(
-                    f"{rational_to_str(c)}*{u_monomial_pretty(ue)}"
+                    f"{c}*{u_monomial_pretty(ue)}"
                     for (ue, _), c in zip(basis, direction)
                     if c != 0
                 )

@@ -3,7 +3,8 @@
 Each checker runs `cases` independently generated instances from an
 explicitly seeded `random.Random`, asserting an exact identity for each.
 `he_group` reads one u-monomial's whole (h, e) coefficient for the unit tests,
-and `random_diffpoly` draws the small polynomials that the suites check.
+`u_power` builds the one-term polynomial coef * u_index^mult, and
+`random_diffpoly` draws the small polynomials that the suites check.
 `miura_forward` and `miura_inverse` substitute the Miura series and its
 inverse for u (`substitute_u`), for the round-trip checks only, and
 `frechet_apply` is the Frechet derivative that the calculus checks apply.
@@ -71,6 +72,12 @@ def he_group(p: DiffPoly, ue) -> dict:
     u-monomial ue; comparing the whole group also rules out extra terms."""
     key = u_key(ue)
     return {(a, b): c for (u, a, b), c in p.terms.items() if u == key}
+
+
+def u_power(cvars: tuple[VarSpec, ...], index: int = 0, mult: int = 1,
+            coef: int | Fraction = 1) -> DiffPoly:
+    """coef * u_index^mult over the coefficient ring cvars."""
+    return DiffPoly(cvars, {(u_key({index: mult}), 0, 0): coef})
 
 
 def random_diffpoly(
@@ -395,7 +402,7 @@ def check_shared_derivative_list(cases: int, seed: int) -> int:
             # whose terms all cancel has none
             phi = DiffPoly.zero(cvars)
             while not phi:
-                phi = random_diffpoly(cvars, rng, max_index=top) * DiffPoly.u_power(cvars, top)
+                phi = random_diffpoly(cvars, rng, max_index=top) * u_power(cvars, top)
             dphi, nphi = _scaled(phi.terms, pack)
             assert (_flat_packed(dphi * db, _int_frechet(nphi, derivs, pack), pack)
                     == frechet_reference(_flat(phi), _flat(b), h_order, e_order))
@@ -552,7 +559,7 @@ def check_packed_kernels_at_field_width(cases: int, seed: int) -> int:
         assert _flat_packed(dp, _int_dx(np, pack), pack) == dx_reference(fp)
         parts = _int_partials(np, pack)
         for k in range(7):
-            assert (_flat_packed(dp, parts.get((k + 3) * pack.width, {}), pack)
+            assert (_flat_packed(dp, parts.get(pack.base + k * pack.width, {}), pack)
                     == partial_reference(fp, k))
         assert _flat_packed(*_reduce(dp, np, pack), pack) == normalize_reference(fp)
         phi: dict = {}

@@ -6,7 +6,9 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import json
+import py_compile
 import statistics
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,6 +113,36 @@ def test_cli_children_ignore_the_callers_ilwhodge_variables(bench, tmp_path, mon
                       workloads.check_verify({"linear-term"}))
     assert bench._child(SRC, ["-m", "ilwhodge", *op.argv], op) > 0
     assert not target.exists()
+
+
+def test_children_compile_the_tree_from_source(bench, tmp_path, monkeypatch):
+    # the tree's cache holds bytecode of `X = 1` that never checks its source,
+    # so a child that read it would print 1
+    package = tmp_path / "tree" / "ilwhodge"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    source = package / "stale.py"
+    source.write_text("X = 1\n")
+    py_compile.compile(str(source),
+                       cfile=str(package / "__pycache__" / f"stale.{sys.implementation.cache_tag}.pyc"),
+                       invalidation_mode=py_compile.PycInvalidationMode.UNCHECKED_HASH)
+    source.write_text("X = 2\n")
+    cache = sorted((package / "__pycache__").iterdir())
+    calls = []
+    run = bench.subprocess.run
+
+    def spy(argv, **kwargs):
+        calls.append(kwargs)
+        return run(argv, **kwargs)
+
+    monkeypatch.setattr(bench.subprocess, "run", spy)
+    assert bench._child(package.parent, ["-c", "from ilwhodge.stale import X; print(X)"],
+                        None) == 2.0
+    (kwargs,) = calls
+    assert kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert kwargs["cwd"] == kwargs["env"]["PYTHONPATH"] != str(package.parent)
+    assert not Path(kwargs["cwd"]).exists()
+    assert sorted((package / "__pycache__").iterdir()) == cache
 
 
 def test_nproc_counts_the_cpus_the_process_may_run_on(bench, tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ import pytest
 import ilwhodge.hodge
 from ilwhodge import exactnum
 from ilwhodge.cli import _report_json, main
-from ilwhodge.exactnum import rational_to_str
 from ilwhodge.hodge import (
     HodgeConsistencyError,
     extract_cg,
@@ -286,7 +285,7 @@ class TestBracketTableRendering:
     def test_rows(self, capsys):
         rows = self.rendered(capsys, 2)["details"]
         assert rows == [
-            {"g": g, "j": j, "d": list(d), "value": rational_to_str(v)}
+            {"g": g, "j": j, "d": list(d), "value": str(v)}
             for (g, j, d), v in sorted(one_point_table(2).items())
         ]
         assert rows[:2] == [

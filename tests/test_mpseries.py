@@ -21,6 +21,7 @@ from ilwhodge.mpseries import (
     log_series,
     sinc_half_series,
 )
+from ilwhodge.reports import VerificationReport
 from oracles import (
     exp_power_sum, inverse_power_sum, log_power_sum, log_sinc_half_coeffs, sinc_half_coeffs,
 )
@@ -86,6 +87,20 @@ def test_varspec_rejects_an_empty_name_and_a_negative_order():
         VarSpec("", 1)
     with pytest.raises(SeriesError, match="^truncation order must be >= 0, got -1$"):
         VarSpec("x", -1)
+
+
+@pytest.mark.parametrize("make, fields", [
+    (lambda: VarSpec("h", 4), ("name", "order")),
+    (lambda: VerificationReport.of("cg", 4, None),
+     ("name", "status", "order_checked", "first_mismatch")),
+], ids=["VarSpec", "VerificationReport"])
+def test_records_refuse_assignment_and_compare_by_value(make, fields):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    for attr in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, 0)
+    assert a == b and hash(a) == hash(b)
 
 
 def test_rings_built_apart_are_equal_and_hash_equal():
