@@ -12,10 +12,9 @@ verification reports.
 import sys
 import threading
 import types
-from importlib import import_module
 from importlib.util import find_spec, module_from_spec
 
-# module -> the public names it defines, each reachable as ilwhodge.<name>
+# engine module -> the public names it defines, each reachable as ilwhodge.<name>
 _API = {
     "exactnum": "bernoulli c_g dispersion_coeff",
     "mpseries": "MultiSeries SeriesError VarSpec coeff_ring divide_series exp_series "
@@ -37,12 +36,13 @@ _loading: set = set()
 
 
 class _Deferred(types.ModuleType):
-    """An engine module registered in `sys.modules` and bound here at import,
-    as perfbench/tracing.py needs, whose code runs only at its first attribute
-    access (the tracer's `vars(module)` is one), so that a CLI call compiles
-    only what its command touches.  Loads hold `_LOCK`, so other threads wait
-    for the whole module; a load's own accesses to the module re-enter on the
-    same thread and read the partial module."""
+    """An engine module (each of `_API`, and `linalg`, which only the tracer
+    binds), registered in `sys.modules` and bound here at import, whose code
+    runs only at its first attribute access (the tracer's `vars(module)` is
+    one), so that a CLI call compiles only what its command touches.  Loads
+    hold `_LOCK`, so other threads wait for the whole module; a load's own
+    accesses to the module re-enter on the same thread and read the partial
+    module."""
 
     def __getattribute__(self, attr):
         get = types.ModuleType.__getattribute__
@@ -57,7 +57,7 @@ class _Deferred(types.ModuleType):
         return get(self, attr)
 
 
-for _name in ("mpseries", "diffalg", "hodge", "ilw", "reports", "linalg"):
+for _name in (*_API, "linalg"):
     _module = module_from_spec(find_spec(f"{__name__}.{_name}"))
     sys.modules[_module.__name__] = globals()[_name] = _module
     _module.__class__ = _Deferred
@@ -67,7 +67,7 @@ del _name, _module
 def __getattr__(name: str):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return getattr(globals()[_HOME[name]], name)
 
 
 def __dir__() -> list[str]:

@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, NoReturn
 
 from . import diffalg, exactnum, hodge, ilw, mpseries, reports
-from .exactnum import rational_from_str
 
 __all__ = ["main", "perturbed_cg"]
 
@@ -131,7 +130,7 @@ def _path(text: str) -> str:
 def _perturbation(text: str):
     try:
         g_text, _, delta_text = text.partition(":")
-        g0, delta = int(g_text), rational_from_str(delta_text)
+        g0, delta = int(g_text), exactnum.rational_from_str(delta_text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected G:P/Q (e.g. 2:1/1000000), got {text!r}: {exc}"

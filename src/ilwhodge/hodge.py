@@ -29,7 +29,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import exactnum, reports
-from .exactnum import CgValues
 from .mpseries import (
     MultiSeries, coeff_ring, divide_series, exp_series, log_series, sinc_half_series,
 )
@@ -77,7 +76,7 @@ def s_tilde_series(G: int) -> MultiSeries:
     return s_series(G) * sinc_half_series(G)
 
 
-def s_tilde_from_constants(G: int, cg_values: CgValues | None = None) -> MultiSeries:
+def s_tilde_from_constants(G: int, cg_values: exactnum.CgValues | None = None) -> MultiSeries:
     """Integrate dS~/dh = (sum_g C_g (h e)^{g-1}) S~ with S~(0,0) = 1:
     the solution exp(sum_g (C_g/g) h^g e^{g-1}) built from given constants."""
     _check_order(G)
@@ -103,7 +102,7 @@ def extract_cg(G: int) -> list[Fraction]:
     return [quotient.coefficient((g - 1, g - 1)) for g in range(1, G + 1)]
 
 
-def verify_cg(G: int, cg_values: CgValues | None = None) -> reports.VerificationReport:
+def verify_cg(G: int, cg_values: exactnum.CgValues | None = None) -> reports.VerificationReport:
     """Compare the extracted constants against the Bernoulli closed form."""
     reference = cg_values or exactnum.c_g
     mism = reports.first_term_mismatch(
@@ -114,7 +113,7 @@ def verify_cg(G: int, cg_values: CgValues | None = None) -> reports.Verification
 
 
 def verify_linear_term_identity(
-    G: int, cg_values: CgValues | None = None
+    G: int, cg_values: exactnum.CgValues | None = None
 ) -> reports.VerificationReport:
     """Check the linear-in-t coefficient identity between the dilaton
     expansion of the t_1 flow and its right-hand side.
@@ -136,7 +135,7 @@ def verify_linear_term_identity(
 
 
 def verify_one_point_reverse(
-    G: int, cg_values: CgValues | None = None
+    G: int, cg_values: exactnum.CgValues | None = None
 ) -> reports.VerificationReport:
     """Run the argument backwards: from the constants C_g, integrate the
     differential equation for S~, undo the sine factor, and compare the

@@ -32,7 +32,6 @@ from .diffalg import (
     differential_degree, monomial_sort_key, normalize, poisson_bracket, u_degree, u_key,
     u_monomial_pretty,
 )
-from .exactnum import CgValues
 from .mpseries import IntTerms, _content, _scaled, coeff_ring
 
 __all__ = [
@@ -54,7 +53,7 @@ class InconsistentSystemError(RuntimeError):
         super().__init__(f"h_{index} is not a conserved quantity of h_1 at h^{genus}")
 
 
-def h1(G: int, cg_values: CgValues | None = None) -> DiffPoly:
+def h1(G: int, cg_values: exactnum.CgValues | None = None) -> DiffPoly:
     """The explicit first Hamiltonian, truncated at h^G, in normal form."""
     if G < 0:
         raise ValueError(f"genus order must be >= 0, got {G}")
@@ -73,7 +72,7 @@ def flow(h: DiffPoly) -> DiffPoly:
     return _decoded(h.vars, den, _int_dx(_int_euler(nums, pack), pack), pack)
 
 
-def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> DiffPoly:
+def higher_hamiltonian(i: int, G: int, cg_values: exactnum.CgValues | None = None) -> DiffPoly:
     """The index-i Hamiltonian (i >= 2), built by the double-ramification
     recursion from g_{-1} = u.
 
@@ -124,7 +123,7 @@ def higher_hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> Dif
     return ham
 
 
-def hamiltonian(i: int, G: int, cg_values: CgValues | None = None) -> DiffPoly:
+def hamiltonian(i: int, G: int, cg_values: exactnum.CgValues | None = None) -> DiffPoly:
     """h_i at truncation order G (explicit for i = 1, by recursion for i >= 2)."""
     if i < 1:
         raise ValueError(f"hierarchy index must be >= 1, got {i}")

@@ -26,7 +26,8 @@ from ilwhodge.diffalg import (
     u_monomial_pretty,
     variational_derivative,
 )
-from ilwhodge.ilw import CgValues, InconsistentSystemError, check_grading, h1
+from ilwhodge.exactnum import CgValues
+from ilwhodge.ilw import InconsistentSystemError, check_grading, h1
 from ilwhodge.linalg import solve_exact
 from ilwhodge.mpseries import coeff_ring
 from properties import u_power

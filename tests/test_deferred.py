@@ -18,7 +18,7 @@ import pytest
 import ilwhodge
 
 ROOT = Path(__file__).resolve().parents[1]
-ENGINE = {"mpseries", "diffalg", "hodge", "ilw", "reports", "linalg"}
+ENGINE = {"exactnum", "mpseries", "diffalg", "hodge", "ilw", "reports", "linalg"}
 
 # the names the package re-exports from each module
 EXPORTS = {
@@ -64,7 +64,24 @@ def modules_run(code: str) -> set[str]:
 class TestWhatRuns:
     def test_building_the_parser_runs_no_engine_module(self):
         code = "import ilwhodge.cli as cli; cli.build_parser()"
-        assert modules_run(code) == {"cli", "exactnum"}
+        assert modules_run(code) == {"cli"}
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "cg", "--genus", "0"],
+        ["hamiltonian", "--index", "0"],
+        ["one-point", "--format", "xml"],
+    ], ids=lambda argv: "-".join(argv))
+    def test_usage_error_runs_no_engine_module(self, argv):
+        code = (
+            "from ilwhodge.cli import main\n"
+            "try:\n"
+            f"    main({argv!r})\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 2, exc.code\n"
+            "else:\n"
+            "    raise AssertionError('no usage error')\n"
+        )
+        assert modules_run(code) == {"cli"}
 
     def test_hodge_side_runs_no_hierarchy_module(self):
         code = "from ilwhodge.cli import main; main(['verify', 'cg', '--genus', '3'])"
@@ -83,14 +100,14 @@ class TestWhatRuns:
         pytest.param([*argv, *fmt], engine, id="-".join([argv[0], *fmt[1:]]))
         for argv, engine in (
             (["one-point", "--max-genus", "3"], {"mpseries", "hodge"}),
-            (["hamiltonian", "--genus", "3"], {"mpseries", "diffalg", "ilw"}),
-            (["flow", "--genus", "3"], {"mpseries", "diffalg", "ilw"}),
+            (["hamiltonian", "--genus", "3"], {"exactnum", "mpseries", "diffalg", "ilw"}),
+            (["flow", "--genus", "3"], {"exactnum", "mpseries", "diffalg", "ilw"}),
         )
         for fmt in ([], ["--format", "latex"], ["--format", "json"])
     ])
     def test_commands_that_verify_nothing_run_no_reports(self, argv, engine):
         code = f"from ilwhodge.cli import main; main({argv!r})"
-        assert modules_run(code) == {"cli", "exactnum", *engine}
+        assert modules_run(code) == {"cli", *engine}
 
     def test_every_engine_module_is_registered_on_import(self):
         assert modules_run("import ilwhodge") == set()

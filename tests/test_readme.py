@@ -1,7 +1,9 @@
-"""The README's library example and CLI lines do what their comments say."""
+"""The README's library example and CLI lines do what their comments say, and
+its Cold start line counts are those of `src/`."""
 
 from __future__ import annotations
 
+import re
 import shlex
 from pathlib import Path
 
@@ -59,3 +61,20 @@ def test_cli_line_exits_as_its_comment_says(argv, comment, capsys):
 def test_cli_lines_include_the_printed_flow():
     assert (["flow", "--index", "1", "--genus", "2"],
             "u*u_1 + 1/12*h*u_3 + 1/720*h^2*e*u_5") in cli_lines()
+
+
+def test_cold_start_line_counts_are_those_of_src():
+    text = section("Cold start")
+    lines = {path.stem: path.read_bytes().count(b"\n")
+             for path in (ROOT / "src" / "ilwhodge").glob("*.py")}
+    total = re.findall(r"of the ([\d,]+) lines of `src/`", text)
+    assert [int(n.replace(",", "")) for n in total] == [sum(lines.values())]
+    rows = [line.strip("| ").split(" | ") for line in text.splitlines()
+            if line.startswith("| ") and not line.startswith(("| commands ", "| ---"))]
+    assert len(rows) == 7
+    for commands, modules, count in rows:
+        # every row names each module it counts
+        assert re.fullmatch(r"`\w+`(, `\w+`)*", modules), commands
+        names = modules.replace("`", "").split(", ")
+        assert len(set(names)) == len(names) and set(names) <= set(lines), commands
+        assert int(count.replace(",", "")) == sum(lines[n] for n in names), commands
