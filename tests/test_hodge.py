@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import sys
 from fractions import Fraction
 from math import factorial
@@ -8,7 +9,7 @@ import pytest
 
 import ilwhodge.hodge
 from ilwhodge import exactnum
-from ilwhodge.cli import _report_json
+from ilwhodge.cli import _report_json, main
 from ilwhodge.hodge import (
     HodgeConsistencyError,
     extract_cg,
@@ -271,6 +272,31 @@ class TestConsistencyGuards:
         monkeypatch.setattr(ilwhodge.hodge, "s_tilde_series", not_a_function_of_he)
         with pytest.raises(HodgeConsistencyError):
             extract_cg(3)
+
+
+class TestBracketTableRendering:
+    """The one-point rows as the CLI renders them from one_point_table."""
+
+    @staticmethod
+    def rendered(capsys, g_max):
+        assert main(["one-point", "--max-genus", str(g_max), "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_rows(self, capsys):
+        rows = self.rendered(capsys, 2)["details"]
+        assert rows == [
+            {"g": g, "j": j, "d": list(d), "value": str(v)}
+            for (g, j, d), v in sorted(one_point_table(2).items())
+        ]
+        assert rows[:2] == [
+            {"g": 1, "j": 0, "d": [1], "value": "1/24"},
+            {"g": 1, "j": 1, "d": [0], "value": "1/24"},
+        ]
+
+    def test_json(self, capsys):
+        data = self.rendered(capsys, 1)
+        assert (data["command"], data["status"]) == ("one-point", "ok")
+        assert len(data["details"]) == 2
 
 
 def test_report_of_no_mismatch_is_ok_and_omits_the_key():
