@@ -128,9 +128,13 @@ def _path(text: str) -> str:
 
 
 def _perturbation(text: str):
+    g_text, _, delta_text = text.partition(":")
+    num, slash, den = delta_text.strip().partition("/")
     try:
-        g_text, _, delta_text = text.partition(":")
-        g0, delta = int(g_text), exactnum.rational_from_str(delta_text)
+        g0, q = int(g_text), int(den) if slash else 1
+        if q <= 0:
+            raise ValueError(f"denominator must be positive in {delta_text!r}")
+        delta = Fraction(int(num), q)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected G:P/Q (e.g. 2:1/1000000), got {text!r}: {exc}"
@@ -361,10 +365,8 @@ def _run_verifications(which: str, G: int, cg_values) -> list[reports.Verificati
 
 
 def _report_json(report: reports.VerificationReport) -> dict:
-    """The report's fields; "first_mismatch" only when it has one."""
-    found = {} if report.first_mismatch is None else {"first_mismatch": report.first_mismatch}
-    return {"name": report.name, "status": report.status, "order_checked": report.order_checked,
-            **found}
+    """The report's fields in field order, a None one (`first_mismatch`) left out."""
+    return {k: v for k, v in report._asdict().items() if v is not None}
 
 
 def cmd_verify(cfg: dict, which: str, genus: int, perturb) -> int:

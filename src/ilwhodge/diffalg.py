@@ -207,9 +207,16 @@ class _Packing(Packing):
         return u | u_degree(ue) << 2 * w | a << w | b
 
     def decode(self, key: int) -> FlatKey:
-        w, mask = self.width, self.mask
-        ue = tuple(((s - self.base) // w, m) for s, m in self.factors(key))
-        return (ue, key >> w & mask, key & mask)
+        ue = tuple(((s - self.base) // self.width, m) for s, m in self.factors(key))
+        return (ue, self.h(key), key & self.mask)
+
+    def h(self, key: int) -> int:
+        """The h exponent of a key."""
+        return key >> self.width & self.mask
+
+    def degree(self, key: int) -> int:
+        """The u-degree of a key."""
+        return key >> 2 * self.width & self.mask
 
     def factors(self, key: int) -> list[tuple[int, int]]:
         """(field shift, multiplicity) of every u_k in a key, lowest first."""
@@ -334,7 +341,7 @@ def _reduce(den: int, nums: IntTerms, pack: _Packing,
     """
     w, mask, base = pack.width, pack.mask, pack.base
     top = (max(nums, default=0).bit_length() - 1 - base) // w
-    scale = lcm(*range(1, max((k >> 2 * w & mask for k in nums), default=0) + 1)) ** max(top, 0)
+    scale = lcm(*range(1, max(map(pack.degree, nums), default=0) + 1)) ** max(top, 0)
     levels: dict[int, IntTerms] = {}  # by the field shift of the top u_N
     for key, c in nums.items():
         s = key.bit_length() - 1

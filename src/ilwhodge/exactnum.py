@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Callable
 
-__all__ = ["bernoulli", "c_g", "dispersion_coeff", "rational_from_str", "CgValues"]
+__all__ = ["bernoulli", "c_g", "dispersion_coeff", "CgValues"]
 
 # the constants c_g as a builder or verifier takes them, `c_g` when None
 CgValues = Callable[[int], Fraction]
@@ -60,14 +60,3 @@ def dispersion_coeff(g: int) -> Fraction:
     """The first-flow dispersion coefficient |B_{2g}| / (2g)! = 2 c_g(g)."""
     return 2 * c_g(g)
 
-
-def rational_from_str(s: str) -> Fraction:
-    """Parse "p/q" or "p", as `str` prints a Fraction, back into a Fraction."""
-    text = s.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        d = int(den)
-        if d <= 0:
-            raise ValueError(f"denominator must be positive in {s!r}")
-        return Fraction(int(num), d)
-    return Fraction(int(text))

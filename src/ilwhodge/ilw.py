@@ -95,7 +95,6 @@ def higher_hamiltonian(i: int, G: int, cg_values: exactnum.CgValues | None = Non
     cvars = coeff_ring(G)
     # the widest term is a step's product, of u-degree i + 3
     pack = _Packing(cvars, i + 3)
-    w, mask = pack.width, pack.mask
     d1, n1 = _scaled(h1(G, cg_values).terms, pack)
     # the flow of h_1 and its x-derivatives so far, over d1, shared by every step
     flows = [list(_int_dx(_int_euler(n1, pack), pack).items())]
@@ -104,7 +103,7 @@ def higher_hamiltonian(i: int, G: int, cg_values: exactnum.CgValues | None = Non
         # the t_1-derivative of density / den, integrated into phi when given
         den, rest = _reduce(den * d1, _int_frechet(density, flows, pack), pack, phi)
         if rest:  # the obstruction's lowest h-order, read off the h field
-            raise InconsistentSystemError(i, min(k >> w & mask for k in rest))
+            raise InconsistentSystemError(i, min(map(pack.h, rest)))
         return den
 
     den, density = 1, {pack.encode((((0, 1),), 0, 0)): 1}
@@ -112,7 +111,7 @@ def higher_hamiltonian(i: int, G: int, cg_values: exactnum.CgValues | None = Non
         phi: IntTerms = {}
         den = step(den, density, phi)
         # the D - 1 eigenvalue 2a + n - 1 of h^a (u-monomial of u-degree n)
-        eigen = {k: 2 * (k >> w & mask) + (k >> 2 * w & mask) - 1 for k in phi}
+        eigen = {k: 2 * pack.h(k) + pack.degree(k) - 1 for k in phi}
         scale = lcm(*eigen.values())
         den, density = _content(den * scale, {k: c * (scale // eigen[k]) for k, c in phi.items()})
 

@@ -535,7 +535,8 @@ def _flat_packed(den: int, nums: dict, pack) -> dict:
 
 def check_packed_kernels_at_field_width(cases: int, seed: int) -> int:
     """The packed product, d/dx, partials, normal form, x-antiderivative and
-    graded solve against the plain-tuple references, with every field at its
+    graded solve against the plain-tuple references, and the key reads
+    `_Packing.h` and `degree` against `decode`, with every field at its
     width limit somewhere: multiplicities and u-degrees up to 7 and h, e
     exponents up to 7 in 4-bit fields, series exponents up to 15 in 5-bit
     ones, and products one step past the h or e order."""
@@ -545,6 +546,7 @@ def check_packed_kernels_at_field_width(cases: int, seed: int) -> int:
     assert (pack.width, series_pack.width) == (4, 5)
     h_order, e_order = (v.order for v in WIDTH_RING)
     full = past = 0
+    widest = (0, 0)  # the largest h exponent and u-degree read off a key
     normal_peels, integral_peels = set(), set()
     for n in range(cases):
         d = rng.randint(0, WIDTH_TOP)
@@ -553,6 +555,10 @@ def check_packed_kernels_at_field_width(cases: int, seed: int) -> int:
         normal_peels |= _top_peels(fp)
         integral_peels |= _top_peels(dx_reference(fp))
         (dp, np), (dq, nq) = _scaled(p.terms, pack), _scaled(q.terms, pack)
+        for key in (*np, *nq):  # the field reads agree with decode
+            ue, a, _ = pack.decode(key)
+            assert (pack.h(key), pack.degree(key)) == (a, _degree(ue))
+            widest = (max(widest[0], a), max(widest[1], _degree(ue)))
         product = _int_product([(1, list(np.items()), list(nq.items()))], pack)
         assert (_flat_packed(dp * dq, product, pack)
                 == multiply_reference(fp, fq, h_order, e_order))
@@ -585,6 +591,7 @@ def check_packed_kernels_at_field_width(cases: int, seed: int) -> int:
                                                    lambda d: sign * (d + 2), bounds)
     assert full, "no product filled the u-degree field"
     assert past, "no product went one step past the h or e order"
+    assert widest == (h_order - 1, WIDTH_TOP), f"no key filled the h or u-degree field: {widest}"
     assert normal_peels == PEEL_SHAPES, f"no normal form peeled {PEEL_SHAPES - normal_peels}"
     assert integral_peels == PEEL_SHAPES, f"no antiderivative peeled {PEEL_SHAPES - integral_peels}"
     return cases

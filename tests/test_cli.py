@@ -5,15 +5,16 @@ import gc
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ilwhodge.cli import VERIFY, checks, main
-from ilwhodge.exactnum import rational_from_str
+from ilwhodge.cli import VERIFY, build_parser, checks, main
 
 
 def run(capsys, *argv):
@@ -42,7 +43,7 @@ class TestBernoulli:
         code, data = run_json(capsys, "bernoulli", "--max", "12")
         values = {(r["kind"], r["index"]): r["value"] for r in data["details"]}
         assert values[("B", 12)] == "-691/2730"
-        assert values[("C", 6)] == str(rational_from_str(values[("C", 6)]))
+        assert str(Fraction(values[("C", 6)])) == values[("C", 6)]
 
     def test_envelope_schema(self, capsys):
         code, data = run_json(capsys, "bernoulli", "--max", "2")
@@ -144,7 +145,7 @@ class TestExpressions:
         terms = data["details"][0]["flow"]
         for term in terms:
             for entry in term["coef"]["terms"]:
-                rational_from_str(entry["coef"])  # must parse
+                assert str(Fraction(entry["coef"])) == entry["coef"]
 
 
 class TestVerify:
@@ -203,7 +204,8 @@ class TestVerify:
     @pytest.mark.parametrize("spec, reason", [
         ("2:1/0", "denominator must be positive in '1/0'"),
         ("x:1/3", "invalid literal for int() with base 10: 'x'"),
-    ], ids=["zero-denominator", "bad-locus"])
+        ("1:1/-2", "denominator must be positive in '1/-2'"),
+    ], ids=["zero-denominator", "bad-locus", "negative-denominator"])
     def test_bad_perturbation_spec_gives_its_reason(self, capsys, spec, reason):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "cg", "--perturb-cg", spec])
@@ -212,6 +214,30 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == (f"ilwhodge: error: argument --perturb-cg: expected G:P/Q "
                                 f"(e.g. 2:1/1000000), got {spec!r}: {reason}\n")
+
+    @pytest.mark.parametrize("delta, expected", [
+        ("1/6", Fraction(1, 6)), ("-7", Fraction(-7)), (" -3/9 ", Fraction(-1, 3)),
+    ])
+    def test_perturbation_shift_is_read_as_str_prints_it(self, delta, expected):
+        args = build_parser().parse_args(["verify", "cg", "--perturb-cg", f"1:{delta}"])
+        assert args.perturb_cg == (1, expected)
+
+    def test_perturbation_shift_round_trips_str(self, capsys):
+        # the 200 values of a seeded draw, and a zero, which is the zero-shift error
+        rng = random.Random(7)
+        draws = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(200)]
+        for x in [Fraction(0), *draws]:
+            spec = f"3:{x}"
+            if x == 0:
+                with pytest.raises(SystemExit) as exc:
+                    build_parser().parse_args(["verify", "cg", "--perturb-cg", spec])
+                assert exc.value.code == 2
+                assert capsys.readouterr().err == (
+                    f"ilwhodge: error: argument --perturb-cg: a zero shift injects no fault, "
+                    f"got {spec!r}\n")
+            else:
+                args = build_parser().parse_args(["verify", "cg", "--perturb-cg", spec])
+                assert args.perturb_cg == (3, x)
 
     def test_zero_shift_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

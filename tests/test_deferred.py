@@ -70,6 +70,9 @@ class TestWhatRuns:
         ["verify", "cg", "--genus", "0"],
         ["hamiltonian", "--index", "0"],
         ["one-point", "--format", "xml"],
+        ["verify", "cg", "--genus", "2", "--perturb-cg", "1:1/0"],
+        ["verify", "cg", "--genus", "2", "--perturb-cg", "1:0"],
+        ["verify", "cg", "--genus", "2", "--perturb-cg", "5:1/3"],
     ], ids=lambda argv: "-".join(argv))
     def test_usage_error_runs_no_engine_module(self, argv):
         code = (

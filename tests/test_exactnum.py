@@ -62,15 +62,6 @@ def test_rational_codec():
     assert str(Fraction(1, 6)) == "1/6"
     assert str(Fraction(-691, 2730)) == "-691/2730"
     assert str(Fraction(5)) == "5"
-    assert exactnum.rational_from_str("1/6") == Fraction(1, 6)
-    assert exactnum.rational_from_str("-7") == Fraction(-7)
-    assert exactnum.rational_from_str(" -3/9 ") == Fraction(-1, 3)
-    with pytest.raises(ValueError):
-        exactnum.rational_from_str("1/-2")
-    rng = random.Random(7)
-    for _ in range(200):
-        x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
-        assert exactnum.rational_from_str(str(x)) == x
 
 
 def test_rational_field_axioms_randomized():

@@ -1,5 +1,6 @@
-"""The README's library example and CLI lines do what their comments say, and
-its Cold start line counts are those of `src/`."""
+"""The README's library example and CLI lines do what their comments say, its
+Cold start line counts are those of `src/`, and the `verify` selectors it and
+`cli`'s docstring list are those of `cli.VERIFY`."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from ilwhodge import cli
 from ilwhodge.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,3 +80,11 @@ def test_cold_start_line_counts_are_those_of_src():
         names = modules.replace("`", "").split(", ")
         assert len(set(names)) == len(names) and set(names) <= set(lines), commands
         assert int(count.replace(",", "")) == sum(lines[n] for n in names), commands
+
+
+def test_verify_selector_lists_are_those_of_cli():
+    readme = (ROOT / "README.md").read_text()
+    sentence = re.search(r"`verify` selectors: (.*?)\.\s", readme, re.S).group(1)
+    docstring = re.search(r"^    verify +\{(.*)\}$", cli.__doc__, re.M).group(1)
+    assert re.findall(r"`([^`]+)`", sentence) == list(cli.VERIFY)
+    assert docstring.split("|") == list(cli.VERIFY)
