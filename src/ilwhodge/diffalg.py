@@ -140,13 +140,6 @@ class DiffPoly(TermMap):
     def constant(cls, cvars: Iterable[VarSpec], coef: int | Fraction) -> "DiffPoly":
         return cls(cvars, {((), 0, 0): coef})
 
-    # -- arithmetic --------------------------------------------------------------
-
-    def __mul__(self, other) -> "DiffPoly":
-        return self._times(other)
-
-    __rmul__ = __mul__
-
     # -- rendering -------------------------------------------------------------------
 
     def __str__(self) -> str:

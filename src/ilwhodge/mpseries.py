@@ -2,7 +2,7 @@
 
 A `TermMap` is a finite association from keys to nonzero `Fraction`
 coefficients over an ordered tuple of `VarSpec` variables; it owns the ring
-code (construction, equality, sum, difference, scaling, render order) shared
+code (construction, equality, sum, difference, product, render order) shared
 by the two exact term maps of the package.  A `MultiSeries` is the one keyed
 by exponent vectors; `diffalg.DiffPoly` is the other.  Each variable carries
 its own truncation order: an exclusive bound on the exponents retained.
@@ -88,11 +88,10 @@ class TermMap:
 
     The ring code shared by `MultiSeries` and `diffalg.DiffPoly`.  A subclass
     supplies its error class `error`, its key check and canonical form
-    `_key(vars, key)`, its render order `_order(key)`, `constant`, the packed
-    key layout `_packing(a, b)` of a product and its own `__mul__` (through
-    `_times`).  `terms` never stores a zero coefficient or a key that `_key`
-    rejects; two maps of one class are equal iff their variables and term
-    maps are equal.
+    `_key(vars, key)`, its render order `_order(key)`, `constant` and the
+    packed key layout `_packing(a, b)` of a product.  `terms` never stores a
+    zero coefficient or a key that `_key` rejects; two maps of one class are
+    equal iff their variables and term maps are equal.
     """
 
     __slots__ = ("vars", "terms")
@@ -137,10 +136,8 @@ class TermMap:
 
     def _check_ring(self, other: "TermMap") -> None:
         if self.vars != other.vars:
-            raise self.error(
-                f"variable mismatch: {[v.name for v in self.vars]} vs "
-                f"{[v.name for v in other.vars]}"
-            )
+            a, b = ([f"{v.name} order {v.order}" for v in m.vars] for m in (self, other))
+            raise self.error(f"variable mismatch: {a} vs {b}")
 
     def _operand(self, other):
         """other as a map over this ring (a rational becomes a constant), or
@@ -173,7 +170,7 @@ class TermMap:
     def __rsub__(self, other):
         return (-self) + other
 
-    def _times(self, other):
+    def __mul__(self, other):
         """self * other: a rational scales every coefficient; a map over the
         same ring multiplies through `_int_product` on packed keys."""
         if isinstance(other, (int, Fraction)):
@@ -186,6 +183,8 @@ class TermMap:
         (da, na), (db, nb) = _scaled(self.terms, pack), _scaled(other.terms, pack)
         product = _int_product([(1, list(na.items()), list(nb.items()))], pack)
         return self._make(self.vars, _unscale(product, da * db, pack))
+
+    __rmul__ = __mul__
 
 
 class Packing:
@@ -268,8 +267,9 @@ class MultiSeries(TermMap):
 
     _packing = staticmethod(lambda a, b: Packing(tuple(v.order for v in a.vars)))
 
+    # perfbench/tracing.py wraps this binding, so a DiffPoly product is no series product
     def __mul__(self, other) -> "MultiSeries":
-        return self._times(other)
+        return TermMap.__mul__(self, other)
 
     __rmul__ = __mul__
 
@@ -484,15 +484,15 @@ def _divide(num, den: MultiSeries, caller: str) -> MultiSeries:
     c = den.constant_term
     if c == 0:
         raise SeriesError(f"{caller} requires a nonzero constant term")
-    if isinstance(num, (int, Fraction)):
-        num = MultiSeries.constant(den.vars, num)
-    if num.vars != den.vars:
-        raise SeriesError(
-            f"{caller}: variable mismatch: {[v.name for v in num.vars]} vs "
-            f"{[v.name for v in den.vars]}"
-        )
+    try:
+        operand = den._operand(num)
+    except SeriesError as exc:
+        raise SeriesError(f"{caller}: {exc}") from None
+    if operand is None:
+        raise SeriesError(f"{caller}: numerator must be a series or an exact rational, "
+                          f"got {type(num).__name__}")
     grade = _grading(den)
-    return _solve_graded(_components(num, grade), _components(den, grade), lambda d: c)
+    return _solve_graded(_components(operand, grade), _components(den, grade), lambda d: c)
 
 
 def sinc_half_series(G: int) -> MultiSeries:

@@ -10,9 +10,10 @@ __all__ = ["VerificationReport", "first_term_mismatch"]
 class VerificationReport(NamedTuple):
     """Outcome of one identity check.
 
-    `status` is "ok" or "mismatch"; a mismatch carries the first differing
-    locus in canonical scan order together with both values, so a fault is
-    always localized.
+    `status` is "ok", "mismatch" or "error"; a mismatch carries the first
+    differing locus in canonical scan order together with both values, so a
+    fault is always localized, and an error (a check that raised, as
+    `cli._run_verifications` reports it) carries `{"error": message}`.
     """
 
     name: str

@@ -542,6 +542,34 @@ class TestPlumbing:
         assert {"cli.main", "engine.verify_cg", "hodge.extract_cg"} <= set(hodge)
         assert "mpseries.mul" in spans("one-point", "--max-genus", "3")
 
+    def test_tracer_counts_only_series_products(self):
+        # perfbench/tracing.py wraps MultiSeries.__mul__ wherever that function
+        # is bound; MultiSeries binds its own, so a DiffPoly product, which
+        # runs the same TermMap product, is not counted as a series product
+        root = Path(__file__).resolve().parents[1]
+        child = "\n".join([
+            "from tracing import Tracer",
+            "tracer = Tracer()",
+            "tracer.install()",
+            "from ilwhodge.diffalg import DiffPoly",
+            "from ilwhodge.mpseries import MultiSeries, coeff_ring",
+            "p = DiffPoly(coeff_ring(1), {(((1, 2),), 0, 1): 1, ((), 1, 0): 2})",
+            "p * p",
+            "s = MultiSeries(coeff_ring(1), {(0, 1): 1, (1, 0): 2})",
+            "s * s",
+            "print(tracer.summary()['spans']['mpseries.mul']['calls'])",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True,
+            text=True,
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"),
+                                                              str(root / "perfbench")])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1"]
+
     def test_runtime_imports_only_the_stdlib(self):
         # the engine runs on the standard library alone (no sympy, no numpy)
         src = Path(__file__).resolve().parents[1] / "src" / "ilwhodge"

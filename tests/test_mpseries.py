@@ -173,8 +173,12 @@ def test_exp_log_preconditions():
     t = MultiSeries(T6, {(1,): 1})
     with pytest.raises(SeriesError, match="divide_series"):
         divide_series(t, t)
-    with pytest.raises(SeriesError, match="divide_series"):
+    # two rings that differ only in the order of t: the message names both orders
+    with pytest.raises(SeriesError, match=r"divide_series: .*t order 6.* vs .*t order 3"):
         divide_series(MultiSeries.constant(T3, 1), MultiSeries.constant(T6, 1))
+    # a float numerator is refused with the series error, as a float coefficient is
+    with pytest.raises(SeriesError, match="divide_series"):
+        divide_series(0.5, t)
 
 
 def test_log_sinc_half_coefficients():
@@ -332,6 +336,11 @@ def test_term_map_ring_arithmetic(name):
     assert q.sorted_terms() == [(k1, Fraction(-2, 3)), (k2, -half), (k3, Fraction(3))]
     assert (p - q).sorted_terms() == [(k0, 1), (k1, Fraction(2, 3)), (k2, 1), (k3, -3)]
     other = cls(coeff_ring(2), {k0: 1})
+    wider = cls(coeff_ring(4), {k0: 1})
     for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
         with pytest.raises(error):
             op(p, other)
+        # the same names at other orders (coeff_ring(G) truncates at G + 1): the
+        # message names both rings' orders
+        with pytest.raises(error, match=r"'h order 4', 'e order 4'\] vs \['h order 5'"):
+            op(p, wider)
