@@ -13,7 +13,8 @@ overrides ILWHODGE_FORMAT, ILWHODGE_OUTPUT, ILWHODGE_GENUS, ILWHODGE_INDEX
 stand in for an absent flag; each is read only by a command that has that
 option and is checked like the flag.  JSON is the canonical machine output
 with envelope {"command", "config", "status", "details"}.  Exit codes: 0
-success, 1 verification mismatch or engine error, 2 usage error.
+success, 1 verification mismatch or engine error, 2 usage error or an
+--output or stdout that cannot be written.
 """
 
 from __future__ import annotations
@@ -159,12 +160,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bernoulli", parents=[common], help="Bernoulli numbers")
+    p.set_defaults(run=cmd_bernoulli)
     p.add_argument("--max", type=_nonneg_int, default=12)
 
     p = sub.add_parser("constants", parents=[common], help="hierarchy constants C_g")
+    p.set_defaults(run=cmd_constants)
     _env_option(p, "--max-genus", "GENUS", 5, type=_pos_int)
 
     p = sub.add_parser("one-point", parents=[common], help="one-point table")
+    p.set_defaults(run=cmd_one_point)
     _env_option(p, "--max-genus", "GENUS", 5, type=_pos_int)
 
     for name, text in (
@@ -172,10 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("flow", "flow d/dx (delta h_I / delta u) to order h^G"),
     ):
         p = sub.add_parser(name, parents=[common], help=text)
+        p.set_defaults(run=cmd_expression)
         _env_option(p, "--index", "INDEX", 2, type=_pos_int)
         _env_option(p, "--genus", "GENUS", 5, type=_nonneg_int)
 
     p = sub.add_parser("verify", parents=[common], help="run verification suites")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("which", choices=list(VERIFY))
     _env_option(p, "--genus", "GENUS", 5, type=_pos_int)
     p.add_argument("--perturb-cg", type=_perturbation, default=None, metavar="G:P/Q",
@@ -183,8 +189,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json(command: str, cfg: dict, status: str, details: list) -> str:
-    envelope = {"command": command, "config": cfg, "status": status, "details": details}
+def _json(command: str, args: argparse.Namespace, status: str, details: list) -> str:
+    # "config" in this key order; a command without --genus, --max-genus or
+    # --index still prints their fallbacks
+    config = {
+        "genus_order": getattr(args, "genus", getattr(args, "max_genus", 5)),
+        "hierarchy_index": getattr(args, "index", 2),
+        "output_format": args.format,
+        "output_path": args.output,
+    }
+    envelope = {"command": command, "config": config, "status": status, "details": details}
     return json.dumps(envelope, indent=2) + "\n"
 
 
@@ -192,15 +206,14 @@ def _cell(value) -> str:
     return " ".join(str(x) for x in value) if isinstance(value, list) else str(value)
 
 
-def _render_rows(command: str, cfg: dict, rows: list[dict], columns: list[str]) -> str:
+def _render_rows(args: argparse.Namespace, rows: list[dict], columns: list[str]) -> str:
     """`rows` as a table in the requested format; JSON wraps them in the envelope."""
-    fmt = cfg["output_format"]
-    if fmt == "json":
-        return _json(command, cfg, "ok", rows)
+    if args.format == "json":
+        return _json(args.command, args, "ok", rows)
     cells = [[_cell(r[c]) for c in columns] for r in rows]
-    if fmt == "csv":
+    if args.format == "csv":
         return "".join(",".join(line) + "\n" for line in [columns, *cells])
-    if fmt == "latex":
+    if args.format == "latex":
         lines = [r"\begin{tabular}{" + "l" * len(columns) + "}"]
         lines.append(" & ".join(columns) + r" \\ \hline")
         lines += [" & ".join(line) + r" \\" for line in cells]
@@ -211,56 +224,54 @@ def _render_rows(command: str, cfg: dict, rows: list[dict], columns: list[str]) 
     return "".join("  ".join(c.ljust(w) for c, w in zip(line, widths)) + "\n" for line in lines)
 
 
-def _emit(cfg: dict, text: str) -> None:
-    if cfg["output_path"]:
-        try:
-            with open(cfg["output_path"], "w") as fh:
+def _emit(path: str | None, text: str) -> None:
+    """Write `text` to `path`, or to stdout; a failed write is a usage error."""
+    try:
+        if path:
+            with open(path, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            _usage_error(f"cannot write --output {cfg['output_path']}: {exc.strerror}")
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not path:  # stdout keeps the unwritten text; let the exit-time flush drop it
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        _usage_error(f"cannot write {f'--output {path}' if path else 'stdout'}: {exc.strerror}")
 
 
 # -- command implementations --------------------------------------------------
 
 
-def cmd_bernoulli(cfg: dict, max_n: int) -> int:
+def cmd_bernoulli(args: argparse.Namespace) -> tuple[str, int]:
     rows = [
         {"kind": "B", "index": n, "value": str(exactnum.bernoulli(n))}
-        for n in range(max_n + 1)
+        for n in range(args.max + 1)
     ]
     rows += [
         {"kind": "C", "index": g, "value": str(exactnum.c_g(g))}
-        for g in range(1, max_n // 2 + 1)
+        for g in range(1, args.max // 2 + 1)
     ]
-    _emit(cfg, _render_rows("bernoulli", cfg, rows, ["kind", "index", "value"]))
-    return 0
+    return _render_rows(args, rows, ["kind", "index", "value"]), 0
 
 
-def cmd_constants(cfg: dict, g_max: int) -> int:
+def cmd_constants(args: argparse.Namespace) -> tuple[str, int]:
     rows = [
         {
             "g": g,
             "c_g": str(exactnum.c_g(g)),
             "dispersion": str(exactnum.dispersion_coeff(g)),
         }
-        for g in range(1, g_max + 1)
+        for g in range(1, args.max_genus + 1)
     ]
-    _emit(cfg, _render_rows("constants", cfg, rows, ["g", "c_g", "dispersion"]))
-    return 0
+    return _render_rows(args, rows, ["g", "c_g", "dispersion"]), 0
 
 
-def cmd_one_point(cfg: dict, g_max: int) -> int:
-    table = sorted(hodge.one_point_table(g_max).items())
-    if cfg["output_format"] == "latex":
-        text = _one_point_latex(table)
-    else:
-        rows = [{"g": g, "j": j, "d": list(d), "value": str(v)}
-                for (g, j, d), v in table]
-        text = _render_rows("one-point", cfg, rows, ["g", "j", "d", "value"])
-    _emit(cfg, text)
-    return 0
+def cmd_one_point(args: argparse.Namespace) -> tuple[str, int]:
+    table = sorted(hodge.one_point_table(args.max_genus).items())
+    if args.format == "latex":
+        return _one_point_latex(table), 0
+    rows = [{"g": g, "j": j, "d": list(d), "value": str(v)} for (g, j, d), v in table]
+    return _render_rows(args, rows, ["g", "j", "d", "value"]), 0
 
 
 def _one_point_latex(table: list) -> str:
@@ -280,34 +291,28 @@ def _latex_rational(c: Fraction) -> str:
     return ("-" if c < 0 else "") + rf"\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
 
 
-def cmd_expression(cfg: dict, command: str, index: int, genus: int) -> int:
+def cmd_expression(args: argparse.Namespace) -> tuple[str, int]:
     """`hamiltonian` (the functional h_I, written int(density) dx) or `flow`
     (its flow), to order h^genus."""
-    poly = ilw.hamiltonian(index, genus)
-    if command == "flow":
+    poly = ilw.hamiltonian(args.index, args.genus)
+    if args.command == "flow":
         poly = ilw.flow(poly)
-    fmt = cfg["output_format"]
-    if fmt == "latex":
+    if args.format == "latex":
         text = _density_latex(poly)
-        if command == "hamiltonian":
+        if args.command == "hamiltonian":
             text = rf"\int\left({text}\right)\,dx"
-        text += "\n"
-    elif fmt == "csv":
-        text = _render_rows(
-            command, cfg, _coefficient_rows(poly), ["monomial", "h_exp", "e_exp", "coefficient"]
-        )
-    else:
-        pretty = str(poly)
-        if command == "hamiltonian":
-            pretty = f"int({pretty}) dx"
-        if fmt == "pretty":
-            text = pretty + "\n"
-        else:
-            key = "density" if command == "hamiltonian" else "flow"
-            payload = {"index": index, "genus": genus, key: _density_json(poly), "pretty": pretty}
-            text = _json(command, cfg, "ok", [payload])
-    _emit(cfg, text)
-    return 0
+        return text + "\n", 0
+    if args.format == "csv":
+        columns = ["monomial", "h_exp", "e_exp", "coefficient"]
+        return _render_rows(args, _coefficient_rows(poly), columns), 0
+    pretty = str(poly)
+    if args.command == "hamiltonian":
+        pretty = f"int({pretty}) dx"
+    if args.format == "pretty":
+        return pretty + "\n", 0
+    key = "density" if args.command == "hamiltonian" else "flow"
+    payload = {"index": args.index, "genus": args.genus, key: _density_json(poly), "pretty": pretty}
+    return _json(args.command, args, "ok", [payload]), 0
 
 
 def _density_json(poly: diffalg.DiffPoly) -> list:
@@ -353,7 +358,7 @@ def checks(which: str, G: int) -> list[tuple]:
 
 def _run_verifications(which: str, G: int, cg_values) -> list[reports.VerificationReport]:
     # one build of each h_i per call; a build that raises is not cached, so
-    # each check that needs it reports the error at its own order
+    # each check that needs it runs that build again and reports its error
     h = functools.cache(lambda i, order: ilw.hamiltonian(i, order, cg_values))
     results: list[reports.VerificationReport] = []
     for name, order, check in checks(which, G):
@@ -369,30 +374,30 @@ def _report_json(report: reports.VerificationReport) -> dict:
     return {k: v for k, v in report._asdict().items() if v is not None}
 
 
-def cmd_verify(cfg: dict, which: str, genus: int, perturb) -> int:
-    if cfg["output_format"] not in ("pretty", "json"):
-        _usage_error(f"verify renders only pretty and json, not {cfg['output_format']}")
-    if perturb and not 1 <= perturb[0] <= genus:
-        _usage_error(f"--perturb-cg locus {perturb[0]} is outside 1..{genus}")
-    cg_values = perturbed_cg(*perturb) if perturb else None
-    results = _run_verifications(which, genus, cg_values)
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    if args.format not in ("pretty", "json"):
+        _usage_error(f"verify renders only pretty and json, not {args.format}")
+    if args.perturb_cg and not 1 <= args.perturb_cg[0] <= args.genus:
+        _usage_error(f"--perturb-cg locus {args.perturb_cg[0]} is outside 1..{args.genus}")
+    cg_values = perturbed_cg(*args.perturb_cg) if args.perturb_cg else None
+    results = _run_verifications(args.which, args.genus, cg_values)
     all_ok = all(r.ok for r in results)
-    if perturb and all_ok:  # no selected check saw the shift
-        _usage_error(f"verify {which} cannot detect a shifted c_{perturb[0]} at genus {genus}")
+    if args.perturb_cg and all_ok:  # no selected check saw the shift
+        _usage_error(f"verify {args.which} cannot detect a shifted c_{args.perturb_cg[0]} "
+                     f"at genus {args.genus}")
     status = "ok" if all_ok else "mismatch"
-    if cfg["output_format"] == "pretty":
+    if args.format == "pretty":
         lines = [
             f"PASS  {r.name} (order {r.order_checked})"
             if r.ok
             else f"FAIL  {r.name} (order {r.order_checked}): {r.first_mismatch}"
             for r in results
         ]
-        lines.append(f"verify {which}: {status}")
+        lines.append(f"verify {args.which}: {status}")
         text = "\n".join(lines) + "\n"
     else:
-        text = _json("verify " + which, cfg, status, [_report_json(r) for r in results])
-    _emit(cfg, text)
-    return 0 if all_ok else 1
+        text = _json("verify " + args.which, args, status, [_report_json(r) for r in results])
+    return text, 0 if all_ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -400,19 +405,6 @@ def main(argv: list[str] | None = None) -> int:
     for dest, value in list(vars(args).items()):
         if isinstance(value, _FromEnv):
             setattr(args, dest, value.resolve())
-    # the JSON envelope's "config", printed in this key order
-    cfg = {
-        "genus_order": getattr(args, "genus", getattr(args, "max_genus", 5)),
-        "hierarchy_index": getattr(args, "index", 2),
-        "output_format": args.format,
-        "output_path": args.output,
-    }
-    if args.command == "bernoulli":
-        return cmd_bernoulli(cfg, args.max)
-    if args.command == "constants":
-        return cmd_constants(cfg, args.max_genus)
-    if args.command == "one-point":
-        return cmd_one_point(cfg, args.max_genus)
-    if args.command == "verify":
-        return cmd_verify(cfg, args.which, args.genus, args.perturb_cg)
-    return cmd_expression(cfg, args.command, args.index, args.genus)
+    text, code = args.run(args)
+    _emit(args.output, text)
+    return code

@@ -69,9 +69,9 @@ def u_key(exponents: Mapping[int, int] | Iterable[tuple[int, int]]) -> UExps:
     items = exponents.items() if isinstance(exponents, Mapping) else exponents
     acc: dict[int, int] = {}
     for k, m in items:
-        if k < 0:
+        if not isinstance(k, int) or k < 0:
             raise DiffAlgError(f"derivative index must be >= 0, got {k}")
-        if m < 0:
+        if not isinstance(m, int) or m < 0:
             raise DiffAlgError(f"multiplicity must be >= 0, got {m}")
         if m:
             acc[k] = acc.get(k, 0) + m
@@ -116,8 +116,11 @@ class DiffPoly(TermMap):
     @staticmethod
     def _key(vs: tuple[VarSpec, ...], key: FlatKey) -> FlatKey:
         ue, a, b = key
+        if len(vs) != 2:
+            raise DiffAlgError(f"coefficient ring must be (h, e), got {[v.name for v in vs]}")
         h_order, e_order = (v.order for v in vs)
-        if not (0 <= a < h_order and 0 <= b < e_order):
+        if not (isinstance(a, int) and isinstance(b, int)
+                and 0 <= a < h_order and 0 <= b < e_order):
             raise DiffAlgError(f"h^{a} e^{b} is outside the coefficient ring")
         return (u_key(ue), a, b)
 

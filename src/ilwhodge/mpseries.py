@@ -62,7 +62,7 @@ class VarSpec(namedtuple("VarSpec", "name order")):
     def __new__(cls, name: str, order: int):
         if not name:
             raise SeriesError("variable name must be non-empty")
-        if order < 0:
+        if not isinstance(order, int) or order < 0:
             raise SeriesError(f"truncation order must be >= 0, got {order}")
         return super().__new__(cls, name, order)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import errno
 import gc
 import importlib
 import json
@@ -632,6 +633,33 @@ class TestPlumbing:
         assert in_process == code
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
         assert shows in proc.stdout + proc.stderr
+
+    @pytest.mark.parametrize("target, errno_code", [
+        pytest.param("/dev/full", errno.ENOSPC, marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="no /dev/full on this system")),
+        ("closed pipe", errno.EPIPE),
+    ], ids=["full-device", "closed-pipe"])
+    def test_unwritable_stdout_is_one_line(self, target, errno_code):
+        # like an unwritable --output: one line on stderr and exit 2, with no
+        # traceback and nothing from the exit-time flush of stdout
+        root = Path(__file__).resolve().parents[1]
+        if target == "closed pipe":
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+        else:
+            stdout = os.open(target, os.O_WRONLY)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ilwhodge", "verify", "all", "--genus", "3"],
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(root / "src")},
+            )
+        finally:
+            os.close(stdout)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"ilwhodge: error: cannot write stdout: {os.strerror(errno_code)}\n")
 
     def test_module_entry_point_freezes_before_exit_handlers(self):
         # the survivors are frozen before the interpreter shuts down, and the

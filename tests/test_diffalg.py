@@ -24,7 +24,7 @@ from ilwhodge.diffalg import (
     u_key,
     variational_derivative,
 )
-from ilwhodge.mpseries import SeriesError, _int_product, _scaled, coeff_ring
+from ilwhodge.mpseries import SeriesError, VarSpec, _int_product, _scaled, coeff_ring
 from oracles import series_reciprocal, sinc_half_coeffs
 from properties import (
     check_bracket_antisymmetry_jacobi,
@@ -291,6 +291,11 @@ def test_u_key_rejects_a_negative_index_or_multiplicity():
         u_key({-1: 1})
     with pytest.raises(DiffAlgError, match="multiplicity must be >= 0, got -1"):
         u_key({0: -1})
+    # a non-integer index or multiplicity could not be packed
+    with pytest.raises(DiffAlgError, match="derivative index must be >= 0, got 0.5"):
+        u_key({0.5: 1})
+    with pytest.raises(DiffAlgError, match="multiplicity must be >= 0, got 1.5"):
+        u_key({0: 1.5})
 
 
 class TestConstructor:
@@ -300,9 +305,14 @@ class TestConstructor:
         assert p == u_power(CV, 0, 2)
 
     def test_rejects_exponents_outside_the_ring(self):
-        for a, b in ((3, 0), (0, 3), (-1, 0), (7, 7)):
+        for a, b in ((3, 0), (0, 3), (-1, 0), (7, 7), (0, 1.0)):
             with pytest.raises(DiffAlgError, match="outside the coefficient ring"):
                 DiffPoly(CV, {(u_key({0: 1}), a, b): 1})
+        with pytest.raises(DiffAlgError, match=r"^h\^1.0 e\^0 is outside the coefficient ring$"):
+            DiffPoly(CV, {(u_key({0: 1}), 1.0, 0): 1})
+        # the coefficient ring is (h, e), so a ring of one variable is refused
+        with pytest.raises(DiffAlgError, match=r"must be \(h, e\), got \['h'\]"):
+            DiffPoly((VarSpec("h", 2),), {((), 0, 0): 1})
 
     def test_drops_zero_coefficients(self):
         p = DiffPoly(CV, {(u_key({0: 1}), 0, 0): 0, (u_key({1: 2}), 1, 0): Fraction(0)})

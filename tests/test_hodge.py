@@ -226,7 +226,9 @@ def test_series_routes_reject_orders_below_one(entry, G):
 
 def test_hodge_series_read_no_bernoulli_number(monkeypatch):
     # S, S~ and the table come from the sine series alone, so the constants
-    # read off S~ are a second route to the Bernoulli closed form
+    # read off S~ are a second route to the Bernoulli closed form; only the
+    # modules that bind it are patched, since the package reaches it through
+    # its __getattr__ and monkeypatch's undo would leave the stub bound there
     original = exactnum.bernoulli
 
     def refuse(n):
@@ -234,7 +236,7 @@ def test_hodge_series_read_no_bernoulli_number(monkeypatch):
 
     bound = [
         module for name, module in list(sys.modules.items())
-        if name.split(".")[0] == "ilwhodge" and getattr(module, "bernoulli", None) is original
+        if name.split(".")[0] == "ilwhodge" and vars(module).get("bernoulli") is original
     ]
     assert exactnum in bound
     for module in bound:

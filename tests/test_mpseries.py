@@ -87,6 +87,9 @@ def test_varspec_rejects_an_empty_name_and_a_negative_order():
         VarSpec("", 1)
     with pytest.raises(SeriesError, match="^truncation order must be >= 0, got -1$"):
         VarSpec("x", -1)
+    # a non-integer order would reach the packed kernels' bit arithmetic
+    with pytest.raises(SeriesError, match="^truncation order must be >= 0, got 2.5$"):
+        VarSpec("t", 2.5)
 
 
 @pytest.mark.parametrize("make, fields", [
